@@ -287,7 +287,7 @@ class DruglikeSupervised(Workload):
 
     name = "druglike_supervised"
     N = 60
-    positions = 2 * N * (N + 1) // 2
+    positions = N * (N + 1)  # the cold run's triangle plus the rerun's
 
     def setup(self) -> None:
         rng = np.random.default_rng([self.seed, 4])
