@@ -1,16 +1,26 @@
 """Run one benchmark workload and print its metrics as one JSON line.
 
-    python3 perfbench/run.py --workload fragments_cold --seed 1 \\
-        --seconds 15 --trace 0
+    python3 perfbench/run.py --workload sweep_q16 --seed 1 \\
+        --seconds 25 --trace 0
 
 Run from the repository root; the program is imported from ``src/``.
-The launcher pins BLAS/OpenMP to one thread before NumPy loads, so two
-process workers on two cores do not oversubscribe.
 
-A run sets up the workload three times (imports once, then input
-generation plus one untimed warm-up unit each time) and reports the
-import time plus the median set-up.  It then runs timed rounds for
-``--seconds`` and checks every output (see ``workloads.py``).
+This file is a launcher.  It pins BLAS/OpenMP to one thread in the
+environment of the processes it starts, so two process workers on two
+cores do not oversubscribe, and it starts this same file again as
+fresh child processes:
+
+* ``--child setup`` sets the workload up, prints its set-up time and
+  exits.  Untraced runs start ``SETUPS - 1`` of these first.
+* ``--child measure`` sets the workload up, runs timed rounds for
+  ``--seconds``, checks every output (see ``workloads.py``) and prints
+  the result.
+
+A set-up is timed from just before its process is started to just
+before its first timed unit would begin.  That covers interpreter
+start, imports, every lazy import and first-use cost, input generation
+and one untimed warm-up unit, and no correctness check.  ``setup_s`` is
+the median over the ``SETUPS`` processes.
 
 ``--trace 0`` prints the end-to-end metrics.  ``--trace 1`` alternates
 untraced rounds with rounds whose layer calls are timed from outside
@@ -25,13 +35,11 @@ check fails.
 
 from __future__ import annotations
 
+import argparse
+import os
+import subprocess
+import sys
 import time
-
-_T0 = time.perf_counter()
-
-import argparse  # noqa: E402
-import os  # noqa: E402
-import sys  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -39,8 +47,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
-#: Set-ups per run; set-up time is their median.
-SETUP_REPS = 3
+#: Set-ups per untraced run, each in its own process; ``setup_s`` is
+#: their median.
+SETUPS = 3
+
+
+def now() -> float:
+    """A clock that reads the same in every process of the machine."""
+    return time.clock_gettime(time.CLOCK_MONOTONIC)
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -49,7 +63,33 @@ def parse_args(argv=None) -> argparse.Namespace:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--seconds", type=float, required=True)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    # Set by the launcher on the processes it starts.
+    p.add_argument("--child", choices=("setup", "measure"),
+                   help=argparse.SUPPRESS)
+    p.add_argument("--since", type=float, help=argparse.SUPPRESS)
+    p.add_argument("--setups", default="", help=argparse.SUPPRESS)
     return p.parse_args(argv)
+
+
+def launch(args) -> int:
+    env = dict(os.environ, **dict.fromkeys(THREAD_VARS, "1"))
+    base = [sys.executable, os.path.abspath(__file__),
+            "--workload", args.workload, "--seed", str(args.seed),
+            "--seconds", str(args.seconds), "--trace", str(args.trace)]
+    setups = []
+    for _ in range(0 if args.trace else SETUPS - 1):
+        proc = subprocess.run(
+            base + ["--child", "setup", "--since", repr(now())],
+            env=env, stdout=subprocess.PIPE, text=True,
+        )
+        if proc.returncode:
+            return proc.returncode
+        setups.append(proc.stdout.split()[-1])
+    return subprocess.run(
+        base + ["--child", "measure", "--since", repr(now()),
+                "--setups", ",".join(setups)],
+        env=env,
+    ).returncode
 
 
 def environment() -> dict:
@@ -109,10 +149,7 @@ def write_spans(path: str, record: dict, spans) -> None:
         json.dump(record, fh)
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
-    for var in THREAD_VARS:
-        os.environ[var] = "1"
+def child(args) -> int:
     sys.path.insert(0, os.path.join(ROOT, "src"))
 
     import json
@@ -126,7 +163,6 @@ def main(argv=None) -> int:
     from ledger import LEDGER_ROWS, layer_metrics
     from workloads import WORKLOADS, Oracle
 
-    import_s = time.perf_counter() - _T0
     cls = WORKLOADS.get(args.workload)
     if cls is None:
         raise SystemExit(f"unknown workload {args.workload!r}; "
@@ -136,25 +172,26 @@ def main(argv=None) -> int:
     workdir = tempfile.mkdtemp(prefix="work-", dir=out_dir)
     oracle = Oracle()
     try:
-        setups = []
-        for _ in range(SETUP_REPS):
-            t0 = time.perf_counter()
-            workload = cls(args.seed, workdir, oracle)
-            workload.setup()
-            setups.append(time.perf_counter() - t0)
+        workload = cls(args.seed, workdir, oracle)
+        workload.setup()
+        setup_s = now() - args.since
+        if args.child == "setup":
+            print(repr(setup_s))
+            return 0
         plain, tracer = measure(workload, args.seconds, bool(args.trace))
         workload.check()
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-        for child in multiprocessing.active_children():
-            child.join()
+        for proc in multiprocessing.active_children():
+            proc.join()
 
+    setups = [float(s) for s in args.setups.split(",") if s] + [setup_s]
     env = environment()
     samples = plain.samples
     print(f"# env {json.dumps(env)}")
     print(f"# {cls.name} seed={args.seed}: {len(samples)} untraced units, "
           f"{cls.positions} positions/unit, set-ups "
-          + ", ".join(f"{s:.3f}" for s in setups) + f" s, imports {import_s:.3f} s")
+          + ", ".join(f"{s:.3f}" for s in setups) + " s")
     print(f"# pairs_attempted={oracle.attempted} pairs_failed={oracle.failed}")
     for line in oracle.failures:
         print(f"# FAILED {line}")
@@ -190,8 +227,7 @@ def main(argv=None) -> int:
         }
     else:
         result = {
-            "setup_s": {"value": import_s + statistics.median(setups),
-                        "unit": "s"},
+            "setup_s": {"value": statistics.median(setups), "unit": "s"},
             "unit_s.p50": {"value": float(np.median(samples)), "unit": "s"},
             "unit_s.p90": {"value": float(np.percentile(samples, 90)),
                            "unit": "s"},
@@ -209,6 +245,11 @@ def main(argv=None) -> int:
         "metrics": result,
     }))
     return 0 if correct else 1
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    return child(args) if args.child else launch(args)
 
 
 if __name__ == "__main__":
