@@ -16,7 +16,6 @@ import re
 import shutil
 import tempfile
 import warnings
-from contextlib import nullcontext
 from statistics import NormalDist
 
 import numpy as np
@@ -302,82 +301,4 @@ class DruglikeSupervised(Workload):
             )
 
 
-class PairsZipf(Workload):
-    """A closed-loop client: Zipf-skewed pairs() calls on one cached engine."""
-
-    name = "pairs_zipf"
-    LIBRARY = 200
-    CALLS = 300
-    BATCH = 64
-    ZIPF_S = 1.1
-    positions = BATCH
-
-    def setup(self) -> None:
-        rng = np.random.default_rng([self.seed, 3])
-        self.library = fragment_library(rng, self.LIBRARY, 4, 11)
-        # Library index is popularity rank, so sizes by rank are the
-        # same for every seed.
-        p = np.arange(1, self.LIBRARY + 1) ** -self.ZIPF_S
-        self.draws = rng.choice(self.LIBRARY, size=(self.CALLS, self.BATCH, 2),
-                                p=p / p.sum())
-        self.calls = [
-            [(self.library[i], self.library[j]) for i, j in call]
-            for call in self.draws
-        ]
-        self.kernel = molecule_kernel(q=Q)
-        self.ref = self._round(None)
-
-    def _round(self, clock) -> list[np.ndarray]:
-        """One round: a fresh engine, then every call in order."""
-        engine = GramEngine(self.kernel)
-        unit = clock.unit if clock is not None else nullcontext
-        out = []
-        for call in self.calls:
-            with unit():
-                values = engine.pairs(call)
-            out.append(values)
-        return out
-
-    def round(self, clock) -> None:
-        out = self._round(clock)
-        self.oracle.record(
-            "round equals warm-up",
-            np.concatenate([a == b for a, b in zip(out, self.ref)]),
-        )
-
-    def check(self) -> None:
-        """Replay the value cache's misses on an engine with no cache.
-
-        Each call's first-seen contents are solved in the order and
-        grouping the cached engine solved them in (its misses), so
-        bucket membership, and with it every bit, is the same.
-        """
-        fp = [graph_fingerprint(g) for g in self.library]
-        engine = GramEngine(self.kernel, cache=False)
-        solved: dict[tuple[str, str], float] = {}
-        ok = []
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", RuntimeWarning)
-            for call, values in zip(self.draws, self.ref):
-                keys = [tuple(sorted((fp[i], fp[j]))) for i, j in call]
-                first: dict = {}
-                for pos, key in enumerate(keys):
-                    if key not in solved:
-                        first.setdefault(key, pos)
-                if first:
-                    fresh = engine.pairs([
-                        (self.library[call[pos][0]], self.library[call[pos][1]])
-                        for pos in first.values()
-                    ])
-                    solved.update(zip(first, fresh))
-                ok.extend(
-                    values[pos] == solved[key] for pos, key in enumerate(keys)
-                )
-        self.oracle.record("pairs equal a cache-free engine", ok)
-        self.oracle.nonconverged("pairs converged", len(solved), caught)
-
-
-WORKLOADS = {
-    w.name: w
-    for w in (SweepQ16, DruglikeSupervised, PairsZipf)
-}
+WORKLOADS = {w.name: w for w in (SweepQ16, DruglikeSupervised)}
