@@ -127,8 +127,6 @@ def cmd_gram(args: argparse.Namespace) -> int:
     engine_kw = {}
     if args.reorder_cutoff is not None:
         engine_kw["reorder_cutoff"] = args.reorder_cutoff
-    if args.pipeline_depth is not None:
-        engine_kw["pipeline_depth"] = args.pipeline_depth
     if args.max_tile_retries is not None:
         engine_kw["max_tile_retries"] = args.max_tile_retries
     if args.tile_timeout is not None:
@@ -157,7 +155,6 @@ def cmd_gram(args: argparse.Namespace) -> int:
         structure_cache_dir=args.structure_cache_dir,
         warm_start=args.warm_start,
         reorder=args.reorder_products,
-        pipeline=args.pipeline,
         spill_dir=args.spill_dir,
         progress=progress,
         **engine_kw,
@@ -736,12 +733,7 @@ def cmd_index_update(args: argparse.Namespace) -> int:
 
 
 def cmd_trace_summarize(args: argparse.Namespace) -> int:
-    from .obs import (
-        format_pipeline_report,
-        format_summary,
-        load_spans,
-        pipeline_report,
-    )
+    from .obs import format_summary, load_spans
 
     try:
         spans = load_spans(args.file)
@@ -751,14 +743,6 @@ def cmd_trace_summarize(args: argparse.Namespace) -> int:
         print(f"no spans in {args.file}")
         return 1
     print(f"{len(spans)} spans from {args.file}")
-    if args.pipeline:
-        report = pipeline_report(spans)
-        if report is None:
-            print("no engine.pipeline spans in this trace (barrier-path "
-                  "run, or recorded before pipelining was enabled)")
-            return 1
-        print(format_pipeline_report(report))
-        return 0
     print(format_summary(spans))
     return 0
 
@@ -822,13 +806,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="graphs above N nodes keep the identity order "
                         "under --reorder-products (default 512; resolved "
                         "lazily so the CLI stays import-light)")
-    m.add_argument("--pipeline", action="store_true",
-                   help="software-pipeline the batched tile stages: "
-                        "plan and fill of upcoming tiles overlap the "
-                        "running solve (results bitwise identical)")
-    m.add_argument("--pipeline-depth", type=int, default=None, metavar="D",
-                   help="stage lookahead for --pipeline (default: "
-                        "auto from the prep/solve cost ratio)")
     m.add_argument("--spill-dir", default=None, metavar="DIR",
                    help="out-of-core root: per-tile result blocks are "
                         "persisted here (a rerun after a crash recomputes "
@@ -1065,9 +1042,6 @@ def build_parser() -> argparse.ArgumentParser:
     ts.add_argument("file",
                     help="Chrome trace JSON (gram --trace) or span "
                          "JSONL (serve --trace-dir)")
-    ts.add_argument("--pipeline", action="store_true",
-                    help="per-stage occupancy and bubble-time view of "
-                         "pipelined engine runs (gram --pipeline traces)")
     ts.set_defaults(func=cmd_trace_summarize)
     return p
 

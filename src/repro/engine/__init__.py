@@ -38,9 +38,8 @@ from .core import GramEngine
 from .executors import EngineAborted
 from .fingerprint import graph_fingerprint, kernel_fingerprint, pair_key
 from .offload import AsyncOffloader
-from .pipeline import run_tiles_pipelined
 from .progress import Diagnostics, ProgressAggregator, ProgressEvent
-from .supervisor import SupervisedPool, SupervisorStats, run_tiles_supervised
+from .supervisor import SupervisedPool, SupervisorStats
 from .tiles import (
     DEFAULT_BATCH_PAIRS,
     Tile,
@@ -74,6 +73,4 @@ __all__ = [
     "pair_key",
     "plan_bucketed_tiles",
     "plan_tiles",
-    "run_tiles_pipelined",
-    "run_tiles_supervised",
 ]

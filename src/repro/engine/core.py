@@ -47,7 +47,6 @@ from ..kernels.linsys import DEFAULT_RCM_CUTOFF
 from ..kernels.marginalized import GramResult, normalized
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
-from ..scheduler.balance import pipeline_order, suggest_pipeline_depth
 from .block_store import GramBlockStore, outcomes_to_rows, rows_to_outcomes
 from .cache import (
     CachedPair,
@@ -71,7 +70,6 @@ from .supervisor import (
 )
 from .fingerprint import graph_fingerprint, kernel_fingerprint, pair_key
 from .offload import AsyncOffloader
-from .pipeline import run_tiles_pipelined
 from .progress import (
     Diagnostics,
     ProgressAggregator,
@@ -85,7 +83,6 @@ from .tiles import (
     build_pair_jobs,
     plan_bucketed_tiles,
     plan_tiles,
-    tile_stage_costs,
 )
 
 #: Result matrices above this many bytes are allocated as on-disk
@@ -134,7 +131,8 @@ class GramEngine:
         every call, so mutating the kernel transparently invalidates
         prior cache entries.
     executor:
-        ``"serial"`` (default), ``"threads"``, or ``"process"``.
+        ``"serial"`` (default), ``"threads"``, ``"process"``, or
+        ``"process_supervised"``.
     max_workers:
         Pool size for the parallel executors (default: CPU count).
     tile_pairs / n_tiles:
@@ -185,22 +183,6 @@ class GramEngine:
         once per structure).  Graphs above ``reorder_cutoff`` nodes
         keep the identity order.  Off by default: reordered solves
         agree within solver tolerance, not bitwise.
-    cost_model:
-        ``"edges"`` (O(1) per pair, default) or ``"vgpu"`` (full
-        tile-pipeline cost pass) — see :mod:`repro.engine.tiles`.
-    pipeline:
-        Software-pipeline the batched tile stages: tile T+1's structure
-        planning and numeric fill run on dedicated threads while tile T
-        is in the batched solve (:mod:`repro.engine.pipeline`).  Tiles
-        are sequenced by Johnson's rule over per-stage cost estimates
-        (:func:`repro.scheduler.balance.pipeline_order`) to minimize
-        pipeline bubbles.  Results are bitwise identical to the
-        barrier path.  No effect on the per-pair path or the process
-        executor (which overlap differently already).
-    pipeline_depth:
-        Stage lookahead (inter-stage queue bound).  ``None`` (default)
-        picks a depth from the prep/solve cost ratio
-        (:func:`repro.scheduler.balance.suggest_pipeline_depth`).
     spill_dir:
         Root directory for out-of-core state.  Enables (a) a
         :class:`~repro.engine.block_store.GramBlockStore` of per-tile
@@ -261,9 +243,6 @@ class GramEngine:
         warm_start=False,
         reorder: bool = False,
         reorder_cutoff: int = DEFAULT_RCM_CUTOFF,
-        cost_model: str = "edges",
-        pipeline: bool = False,
-        pipeline_depth: int | None = None,
         spill_dir: str | os.PathLike | None = None,
         spill_bytes: int = DEFAULT_SPILL_BYTES,
         max_tile_retries: int = DEFAULT_MAX_TILE_RETRIES,
@@ -281,8 +260,6 @@ class GramEngine:
             raise ValueError("batch_pairs must be >= 0 (0 disables batching)")
         if reorder_cutoff < 1:
             raise ValueError("reorder_cutoff must be positive")
-        if pipeline_depth is not None and pipeline_depth < 1:
-            raise ValueError("pipeline_depth must be >= 1")
         if spill_bytes < 1:
             raise ValueError("spill_bytes must be positive")
         if max_tile_retries < 0:
@@ -318,8 +295,6 @@ class GramEngine:
         # every spill-capable cache shares.  Built before the caches so
         # the engine-owned ones can be wired to it (instances passed in
         # by the caller are left untouched — they may be shared).
-        self.pipeline = bool(pipeline)
-        self.pipeline_depth = pipeline_depth
         self.spill_dir = os.fspath(spill_dir) if spill_dir is not None else None
         self.spill_bytes = spill_bytes
         if self.spill_dir is not None:
@@ -352,7 +327,6 @@ class GramEngine:
         else:
             self.warm_store = warm_start
         self.reorder_cutoff = reorder_cutoff if reorder else None
-        self.cost_model = cost_model
         self.max_tile_retries = max_tile_retries
         self.tile_timeout_s = tile_timeout_s
         self.retry_backoff_s = retry_backoff_s
@@ -374,9 +348,8 @@ class GramEngine:
         # /similarity calls) concurrently.
         self._counter_lock = Lock()
         # Abort events of in-flight compute calls; close() sets them so
-        # supervised/pooled/pipelined runs cancel promptly (terminating
-        # worker processes and joining stage threads) instead of
-        # grinding on after a ^C or shutdown.
+        # supervised/pooled runs cancel promptly (terminating worker
+        # processes) instead of grinding on after a ^C or shutdown.
         self._active_aborts: set[Event] = set()
 
     # ------------------------------------------------------------------
@@ -458,8 +431,7 @@ class GramEngine:
         """Abort in-flight runs, flush spill writes, stop the offloader.
 
         Any compute call currently running (supervised pool, process
-        pool, pipelined stages) sees its abort event, terminates its
-        workers / joins its threads, and raises
+        pool) sees its abort event, terminates its workers, and raises
         :class:`~repro.engine.executors.EngineAborted` to its caller.
         Safe to call anytime (the engine keeps working afterwards,
         falling back to synchronous spills).
@@ -589,7 +561,6 @@ class GramEngine:
         reps = [rep for _, rep in missing]
         batched = self.batched
         runtime = None
-        tiles_cached = False
         if batched:
             # Shape-bucketed tiles for the batched solver.  The plan is
             # independent of the worker count, so every executor
@@ -640,17 +611,11 @@ class GramEngine:
                 tkey = self._tiles_key(fx, fy, reps, merge_small)
                 tiles = self.structure_cache.get(tkey)
                 runtime.record(tiles is not None)
-                tiles_cached = tiles is not None
             if tiles is None:
                 with get_tracer().span(
                     "engine.plan_tiles", n_pairs=len(reps), batched=True
                 ):
-                    jobs = build_pair_jobs(
-                        X, Y, reps,
-                        q=self.kernel.q,
-                        cost_model=self.cost_model,
-                        edge_kernel=self.kernel.edge_kernel,
-                    )
+                    jobs = build_pair_jobs(X, Y, reps, q=self.kernel.q)
                     tiles = plan_bucketed_tiles(
                         jobs, X, Y,
                         batch_pairs=self.batch_pairs or default_pairs,
@@ -662,12 +627,7 @@ class GramEngine:
             with get_tracer().span(
                 "engine.plan_tiles", n_pairs=len(reps), batched=False
             ):
-                jobs = build_pair_jobs(
-                    X, Y, reps,
-                    q=self.kernel.q,
-                    cost_model=self.cost_model,
-                    edge_kernel=self.kernel.edge_kernel,
-                )
+                jobs = build_pair_jobs(X, Y, reps, q=self.kernel.q)
                 tiles = plan_tiles(
                     jobs,
                     n_tiles=self.n_tiles,
@@ -796,11 +756,6 @@ class GramEngine:
         with self._counter_lock:
             self._active_aborts.add(abort)
         supervisor = None
-        use_pipeline = (
-            self.pipeline and batched
-            and not self._process_like
-            and len(todo) > 1
-        )
         if self.executor == "process_supervised":
             supervisor = SupervisedPool(
                 self.kernel, X, Y, todo,
@@ -814,18 +769,6 @@ class GramEngine:
                 chaos_spec=self._chaos_spec,
             )
             runner = supervisor.run()
-        elif use_pipeline:
-            # Sequence tiles to minimize pipeline bubbles (Johnson's
-            # rule on per-stage cost estimates) and size the lookahead
-            # from the prep/solve ratio.  Scatter order is fixed by
-            # position, so tile order never changes result bits.
-            costs = tile_stage_costs(todo, X, Y, structure_hot=tiles_cached)
-            todo = [todo[k] for k in pipeline_order(costs)]
-            depth = self.pipeline_depth or suggest_pipeline_depth(costs)
-            runner = run_tiles_pipelined(
-                self.executor, self.kernel, X, Y, todo, self.max_workers,
-                batched=batched, runtime=runtime, depth=depth, abort=abort,
-            )
         else:
             runner = run_tiles(
                 self.executor, self.kernel, X, Y, todo, self.max_workers,
@@ -843,11 +786,13 @@ class GramEngine:
                     # Quarantined NaN fallbacks never reach the block
                     # store either — a spilled poison block would be
                     # served as truth on every rerun.
-                    self.offloader.submit(
-                        self.block_store.put,
-                        block_keys[id(tile)],
-                        outcomes_to_rows(outcomes),
-                    )
+                    bkey = block_keys[id(tile)]
+                    rows = outcomes_to_rows(outcomes)
+                    if not self.offloader.submit(
+                        self.block_store.put, bkey, rows
+                    ):
+                        # Closed offloader: spill synchronously.
+                        self.block_store.put(bkey, rows)
                     blocks_written += 1
                 emit_tile()
         finally:

@@ -228,15 +228,11 @@ def _seed_warm_start(warm_store, key: str, system, rtol: float = 0.0,
 def _thread_workspace(bucket=None):
     """The calling thread's assembly workspace for ``bucket``.
 
-    Keyed by (thread, bucket shape): each executor/pipeline thread
-    keeps one grow-only workspace *per bucket shape*, so a fill stage
-    running on a dedicated pipeline thread reuses the same stacked
-    buffers tile after tile instead of re-growing one shared workspace
-    every time dense and sparse buckets alternate.  Buffer contents are
-    zeroed on checkout, so keying never changes numerics.  ``bucket``
-    may be any hashable — the pipelined fill stage keys by
-    (bucket shape, rotation slot) to keep in-flight systems' buffers
-    exclusive (see :func:`fill_bucket`).
+    Keyed by (thread, bucket shape): each executor thread keeps one
+    grow-only workspace *per bucket shape*, so it reuses the same
+    stacked buffers tile after tile instead of re-growing one shared
+    workspace every time dense and sparse buckets alternate.  Buffer
+    contents are zeroed on checkout, so keying never changes numerics.
     """
     from ..kernels.linsys import BatchWorkspace
 
@@ -253,10 +249,8 @@ def _thread_workspace(bucket=None):
 class BucketTask:
     """One shape bucket of a tile, threaded through plan → fill → solve.
 
-    This is the unit of work the pipelined executor overlaps across
-    threads; the barrier path runs the same three stage functions
-    back-to-back.  ``solo`` tasks skip the plan/fill stages entirely
-    (the per-pair fallback is the whole body).
+    ``solo`` tasks skip the plan/fill stages entirely (the per-pair
+    fallback is the whole body).
     """
 
     key: tuple[str, int]
@@ -274,8 +268,7 @@ def bucket_tasks(
     """Group a tile's pairs into per-bucket stage tasks.
 
     Bucket order (sorted keys) and member order (input order) are both
-    deterministic — the barrier and pipelined paths iterate the same
-    list, which is what keeps their outcome streams identical.
+    deterministic, so every executor assembles identical buckets.
     """
     from ..kernels.linsys import BATCH_SPARSE_MAX, pair_bucket
 
@@ -329,17 +322,12 @@ def plan_bucket(
 
 
 def fill_bucket(
-    task: BucketTask, kernel, runtime: BatchRuntime | None = None,
-    ws_slot: int = 0,
+    task: BucketTask, kernel, runtime: BatchRuntime | None = None
 ) -> BucketTask:
     """Stage 2: numeric fill into the calling thread's workspace.
 
-    ``ws_slot`` selects among rotating workspaces on the calling
-    thread: the filled system *aliases* workspace buffers, so a fill
-    stage running ahead of the solve (the pipelined executor) must not
-    reuse a workspace until the system filled from it has retired.  The
-    barrier path, which finishes each system before the next fill,
-    always uses slot 0.
+    The filled system *aliases* workspace buffers, so it must be solved
+    before the next fill of the same bucket shape on this thread.
     """
     from ..kernels.linsys import fill_batched_system
 
@@ -352,7 +340,7 @@ def fill_bucket(
             kernel.node_kernel,
             kernel.edge_kernel,
             q=kernel.q,
-            workspace=_thread_workspace((task.key, ws_slot)),
+            workspace=_thread_workspace(task.key),
             reuse_offdiag=cache is not None,
         )
     return task
@@ -361,14 +349,8 @@ def fill_bucket(
 def solve_bucket(
     task: BucketTask, kernel, X, Y,
     runtime: BatchRuntime | None = None,
-    step_hook=None, step_chunk: int = 32,
 ) -> list[PairOutcome]:
-    """Stage 3: the batched solve (or the per-pair solo fallback).
-
-    ``step_hook``/``step_chunk`` thread through to the resumable
-    batched solve: the pipelined executor uses them to stay responsive
-    between CG iteration chunks without changing any numerics.
-    """
+    """Stage 3: the batched solve (or the per-pair solo fallback)."""
     from ..solvers.batched_pcg import batched_cg_solve, batched_pcg_solve
 
     tracer = get_tracer()
@@ -380,9 +362,6 @@ def solve_bucket(
     kwargs = {"rtol": kernel.rtol}
     if kernel.max_iter is not None:
         kwargs["max_iter"] = kernel.max_iter
-    if step_hook is not None:
-        kwargs["step_hook"] = step_hook
-        kwargs["step_chunk"] = step_chunk
     warm = runtime.warm_store if runtime is not None else None
     system = task.system
     with tracer.span("tile.solve", mode=task.key[0],
@@ -427,10 +406,6 @@ def solve_pairs_batched(
     solver is warm-started from the warm store's previous solutions.
     The fallback paths (solo/singleton/non-batchable) bypass both by
     design: they are per-pair and compute-bound.
-
-    This barrier body runs the same :func:`plan_bucket` /
-    :func:`fill_bucket` / :func:`solve_bucket` stage functions the
-    pipelined executor overlaps — one code path, two schedules.
     """
     if kernel.solver not in BATCHED_SOLVERS:
         return solve_pairs(kernel, X, Y, pairs)
@@ -479,19 +454,18 @@ def run_tiles(
 ) -> Iterator[tuple[Tile, list[PairOutcome]]]:
     """Execute tiles on the chosen backend, yielding in completion order.
 
-    ``executor`` is ``"serial"``, ``"threads"``, ``"process"``, or
-    ``"process_supervised"`` (the fault-tolerant pool of
-    :mod:`repro.engine.supervisor`, run here with its default retry
-    budget — the engine passes richer knobs when it drives the
-    supervisor directly).  Tiles should arrive largest-first (see
+    ``executor`` is ``"serial"``, ``"threads"``, or ``"process"``; the
+    engine runs ``"process_supervised"`` through
+    :class:`~repro.engine.supervisor.SupervisedPool` itself.  Tiles
+    should arrive largest-first (see
     :func:`~repro.engine.tiles.plan_tiles`); with a pool backend that
     ordering makes the natural work-queue dispatch approximate LPT
     scheduling.  With ``batched=True`` every tile runs the batched task
     body (:func:`solve_pairs_batched`) instead of the per-pair loop —
     the backends are oblivious to the difference.  ``runtime`` carries
     the structure cache / warm store / reordering config; serial and
-    threads backends share the caller's instances, the process backends
-    rebuild per-worker equivalents from the picklable config (the
+    threads backends share the caller's instances, the process backend
+    rebuilds per-worker equivalents from the picklable config (the
     disk tier, when configured, is what crosses the process boundary).
 
     ``abort`` (a :class:`threading.Event`) cancels the run between
@@ -499,19 +473,11 @@ def run_tiles(
     terminating pool workers so a ^C or ``GramEngine.close()`` never
     leaves orphan processes grinding on a dead computation.
     """
-    if executor not in EXECUTORS:
-        raise ValueError(f"unknown executor {executor!r}; pick from {EXECUTORS}")
-    if executor == "process_supervised":
-        from .supervisor import SupervisedPool
-
-        pool = SupervisedPool(
-            kernel, X, Y, tiles, max_workers=max_workers, batched=batched,
-            runtime_cfg=runtime.config() if runtime is not None else None,
-            abort=abort,
+    if executor not in ("serial", "threads", "process"):
+        raise ValueError(
+            f"run_tiles runs serial, threads or process tiles, "
+            f"not {executor!r}"
         )
-        for tile, outcomes, _quarantined in pool.run():
-            yield tile, outcomes
-        return
     if executor == "serial" or len(tiles) <= 1 or (max_workers or 2) == 1:
         for tile in tiles:
             if abort is not None and abort.is_set():

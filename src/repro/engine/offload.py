@@ -1,6 +1,6 @@
 """Async offload of cold-path work: one daemon thread, bounded queue.
 
-The pipelined engine keeps its hot threads (plan / fill / solve) free
+The engine keeps its solve path free
 of disk traffic by pushing spill work — structure-plan pickles, Gram
 block writes, warm-start history spills — onto an
 :class:`AsyncOffloader`.  The queue is bounded: a producer that

@@ -49,10 +49,9 @@ class ProgressEvent:
 class ProgressAggregator:
     """Serialize, order, and monotonize tile progress events.
 
-    The engine's executors complete tiles concurrently: the threads pool
-    yields in completion order, and the pipelined path's stage threads
-    can finish bookkeeping while the consumer is mid-solve.  Handing
-    those events straight to a user callback has two failure modes:
+    The engine's executors complete tiles concurrently, and the thread
+    and process pools yield them in completion order.  Handing those
+    events straight to a user callback has two failure modes:
 
     * **interleaving** — two events in flight at once reach a callback
       that is not thread-safe, or arrive with ``tiles_done`` going

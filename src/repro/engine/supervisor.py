@@ -448,22 +448,3 @@ class SupervisedPool:
                 q.close()
             except (OSError, ValueError):
                 pass
-
-
-def run_tiles_supervised(
-    kernel,
-    X,
-    Y,
-    tiles: Sequence[Tile],
-    max_workers: int | None = None,
-    batched: bool = False,
-    runtime_cfg: dict | None = None,
-    **kwargs,
-) -> Iterator[tuple[Tile, list[PairOutcome], bool]]:
-    """Functional wrapper over :class:`SupervisedPool` (keyword knobs
-    pass through).  Yields ``(tile, outcomes, quarantined)``."""
-    pool = SupervisedPool(
-        kernel, X, Y, tiles, max_workers=max_workers, batched=batched,
-        runtime_cfg=runtime_cfg, **kwargs,
-    )
-    yield from pool.run()

@@ -9,14 +9,8 @@ jobs.PairJob` cycle model, then pack jobs into tiles of roughly equal
 *cycles* (not equal pair counts), and dispatch tiles largest-first so
 the executor's dynamic work queue approximates LPT list scheduling.
 
-Two cost models are available:
-
-* ``"edges"`` (default) — cycles ∝ nnz(A× ∘ E×) x estimated CG
-  iterations, computed from edge counts alone; O(1) per pair.
-* ``"vgpu"`` — a full :class:`~repro.xmv.pipeline.VgpuPipeline` cost
-  pass per pair (no numeric solve), the same model
-  :func:`repro.scheduler.jobs.build_jobs` uses; much more faithful on
-  tile-structured workloads, but itself O(tiles) per pair.
+The cost model is cycles ∝ nnz(A× ∘ E×) x estimated CG iterations,
+computed from edge counts alone: O(1) per pair.
 """
 
 from __future__ import annotations
@@ -63,33 +57,16 @@ def build_pair_jobs(
     Y: Sequence[Graph],
     pairs: Sequence[tuple[int, int]],
     q: float = 0.05,
-    cost_model: str = "edges",
-    edge_kernel=None,
 ) -> list[PairJob]:
     """Cost-annotated :class:`PairJob` records for an explicit pair list.
 
     ``pairs`` indexes rows into X and columns into Y (for symmetric
     Grams, pass the same sequence twice).
     """
-    if cost_model == "edges":
-        return [
-            PairJob(i=i, j=j, cycles=edge_cost_cycles(X[i], Y[j], q))
-            for i, j in pairs
-        ]
-    if cost_model == "vgpu":
-        from ..xmv.pipeline import VgpuPipeline
-
-        if edge_kernel is None:
-            raise ValueError("cost_model='vgpu' needs the edge kernel")
-        jobs = []
-        for i, j in pairs:
-            pipe = VgpuPipeline(X[i], Y[j], edge_kernel)
-            iters = estimate_iterations(X[i].n_nodes, Y[j].n_nodes, q)
-            jobs.append(
-                PairJob(i=i, j=j, cycles=pipe.per_matvec_effective_cycles * iters)
-            )
-        return jobs
-    raise ValueError(f"unknown cost model {cost_model!r}")
+    return [
+        PairJob(i=i, j=j, cycles=edge_cost_cycles(X[i], Y[j], q))
+        for i, j in pairs
+    ]
 
 
 def plan_tiles(
@@ -136,53 +113,6 @@ def plan_tiles(
     for k, t in enumerate(tiles):
         t.index = k
     return tiles
-
-
-#: Stage-cost coefficients for :func:`tile_stage_costs`, in touches per
-#: stored off-diagonal entry: plan walks the product topology about
-#: twice (edge pairing + layout), fill writes each entry once plus the
-#: node terms.  Only the *ratios* matter to the pipeline schedule.
-PLAN_COST_PER_NNZ = 2.0
-FILL_COST_PER_NNZ = 1.0
-#: Plan cost multiplier when the structure cache is expected to serve
-#: the tile (a fetch + deserialize instead of a topology build).
-PLAN_HOT_FACTOR = 0.1
-
-
-def tile_stage_costs(
-    tiles: Sequence[Tile],
-    X: Sequence[Graph],
-    Y: Sequence[Graph],
-    structure_hot: bool = False,
-):
-    """Per-stage cost estimates for the pipelined executor's schedule.
-
-    Returns one :class:`~repro.scheduler.balance.StageCost` per tile
-    (same order).  ``solve`` reuses the tile's LPT cycle estimate;
-    ``plan``/``fill`` scale with the tile's stored off-diagonal entries.
-    ``structure_hot`` discounts the plan stage when the engine expects
-    structure-cache hits (sweep mode), shifting Johnson's rule toward
-    fill/solve balance.
-    """
-    from ..scheduler.balance import StageCost
-
-    out = []
-    # Positional indices (not Tile.index): the engine schedules over
-    # arbitrary sublists (e.g. tiles left after block-store recovery).
-    for k, tile in enumerate(tiles):
-        nnz = float(sum(
-            4 * max(1, X[i].n_edges) * max(1, Y[j].n_edges)
-            for i, j in tile.pairs
-        ))
-        plan = PLAN_COST_PER_NNZ * nnz
-        if structure_hot:
-            plan *= PLAN_HOT_FACTOR
-        solve = tile.cycles if tile.cycles > 0 else nnz
-        out.append(StageCost(
-            index=k, plan=plan,
-            fill=FILL_COST_PER_NNZ * nnz, solve=float(solve),
-        ))
-    return out
 
 
 #: Default pair count per batched tile: large enough to amortize the

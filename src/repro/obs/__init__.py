@@ -1,8 +1,7 @@
 """Unified observability layer: tracing, metrics, and exporters.
 
-The measurement substrate the ROADMAP's pipeline-overlap and
-auto-tuning items schedule from — and the operator surface behind
-``/metrics`` and ``repro trace``:
+The measurement substrate the benches' stage breakdowns come from —
+and the operator surface behind ``/metrics`` and ``repro trace``:
 
 * :mod:`repro.obs.trace`   — nested monotonic-clock spans with a
   near-zero-cost disabled path (:class:`Tracer`, ``enable_tracing``);
@@ -24,11 +23,9 @@ or ``repro serve --trace-dir DIR`` turn it on.
 from .export import (
     STAGE_SPANS,
     collect_tracer,
-    format_pipeline_report,
     format_summary,
     jsonl_sink,
     load_spans,
-    pipeline_report,
     stage_seconds,
     summarize_spans,
     to_chrome_trace,
@@ -66,7 +63,6 @@ __all__ = [
     "current_span",
     "disable_tracing",
     "enable_tracing",
-    "format_pipeline_report",
     "format_summary",
     "get_registry",
     "get_tracer",
@@ -75,7 +71,6 @@ __all__ = [
     "record_vgpu_counters",
     "set_registry",
     "set_tracer",
-    "pipeline_report",
     "stage_seconds",
     "summarize_spans",
     "to_chrome_trace",

@@ -190,99 +190,6 @@ def format_summary(spans) -> str:
     return "\n".join(lines)
 
 
-def pipeline_report(spans) -> dict | None:
-    """Per-stage occupancy and bubble time of pipelined engine runs.
-
-    Scans a trace for ``engine.pipeline`` root spans and attributes the
-    stage spans (``tile.plan`` / ``tile.fill`` / ``tile.solve``) that
-    started inside each one.  Returns ``None`` when the trace holds no
-    pipelined runs (barrier-path traces).
-
-    For each run the *solve window* is first-solve-start to
-    last-solve-end — the stretch the pipeline is supposed to keep the
-    solve stage saturated; ``bubble_s`` is the idle time inside it and
-    ``bubble_fraction`` its share.  Stage ``occupancy`` is busy seconds
-    over the run's full span, so plan/fill occupancies reveal which
-    prep stage is the bottleneck when bubbles appear.
-    """
-    ds = _span_dicts(spans)
-    pipes = [s for s in ds if s["name"] == "engine.pipeline"]
-    if not pipes:
-        return None
-    by_stage = {
-        stage: [s for s in ds if s["name"] == name]
-        for stage, name in STAGE_SPANS.items()
-        if stage != "scatter"
-    }
-    window_s = 0.0
-    solve_window_s = 0.0
-    bubble_s = 0.0
-    tiles = 0
-    stages = {
-        stage: {"busy_s": 0.0, "count": 0} for stage in by_stage
-    }
-    for p in pipes:
-        lo, hi = p["start"], p["start"] + p["duration"]
-        window_s += p["duration"]
-        tiles += int(p["attrs"].get("n_tiles", 0) or 0)
-        solve_lo, solve_hi = None, None
-        for stage, members in by_stage.items():
-            for s in members:
-                if not (lo <= s["start"] <= hi):
-                    continue
-                stages[stage]["busy_s"] += s["duration"]
-                stages[stage]["count"] += 1
-                if stage == "solve":
-                    end = s["start"] + s["duration"]
-                    solve_lo = (
-                        s["start"] if solve_lo is None
-                        else min(solve_lo, s["start"])
-                    )
-                    solve_hi = end if solve_hi is None else max(solve_hi, end)
-        if solve_lo is not None and solve_hi > solve_lo:
-            run_window = solve_hi - solve_lo
-            run_busy = sum(
-                s["duration"] for s in by_stage["solve"]
-                if lo <= s["start"] <= hi
-            )
-            solve_window_s += run_window
-            bubble_s += max(0.0, run_window - run_busy)
-    for stage, d in stages.items():
-        d["occupancy"] = d["busy_s"] / window_s if window_s else 0.0
-    return {
-        "runs": len(pipes),
-        "tiles": tiles,
-        "depth": pipes[-1]["attrs"].get("depth"),
-        "window_s": window_s,
-        "solve_window_s": solve_window_s,
-        "bubble_s": bubble_s,
-        "bubble_fraction": (
-            bubble_s / solve_window_s if solve_window_s else 0.0
-        ),
-        "stages": stages,
-    }
-
-
-def format_pipeline_report(report: dict) -> str:
-    """The ``repro trace summarize --pipeline`` view."""
-    lines = [
-        f"pipelined runs: {report['runs']}  tiles: {report['tiles']}  "
-        f"depth: {report['depth']}",
-        f"{'stage':<8s} {'spans':>7s} {'busy':>10s} {'occupancy':>10s}",
-    ]
-    for stage, d in report["stages"].items():
-        lines.append(
-            f"{stage:<8s} {d['count']:7d} {d['busy_s']:9.3f}s "
-            f"{100 * d['occupancy']:9.1f}%"
-        )
-    lines.append(
-        f"solve window {report['solve_window_s']:.3f}s, bubble "
-        f"{report['bubble_s']:.3f}s "
-        f"({100 * report['bubble_fraction']:.1f}%)"
-    )
-    return "\n".join(lines)
-
-
 def collect_tracer(tracer: Tracer | None = None) -> list[Span]:
     """Finished spans of ``tracer`` (default: the process tracer)."""
     if tracer is None:

@@ -117,117 +117,3 @@ def makespan_comparison(
         policy: simulate_schedule(jobs, slots, policy)
         for policy in ("static", "dynamic", "sorted-dynamic")
     }
-
-
-# ---------------------------------------------------------------------------
-# Per-stage costs for the software-pipelined tile executor.
-#
-# The LPT model above balances *total* tile cost across slots.  The
-# pipelined executor needs more: each tile passes through plan → fill →
-# solve stages on different threads, and the schedule quality is set by
-# how well the prep stages (plan + fill) of upcoming tiles hide behind
-# the solve of the current one — the zero-bubble pipeline-parallelism
-# framing, with tiles in place of microbatches.
-
-
-@dataclass
-class StageCost:
-    """Estimated cycles a tile spends in each pipeline stage.
-
-    ``plan``/``fill`` scale with the tile's stored off-diagonal entries
-    (topology construction and numeric fill touch each entry a constant
-    number of times); ``solve`` additionally scales with estimated CG
-    iterations — the same model behind :class:`PairJob` cycles.
-    """
-
-    index: int
-    plan: float
-    fill: float
-    solve: float
-
-    @property
-    def prep(self) -> float:
-        """Combined cost of the stages that can run ahead of the solve."""
-        return self.plan + self.fill
-
-
-def pipeline_order(costs: list[StageCost]) -> list[int]:
-    """Tile order minimizing pipeline bubbles (Johnson's rule).
-
-    The pipelined executor is a two-machine flow shop: machine 1 is the
-    prep side (plan + fill threads), machine 2 the solve consumer.
-    Johnson's rule is makespan-optimal for this shape: tiles whose prep
-    is shorter than their solve go first in increasing prep order (the
-    pipeline fills while solves are long), the rest go last in
-    decreasing solve order (prep of the tail hides behind earlier
-    solves).  Ties break on tile index, keeping the order deterministic.
-    Returns indices into ``costs``.
-    """
-    front = sorted(
-        (c for c in costs if c.prep < c.solve),
-        key=lambda c: (c.prep, c.index),
-    )
-    back = sorted(
-        (c for c in costs if c.prep >= c.solve),
-        key=lambda c: (-c.solve, c.index),
-    )
-    return [c.index for c in front + back]
-
-
-def simulate_pipeline(
-    costs: list[StageCost], depth: int = 2
-) -> dict[str, float]:
-    """Deterministic two-stage flow-shop simulation with a bounded buffer.
-
-    Prep (plan + fill) of tile k may run ahead of the solve consumer by
-    at most ``depth`` tiles; the solve stage processes tiles in order.
-    Returns the modeled makespan, per-stage busy totals, and the solve
-    stage's **bubble fraction** — idle time inside the solve stage's
-    busy window over the window itself, the quantity the pipelined
-    executor reports from real timings.
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if not costs:
-        return {"makespan": 0.0, "prep_busy": 0.0, "solve_busy": 0.0,
-                "bubble_fraction": 0.0}
-    n = len(costs)
-    f1 = [0.0] * n  # prep finish times
-    s2 = [0.0] * n  # solve start times
-    f2 = [0.0] * n  # solve finish times
-    for k, c in enumerate(costs):
-        start1 = f1[k - 1] if k else 0.0
-        # Bounded buffer: prep of tile k waits until tile k-depth has
-        # been taken off the queue by the solve consumer.
-        if k >= depth:
-            start1 = max(start1, s2[k - depth])
-        f1[k] = start1 + c.prep
-        s2[k] = max(f1[k], f2[k - 1] if k else 0.0)
-        f2[k] = s2[k] + c.solve
-    solve_busy = float(sum(c.solve for c in costs))
-    window = f2[-1] - s2[0]
-    bubble = 1.0 - solve_busy / window if window > 0 else 0.0
-    return {
-        "makespan": f2[-1],
-        "prep_busy": float(sum(c.prep for c in costs)),
-        "solve_busy": solve_busy,
-        "bubble_fraction": max(0.0, bubble),
-    }
-
-
-def suggest_pipeline_depth(
-    costs: list[StageCost], lo: int = 2, hi: int = 8
-) -> int:
-    """Dataset-aware pipeline depth (GNNAdvisor-style launch decider).
-
-    Enough lookahead for the prep stages to cover solve-stage gaps —
-    roughly the prep/solve cost ratio plus one tile of slack — clamped
-    to ``[lo, hi]`` so queues stay bounded regardless of how skewed the
-    cost estimates are.
-    """
-    if not costs:
-        return lo
-    solve = sum(c.solve for c in costs)
-    prep = sum(c.prep for c in costs)
-    ratio = prep / solve if solve > 0 else 1.0
-    return int(min(hi, max(lo, int(np.ceil(ratio)) + 1)))

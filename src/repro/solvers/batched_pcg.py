@@ -66,8 +66,6 @@ def batched_pcg_solve(
     max_iter: int | None = None,
     x0: np.ndarray | None = None,
     r0: np.ndarray | None = None,
-    step_hook=None,
-    step_chunk: int = 32,
 ) -> BatchedSolveResult:
     """Diagonal-PCG over every pair of a bucket with masked convergence.
 
@@ -88,8 +86,7 @@ def batched_pcg_solve(
     CG's own residual drift); ignored when ``x0`` is None.
     """
     return _batched_krylov(system, rtol, atol, max_iter, precondition=True,
-                           x0=x0, r0=r0, step_hook=step_hook,
-                           step_chunk=step_chunk)
+                           x0=x0, r0=r0)
 
 
 def batched_cg_solve(
@@ -99,14 +96,11 @@ def batched_cg_solve(
     max_iter: int | None = None,
     x0: np.ndarray | None = None,
     r0: np.ndarray | None = None,
-    step_hook=None,
-    step_chunk: int = 32,
 ) -> BatchedSolveResult:
     """Unpreconditioned batched CG (mirrors :func:`repro.solvers.cg.
     cg_solve`, including its ``max(64, 4N)`` default iteration cap)."""
     return _batched_krylov(system, rtol, atol, max_iter, precondition=False,
-                           x0=x0, r0=r0, step_hook=step_hook,
-                           step_chunk=step_chunk)
+                           x0=x0, r0=r0)
 
 
 def _batched_krylov(
@@ -117,8 +111,6 @@ def _batched_krylov(
     precondition: bool,
     x0: np.ndarray | None = None,
     r0: np.ndarray | None = None,
-    step_hook=None,
-    step_chunk: int = 32,
 ) -> BatchedSolveResult:
     """Traced entry: a ``pcg.batch`` span carrying iteration/retirement
     stats wraps the solve when tracing is on; the disabled path calls
@@ -126,8 +118,7 @@ def _batched_krylov(
     tracer = get_tracer()
     if not tracer.enabled:
         return _batched_krylov_impl(
-            system, rtol, atol, max_iter, precondition, x0, r0, None,
-            step_hook=step_hook, step_chunk=step_chunk,
+            system, rtol, atol, max_iter, precondition, x0, r0, None
         )
     stats = {"compactions": 0, "breakdowns": 0, "zero_iter_retired": 0}
     with tracer.span(
@@ -138,8 +129,7 @@ def _batched_krylov(
         warm_started=x0 is not None,
     ) as sp:
         res = _batched_krylov_impl(
-            system, rtol, atol, max_iter, precondition, x0, r0, stats,
-            step_hook=step_hook, step_chunk=step_chunk,
+            system, rtol, atol, max_iter, precondition, x0, r0, stats
         )
         iters = res.iterations
         sp.set("iterations_total", int(iters.sum()))
@@ -160,38 +150,20 @@ def _batched_krylov_impl(
     x0: np.ndarray | None,
     r0: np.ndarray | None,
     stats: dict | None,
-    step_hook=None,
-    step_chunk: int = 32,
 ) -> BatchedSolveResult:
-    handle = BatchedSolveHandle(
+    return BatchedSolveHandle(
         system, rtol=rtol, atol=atol, max_iter=max_iter,
         precondition=precondition, x0=x0, r0=r0, stats=stats,
-    )
-    if step_hook is None:
-        handle.step()
-    else:
-        # Chunked advance: the hook runs between iteration chunks (the
-        # pipelined executor's cooperative yield point).  The iteration
-        # sequence is identical to the one-shot run.
-        while not handle.done:
-            handle.step(step_chunk)
-            step_hook(handle)
-    return handle.result()
+    ).run()
 
 
 class BatchedSolveHandle:
-    """A resumable batched Krylov solve.
+    """The state of one batched Krylov solve.
 
     The constructor performs the setup phase of the solve (initial
     residual, zero-iteration warm-start retirements, CG state);
-    :meth:`step` advances by a bounded number of CG iterations and
-    returns how many were taken; :attr:`done` reports completion; and
-    :meth:`result` wraps up the outputs.  Running ``step()`` with no
-    bound until :attr:`done` performs exactly the same elementwise
-    NumPy operations, in the same order, as the one-shot entry points —
-    the split exists so a pipelined executor can interleave solve
-    iterations with the plan/fill stages of other tiles without
-    changing any numerics.
+    :meth:`run` iterates until every pair has retired and returns the
+    outputs.
     """
 
     def __init__(
@@ -301,10 +273,6 @@ class BatchedSolveHandle:
             self.rho = self.sysk.pair_dots(self.r, z)
 
         self.it = 0
-
-    @property
-    def done(self) -> bool:
-        return not self.alive.any()
 
     def _retire(self, local_idx: np.ndarray, iters, ok: bool) -> None:
         """Write back results and freeze the retiring layout slots."""
@@ -424,20 +392,10 @@ class BatchedSolveHandle:
         self.p += z
         self.rho = np.where(self.alive, rho_new, 1.0)
 
-    def step(self, max_steps: int | None = None) -> int:
-        """Advance by up to ``max_steps`` CG iterations (all remaining
-        when None); returns the number of iterations taken."""
-        steps = 0
-        while self.alive.any() and (max_steps is None or steps < max_steps):
+    def run(self) -> BatchedSolveResult:
+        """Iterate until every pair has retired; the solve's outputs."""
+        while self.alive.any():
             self._iterate()
-            steps += 1
-        return steps
-
-    def result(self) -> BatchedSolveResult:
-        if not self.done:
-            raise RuntimeError(
-                "solve not finished: call step() until done before result()"
-            )
         return BatchedSolveResult(
             x=self.x_out,
             iterations=self.iters_out,

@@ -227,13 +227,6 @@ class TestTiling:
         tiles = plan_tiles(jobs, tile_pairs=10)
         assert sorted(len(t) for t in tiles) == [6, 10, 10, 10]
 
-    def test_vgpu_cost_model(self, graphs):
-        jobs = build_pair_jobs(
-            graphs, graphs, [(0, 1), (2, 3)], q=0.2,
-            cost_model="vgpu", edge_kernel=EK,
-        )
-        assert all(j.cycles > 0 for j in jobs)
-
 
 class TestFingerprints:
     def test_graph_fingerprint_ignores_name(self, graphs):

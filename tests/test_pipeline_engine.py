@@ -1,18 +1,16 @@
-"""Pipelined out-of-core Gram engine tests (ISSUE 9 acceptance).
+"""Batched tile pipeline and out-of-core Gram engine tests.
 
 The load-bearing properties:
 
-* the software-pipelined executor is **bitwise identical** to the
-  barrier path — across executors, caching modes, and depths — because
-  it runs the same stage functions over the same bucket tasks and only
-  overlaps their execution;
+* every executor (serial, threads, process, supervised) runs the same
+  plan → fill → solve stage functions over the same bucket tasks, so
+  the batched Gram is **bitwise identical** across executors and
+  caching modes;
 * the mmap block store round-trips tile outcomes exactly, detects
   corruption and torn writes (reads them as absent), and the engine's
   rerun path recomputes exactly the missing tiles;
 * progress events stay ordered and monotone under concurrent tile
-  completion;
-* the stage-cost scheduler (Johnson order, bounded-buffer simulation,
-  depth suggestion) is deterministic and sane.
+  completion.
 """
 
 from __future__ import annotations
@@ -38,26 +36,17 @@ from repro.engine.executors import (
     solve_bucket,
 )
 from repro.engine.offload import AsyncOffloader
-from repro.engine.pipeline import run_tiles_pipelined
 from repro.engine.progress import ProgressEvent
-from repro.engine.tiles import tile_stage_costs
 from repro.graphs.generators import random_labeled_graph
 from repro.kernels.basekernels import synthetic_kernels
 from repro.kernels.marginalized import MarginalizedGraphKernel
-from repro.scheduler.balance import (
-    StageCost,
-    pipeline_order,
-    simulate_pipeline,
-    suggest_pipeline_depth,
-)
-from repro.solvers.batched_pcg import BatchedSolveHandle, batched_pcg_solve
 
 NK, EK = synthetic_kernels()
 
 
 def make_graphs(n, seed0=100):
     # Mixed sizes so bucketing produces several shape buckets (dense,
-    # sparse, and solo tails) — the pipeline must handle all three.
+    # sparse, and solo tails) — every executor must handle all three.
     return [
         random_labeled_graph(4 + (k % 4), density=0.6, weighted=True,
                              seed=seed0 + k)
@@ -92,60 +81,42 @@ def assert_bitwise(res, ref):
 
 
 # ---------------------------------------------------------------------------
-# bitwise identity: pipelined vs barrier
+# bitwise identity across executors
 # ---------------------------------------------------------------------------
 
 
 class TestPipelineBitwise:
-    @pytest.mark.parametrize("executor", ["serial", "threads"])
+    @pytest.mark.parametrize(
+        "executor", ["serial", "threads", "process", "process_supervised"]
+    )
     @pytest.mark.parametrize("cache", [None, False])
     def test_executors_and_cache_modes(self, barrier_result, executor, cache):
-        eng = make_engine(pipeline=True, executor=executor, cache=cache,
-                          max_workers=2)
+        eng = make_engine(executor=executor, cache=cache, max_workers=2)
         assert_bitwise(eng.gram(GRAPHS), barrier_result)
 
-    @pytest.mark.parametrize("depth", [1, 2, 4])
-    def test_depths(self, barrier_result, depth):
-        eng = make_engine(pipeline=True, pipeline_depth=depth)
-        assert_bitwise(eng.gram(GRAPHS), barrier_result)
-
-    def test_warm_start_pipelined_matches_warm_barrier(self):
+    def test_warm_start_threads_matches_warm_serial(self):
         # Warm-started values are tolerance-equal to cold ones, but the
-        # pipeline must reproduce the *warm barrier* run bit for bit:
-        # seeding happens on the in-order solve stage either way.
+        # threads executor must reproduce the *warm serial* run bit for
+        # bit: each bucket seeds from its own history whatever order
+        # the tiles complete in.
         kw = dict(warm_start=True)
         a = make_engine(**kw)
-        b = make_engine(pipeline=True, **kw)
+        b = make_engine(executor="threads", max_workers=2, **kw)
         for _ in range(2):  # second sweep actually consumes histories
             ra = a.gram(GRAPHS)
             rb = b.gram(GRAPHS)
         assert_bitwise(rb, ra)
 
-    def test_process_executor_falls_back(self, barrier_result):
-        eng = make_engine(pipeline=True, executor="process", max_workers=2)
-        res = eng.gram(GRAPHS)
-        assert np.allclose(res.matrix, barrier_result.matrix)
-
     def test_structure_cached_second_call_bitwise(self, barrier_result):
-        eng = make_engine(pipeline=True)
+        eng = make_engine()
         eng.gram(GRAPHS)
         res = eng.gram(GRAPHS)  # tiles + plans now structure-cached
         assert_bitwise(res, barrier_result)
 
-    def test_run_tiles_pipelined_rejects_bad_depth(self):
-        with pytest.raises(ValueError, match="depth"):
-            list(run_tiles_pipelined(
-                "serial", make_kernel(), [], [], [], depth=0
-            ))
-
-    def test_engine_rejects_bad_pipeline_depth(self):
-        with pytest.raises(ValueError, match="pipeline_depth"):
-            make_engine(pipeline_depth=0)
-
     def test_stage_failure_propagates(self):
-        # A poisoned kernel makes the fill stage raise; the consumer
+        # A poisoned kernel makes the fill stage raise; the engine
         # must re-raise rather than hang or truncate.
-        eng = make_engine(pipeline=True)
+        eng = make_engine()
         orig = eng.kernel.edge_kernel
 
         class Boom:
@@ -256,12 +227,29 @@ class TestEngineSpill:
             fh.write(b"\xff")
 
         e2 = make_engine(spill_dir=str(tmp_path), cache=False,
-                         pipeline=True)
+                         executor="threads", max_workers=2)
         r2 = e2.gram(GRAPHS)
         d2 = r2.info["diagnostics"]
         e2.close()
         assert d2.blocks_served == d1.tiles - 2  # only the damaged two
         assert d2.blocks_written == 2            # ...are recomputed
+        assert_bitwise(r2, barrier_result)
+
+    def test_blocks_written_after_close_reach_disk(self, tmp_path,
+                                                   barrier_result):
+        # close() stops the offload thread; later block writes must
+        # fall back to synchronous spills instead of being dropped.
+        e1 = make_engine(spill_dir=str(tmp_path))
+        e1.close()
+        d1 = e1.gram(GRAPHS).info["diagnostics"]
+        assert d1.blocks_written == d1.tiles > 0
+
+        e2 = make_engine(spill_dir=str(tmp_path), cache=False)
+        r2 = e2.gram(GRAPHS)
+        d2 = r2.info["diagnostics"]
+        e2.close()
+        assert d2.solves == 0
+        assert d2.blocks_served == d1.tiles
         assert_bitwise(r2, barrier_result)
 
     def test_out_of_core_result_matrix(self, tmp_path, barrier_result):
@@ -395,7 +383,8 @@ class TestProgressAggregator:
 
     def test_engine_events_ordered_and_monotone(self):
         events = []
-        eng = make_engine(pipeline=True, progress=events.append)
+        eng = make_engine(executor="threads", max_workers=2,
+                          progress=events.append)
         eng.gram(GRAPHS)
         assert events[-1].phase == "done"
         tiles = [e.tiles_done for e in events]
@@ -406,69 +395,17 @@ class TestProgressAggregator:
 
 
 # ---------------------------------------------------------------------------
-# stage-cost scheduling
-# ---------------------------------------------------------------------------
-
-
-class TestStageScheduling:
-    COSTS = [
-        StageCost(0, plan=1.0, fill=1.0, solve=8.0),
-        StageCost(1, plan=4.0, fill=4.0, solve=1.0),
-        StageCost(2, plan=0.5, fill=0.5, solve=2.0),
-        StageCost(3, plan=2.0, fill=2.0, solve=4.0),
-    ]
-
-    def test_johnson_order_deterministic(self):
-        order = pipeline_order(self.COSTS)
-        assert order == pipeline_order(list(self.COSTS))
-        assert sorted(order) == [0, 1, 2, 3]
-        # short-prep/long-solve tiles lead; long-prep/short-solve trail
-        assert order[0] == 2 and order[-1] == 1
-
-    def test_simulation_bubble_shrinks_with_order(self):
-        shuffled = [self.COSTS[k] for k in (1, 3, 0, 2)]
-        ordered = [self.COSTS[k] for k in pipeline_order(self.COSTS)]
-        sim_bad = simulate_pipeline(shuffled, depth=2)
-        sim_good = simulate_pipeline(ordered, depth=2)
-        assert sim_good["makespan"] <= sim_bad["makespan"] + 1e-12
-        assert 0.0 <= sim_good["bubble_fraction"] <= 1.0
-
-    def test_depth_suggestion_clamped(self):
-        assert 2 <= suggest_pipeline_depth(self.COSTS) <= 8
-        prep_heavy = [StageCost(0, plan=50.0, fill=50.0, solve=1.0)]
-        assert suggest_pipeline_depth(prep_heavy) == 8
-        assert suggest_pipeline_depth([]) == 2
-
-    def test_tile_stage_costs_cover_all_tiles(self, barrier_result):
-        eng = make_engine()
-        # plan real tiles through the engine's own path
-        from repro.engine.tiles import build_pair_jobs, plan_bucketed_tiles
-        reps = [(i, j) for i in range(6) for j in range(i, 6)]
-        jobs = build_pair_jobs(GRAPHS[:6], GRAPHS[:6], reps,
-                               q=eng.kernel.q,
-                               edge_kernel=eng.kernel.edge_kernel)
-        tiles = plan_bucketed_tiles(jobs, GRAPHS[:6], GRAPHS[:6],
-                                    batch_pairs=8)
-        costs = tile_stage_costs(tiles, GRAPHS[:6], GRAPHS[:6])
-        assert len(costs) == len(tiles)
-        assert all(c.plan > 0 and c.fill > 0 and c.solve > 0 for c in costs)
-        hot = tile_stage_costs(tiles, GRAPHS[:6], GRAPHS[:6],
-                               structure_hot=True)
-        assert all(h.plan < c.plan for h, c in zip(hot, costs))
-
-
-# ---------------------------------------------------------------------------
 # stage split + workspace keying
 # ---------------------------------------------------------------------------
 
 
 class TestStageSplit:
-    def test_workspace_keyed_by_bucket_and_slot(self):
-        ws_a = _thread_workspace((("dense", 30), 0))
-        ws_b = _thread_workspace((("dense", 30), 1))
-        ws_c = _thread_workspace((("sparse", 30), 0))
+    def test_workspace_keyed_by_bucket(self):
+        ws_a = _thread_workspace(("dense", 30))
+        ws_b = _thread_workspace(("dense", 40))
+        ws_c = _thread_workspace(("sparse", 30))
         assert ws_a is not ws_b and ws_a is not ws_c
-        assert _thread_workspace((("dense", 30), 0)) is ws_a
+        assert _thread_workspace(("dense", 30)) is ws_a
 
     def test_stage_functions_compose_to_solve(self):
         kernel = make_kernel()
@@ -488,102 +425,3 @@ class TestStageSplit:
         ref = make_engine(cache=False, batch_pairs=None).gram(X)
         for (i, j), v in direct.items():
             assert v == ref.matrix[i, j]
-
-
-# ---------------------------------------------------------------------------
-# resumable solve handle
-# ---------------------------------------------------------------------------
-
-
-def _toy_system():
-    kernel = make_kernel()
-    X = GRAPHS[:6]
-    reps = [(i, j) for i in range(6) for j in range(i, 6)]
-    tasks = [t for t in bucket_tasks(kernel, X, X, reps) if not t.solo]
-    assert tasks
-    t = tasks[0]
-    plan_bucket(t, X, X)
-    fill_bucket(t, kernel)
-    return t.system
-
-
-class TestSolveHandle:
-    def test_chunked_stepping_bitwise(self):
-        sys1 = _toy_system()
-        ref = batched_pcg_solve(sys1)
-        sys2 = _toy_system()
-        hook_calls = []
-        res = batched_pcg_solve(sys2, step_hook=hook_calls.append,
-                                step_chunk=1)
-        assert np.array_equal(res.x, ref.x)
-        assert np.array_equal(res.iterations, ref.iterations)
-        assert np.array_equal(res.residual_norms, ref.residual_norms)
-        assert len(hook_calls) >= 1
-
-    def test_handle_resume_matches_one_shot(self):
-        ref = batched_pcg_solve(_toy_system())
-        handle = BatchedSolveHandle(_toy_system())
-        steps = 0
-        while not handle.done:
-            steps += handle.step(2)
-        res = handle.result()
-        assert np.array_equal(res.x, ref.x)
-        assert np.array_equal(res.iterations, ref.iterations)
-        assert steps == int(ref.iterations.max())
-
-    def test_result_before_done_raises(self):
-        handle = BatchedSolveHandle(_toy_system())
-        if not handle.done:
-            with pytest.raises(RuntimeError, match="not finished"):
-                handle.result()
-
-
-# ---------------------------------------------------------------------------
-# observability: bubble metrics + trace report
-# ---------------------------------------------------------------------------
-
-
-class TestPipelineObservability:
-    def test_metrics_published(self):
-        from repro.obs.metrics import get_registry
-
-        eng = make_engine(pipeline=True)
-        eng.gram(make_graphs(18, seed0=500))
-        vals = get_registry().values_with_prefix("pipeline_")
-        assert 0.0 <= vals["pipeline_bubble_fraction"] <= 1.0
-        assert vals["pipeline_overlap_ratio"] > 0.0
-        assert vals["pipeline_depth"] >= 1
-        assert vals["pipeline_tiles_total"] > 0
-
-    def test_trace_pipeline_report(self):
-        from repro.obs import (
-            disable_tracing,
-            enable_tracing,
-            format_pipeline_report,
-            pipeline_report,
-        )
-
-        tracer = enable_tracing()
-        try:
-            make_engine(pipeline=True).gram(make_graphs(18, seed0=700))
-            spans = tracer.finished()
-        finally:
-            disable_tracing()
-        report = pipeline_report(spans)
-        assert report is not None
-        assert report["runs"] == 1
-        assert report["stages"]["solve"]["busy_s"] > 0.0
-        assert 0.0 <= report["bubble_fraction"] <= 1.0
-        text = format_pipeline_report(report)
-        assert "solve window" in text and "occupancy" in text
-
-    def test_barrier_trace_has_no_pipeline_report(self):
-        from repro.obs import disable_tracing, enable_tracing, pipeline_report
-
-        tracer = enable_tracing()
-        try:
-            make_engine().gram(make_graphs(10, seed0=900))
-            spans = tracer.finished()
-        finally:
-            disable_tracing()
-        assert pipeline_report(spans) is None
