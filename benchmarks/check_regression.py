@@ -57,15 +57,14 @@ METRICS = [
     ("BENCH_load.json", "multi.ok_rate", "ratio"),
     ("BENCH_load.json", "p99_gain_vs_single", "absolute"),
     # chaos: recovery correctness is machine-independent — bitwise
-    # identity under seeded kills, the chaos actually firing, and
-    # poison containment are hard 1.0 gates; the supervision and
-    # recovery overheads are wall-clock-dependent and only warn.
+    # identity with the serial executor and under seeded kills, the
+    # chaos actually firing, and poison containment are hard 1.0 gates;
+    # the recovery overhead is wall-clock-dependent and only warns.
     ("BENCH_chaos.json", "completed", "ratio"),
     ("BENCH_chaos.json", "kill_bitwise_identical", "ratio"),
     ("BENCH_chaos.json", "chaos_fired", "ratio"),
     ("BENCH_chaos.json", "quarantine_contained", "ratio"),
-    ("BENCH_chaos.json", "process_bitwise_identical", "ratio"),
-    ("BENCH_chaos.json", "supervision_overhead", "absolute"),
+    ("BENCH_chaos.json", "serial_bitwise_identical", "ratio"),
     ("BENCH_chaos.json", "recovery_overhead", "absolute"),
 ]
 

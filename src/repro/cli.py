@@ -773,11 +773,10 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["fused_batched", "fused", "dense", "vgpu"])
     m.add_argument("--normalize", action="store_true")
     m.add_argument("--executor", default="serial",
-                   choices=["serial", "threads", "process",
-                            "process_supervised"],
+                   choices=["serial", "threads", "process_supervised"],
                    help="tile execution backend")
     m.add_argument("--workers", type=int, default=None,
-                   help="pool size for threads/process executors")
+                   help="pool size for the parallel executors")
     m.add_argument("--tile-pairs", type=int, default=None,
                    help="pairs per tile (default: cost-balanced; "
                         "per-pair path only)")
@@ -813,10 +812,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "matrices are memory-mapped instead of held in "
                         "RAM")
     m.add_argument("--supervised", action="store_true",
-                   help="shorthand for --executor process_supervised: "
-                        "fault-tolerant worker pool with per-tile "
-                        "deadlines, retry, respawn, and poison-tile "
-                        "quarantine")
+                   help="shorthand for the process_supervised "
+                        "executor: fault-tolerant worker pool with "
+                        "per-tile deadlines, retry, respawn, and "
+                        "poison-tile quarantine")
     m.add_argument("--shard", default=None, metavar="I/N",
                    help="compute only this engine's share of the pair "
                         "space (tiles are routed by content key); "
@@ -867,7 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_engine_opts(sp):
         sp.add_argument("--executor", default="serial",
-                        choices=["serial", "threads", "process"])
+                        choices=["serial", "threads", "process_supervised"])
         sp.add_argument("--workers", type=int, default=None)
         sp.add_argument("--cache-dir", default=None,
                         help="persistent kernel cache shared across runs")

@@ -9,9 +9,11 @@ numerical one.  This package is the single entry point for it:
   (``gram`` / ``diag`` / ``extend``);
 * :mod:`repro.engine.tiles`       — cost-balanced decomposition of the
   pair space, priced by the scheduler's cycle model;
-* :mod:`repro.engine.executors`   — serial / threads / process backends;
-* :mod:`repro.engine.supervisor`  — fault-tolerant supervised worker
-  pool (retry, respawn, deadlines, poison-tile quarantine);
+* :mod:`repro.engine.executors`   — task bodies and the serial /
+  threads backends;
+* :mod:`repro.engine.supervisor`  — the process backend: a
+  fault-tolerant supervised worker pool (retry, respawn, deadlines,
+  poison-tile quarantine);
 * :mod:`repro.engine.cache`       — in-memory LRU, on-disk, and tiered
   kernel-value caches;
 * :mod:`repro.engine.fingerprint` — content-addressed identities for
@@ -38,7 +40,7 @@ from .core import GramEngine
 from .executors import EngineAborted
 from .fingerprint import graph_fingerprint, kernel_fingerprint, pair_key
 from .offload import AsyncOffloader
-from .progress import Diagnostics, ProgressAggregator, ProgressEvent
+from .progress import Diagnostics, ProgressEvent
 from .supervisor import SupervisedPool, SupervisorStats
 from .tiles import (
     DEFAULT_BATCH_PAIRS,
@@ -59,7 +61,6 @@ __all__ = [
     "GramBlockStore",
     "GramEngine",
     "LRUCache",
-    "ProgressAggregator",
     "ProgressEvent",
     "StructureCache",
     "SupervisedPool",

@@ -72,7 +72,6 @@ from .fingerprint import graph_fingerprint, kernel_fingerprint, pair_key
 from .offload import AsyncOffloader
 from .progress import (
     Diagnostics,
-    ProgressAggregator,
     ProgressCallback,
     ProgressEvent,
     iteration_histogram,
@@ -131,8 +130,9 @@ class GramEngine:
         every call, so mutating the kernel transparently invalidates
         prior cache entries.
     executor:
-        ``"serial"`` (default), ``"threads"``, ``"process"``, or
-        ``"process_supervised"``.
+        ``"serial"`` (default), ``"threads"``, or
+        ``"process_supervised"`` (the fault-tolerant process pool of
+        :mod:`repro.engine.supervisor`).
     max_workers:
         Pool size for the parallel executors (default: CPU count).
     tile_pairs / n_tiles:
@@ -175,8 +175,8 @@ class GramEngine:
         ``False`` (default) off.  Pairs without a stored solution run
         the exact cold iteration; warm-started values agree with cold
         ones within the solver tolerance (not bitwise).  Serial/threads
-        only: the process executor's workers are rebuilt per call, so
-        history can never accumulate there and the option is ignored.
+        only: the supervised executor's workers are rebuilt per call,
+        so history can never accumulate there and the option is ignored.
     reorder / reorder_cutoff:
         Apply the RCM bandwidth-reducing permutation to block-CSR
         buckets at plan time (the paper's locality optimization, paid
@@ -266,6 +266,8 @@ class GramEngine:
             raise ValueError("max_tile_retries must be >= 0")
         if tile_timeout_s is not None and tile_timeout_s <= 0:
             raise ValueError("tile_timeout_s must be positive")
+        if retry_backoff_s < 0:
+            raise ValueError("retry_backoff_s must be >= 0")
         if shard is not None:
             i, n = shard
             if not (0 <= i < n):
@@ -460,12 +462,6 @@ class GramEngine:
         return self.max_workers or default_workers()
 
     @property
-    def _process_like(self) -> bool:
-        """Executors whose workers live in separate processes (fresh
-        per call): in-memory warm/structure state cannot carry over."""
-        return self.executor in ("process", "process_supervised")
-
-    @property
     def batched(self) -> bool:
         """Whether pair solves go through the batched pipeline.
 
@@ -574,7 +570,7 @@ class GramEngine:
             # iteration zero, bucket count beats per-iteration shape
             # purity.  Cold single-shot calls keep the PR-4 bucketing.
             #
-            # The process executor builds fresh workers per call, so
+            # The supervised executor builds fresh workers per call, so
             # in-memory worker state can never carry across calls:
             # warm history would always be empty (making merged tiling
             # a pure pessimization) and a memory-only structure cache
@@ -582,7 +578,7 @@ class GramEngine:
             # therefore a serial/threads feature, and workers get the
             # structure cache only through its disk tier.  Tile-plan
             # caching below is unaffected — it runs in this process.
-            if self._process_like:
+            if self.executor == "process_supervised":
                 worker_warm = None
                 worker_cache = (
                     self.structure_cache
@@ -638,7 +634,7 @@ class GramEngine:
         # This call's structure traffic comes from the per-call runtime
         # counters — the shared cache's global stats cannot attribute
         # lookups per call when several threads drive one engine.  The
-        # process executor's workers keep their own runtimes, so its
+        # supervised executor's workers keep their own runtimes, so its
         # calls legitimately report zero here.
         def structure_delta() -> tuple[int, int]:
             if runtime is None:
@@ -660,13 +656,6 @@ class GramEngine:
         # foreign-shard tiles): excluded from the non-convergence
         # warning — they were never solved, diverged or otherwise.
         placeholder_pos: set = set()
-        # Serialize + order-guard progress delivery: executors complete
-        # tiles concurrently, and the callback must never see regressing
-        # cumulative counters.
-        emit = (
-            ProgressAggregator(self.progress)
-            if self.progress is not None else None
-        )
         tiles_total = len(tiles)
 
         def absorb(outcomes, solved: bool, quarantined: bool = False) -> None:
@@ -690,9 +679,9 @@ class GramEngine:
         def emit_tile() -> None:
             nonlocal tiles_done
             tiles_done += 1
-            if emit is not None:
+            if self.progress is not None:
                 s_hits, s_misses = structure_delta()
-                emit(
+                self.progress(
                     ProgressEvent(
                         phase="tile",
                         tiles_done=tiles_done,
@@ -701,14 +690,15 @@ class GramEngine:
                         pairs_total=n_total,
                         solves=solves,
                         # same definition as the final event/Diagnostics:
-                        # every resolved position that was not a solve
-                        # (cache hits, content-duplicate fills, and
-                        # block-store recoveries).  A bucket served from
-                        # the *structure* cache is still numerically
-                        # solved, so its pairs count as solves here —
-                        # never as cache hits — and the structure reuse
-                        # is reported separately.
-                        cache_hits=pairs_done - solves,
+                        # every resolved position that was neither a
+                        # solve nor a quarantined NaN placeholder (cache
+                        # hits, content-duplicate fills, and block-store
+                        # recoveries).  A bucket served from the
+                        # *structure* cache is still numerically solved,
+                        # so its pairs count as solves here — never as
+                        # cache hits — and the structure reuse is
+                        # reported separately.
+                        cache_hits=pairs_done - solves - quarantined_pos,
                         elapsed=time.perf_counter() - t0,
                         structure_hits=s_hits,
                         structure_misses=s_misses,
@@ -844,8 +834,8 @@ class GramEngine:
             cache_tiers=self._cache_tier_stats(),
             hw_counters=get_registry().values_with_prefix("vgpu_"),
         )
-        if emit is not None:
-            emit(
+        if self.progress is not None:
+            self.progress(
                 ProgressEvent(
                     phase="done",
                     tiles_done=tiles_total,

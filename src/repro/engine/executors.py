@@ -1,16 +1,12 @@
-"""Tile executors: serial, thread-pool, and process-pool backends.
+"""Tile executors: the task bodies and the serial and thread backends.
 
-All three backends run the same per-pair task — build the product
-system, solve it, return ``(i, j, value, iterations, converged,
-residual_norm)`` — and stream completed tiles back to the engine in
+Every backend runs the same per-pair task — build the product system,
+solve it, return ``(i, j, value, iterations, converged,
+residual_norm)`` — and streams completed tiles back to the engine in
 completion order (the dynamic-work-queue behavior whose makespan the
-scheduler subsystem models).
-
-The process backend ships the dataset once per worker via the pool
-initializer (not once per tile): graphs, base kernels, and the
-configured :class:`~repro.kernels.marginalized.MarginalizedGraphKernel`
-are all plain picklable objects, and each task closure carries only the
-tile's pair-index list.
+scheduler subsystem models).  The process backend,
+:class:`~repro.engine.supervisor.SupervisedPool`, runs the same task
+bodies in worker processes that receive the dataset once, at spawn.
 """
 
 from __future__ import annotations
@@ -19,7 +15,7 @@ import contextvars
 import hashlib
 import os
 import threading
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -28,7 +24,7 @@ import numpy as np
 from ..obs.trace import get_tracer
 from .tiles import Tile
 
-EXECUTORS = ("serial", "threads", "process", "process_supervised")
+EXECUTORS = ("serial", "threads", "process_supervised")
 
 #: One solved pair: (i, j, value, iterations, converged, residual_norm).
 PairOutcome = tuple[int, int, float, int, bool, float]
@@ -36,9 +32,6 @@ PairOutcome = tuple[int, int, float, int, bool, float]
 
 class EngineAborted(RuntimeError):
     """An engine run was cancelled via its abort event (close(), ^C)."""
-
-# Per-process worker state, installed by _init_worker in each pool child.
-_WORKER_STATE: dict = {}
 
 # One batch-assembly workspace per executor thread (the big stacked
 # buffers are recycled across tiles; see BatchWorkspace).
@@ -101,7 +94,7 @@ class BatchRuntime:
                 self.call_misses += 1
 
     def config(self) -> dict:
-        """Picklable description for process-pool worker initializers."""
+        """Picklable description for supervised worker processes."""
         return {
             "structure": self.structure_cache is not None,
             "disk_dir": getattr(self.structure_cache, "disk_dir", None),
@@ -418,29 +411,6 @@ def solve_pairs_batched(
     return out
 
 
-def _init_worker(kernel, X, Y, runtime_cfg=None) -> None:
-    _WORKER_STATE["kernel"] = kernel
-    _WORKER_STATE["X"] = X
-    _WORKER_STATE["Y"] = Y
-    # Each pool worker gets its own runtime: caches don't cross process
-    # boundaries, but a disk-backed structure cache still shares plans,
-    # and in-memory reuse works across the tiles one worker executes.
-    _WORKER_STATE["runtime"] = BatchRuntime.from_config(runtime_cfg)
-
-
-def _worker_solve_tile(
-    pairs: Sequence[tuple[int, int]], batched: bool = False
-) -> list[PairOutcome]:
-    if batched:
-        return solve_pairs_batched(
-            _WORKER_STATE["kernel"], _WORKER_STATE["X"], _WORKER_STATE["Y"],
-            pairs, runtime=_WORKER_STATE.get("runtime"),
-        )
-    return solve_pairs(
-        _WORKER_STATE["kernel"], _WORKER_STATE["X"], _WORKER_STATE["Y"], pairs
-    )
-
-
 def run_tiles(
     executor: str,
     kernel,
@@ -454,29 +424,26 @@ def run_tiles(
 ) -> Iterator[tuple[Tile, list[PairOutcome]]]:
     """Execute tiles on the chosen backend, yielding in completion order.
 
-    ``executor`` is ``"serial"``, ``"threads"``, or ``"process"``; the
-    engine runs ``"process_supervised"`` through
+    ``executor`` is ``"serial"`` or ``"threads"``; the engine runs
+    ``"process_supervised"`` through
     :class:`~repro.engine.supervisor.SupervisedPool` itself.  Tiles
     should arrive largest-first (see
-    :func:`~repro.engine.tiles.plan_tiles`); with a pool backend that
+    :func:`~repro.engine.tiles.plan_tiles`); with the thread pool that
     ordering makes the natural work-queue dispatch approximate LPT
     scheduling.  With ``batched=True`` every tile runs the batched task
     body (:func:`solve_pairs_batched`) instead of the per-pair loop —
     the backends are oblivious to the difference.  ``runtime`` carries
-    the structure cache / warm store / reordering config; serial and
-    threads backends share the caller's instances, the process backend
-    rebuilds per-worker equivalents from the picklable config (the
-    disk tier, when configured, is what crosses the process boundary).
+    the structure cache / warm store / reordering config, shared with
+    the caller.
 
     ``abort`` (a :class:`threading.Event`) cancels the run between
-    tiles: the generator raises :class:`EngineAborted`, after first
-    terminating pool workers so a ^C or ``GramEngine.close()`` never
-    leaves orphan processes grinding on a dead computation.
+    tiles: the generator raises :class:`EngineAborted` after cancelling
+    queued work, so a ^C or ``GramEngine.close()`` never leaves the
+    pool grinding through a dead computation.
     """
-    if executor not in ("serial", "threads", "process"):
+    if executor not in ("serial", "threads"):
         raise ValueError(
-            f"run_tiles runs serial, threads or process tiles, "
-            f"not {executor!r}"
+            f"run_tiles runs serial or threads tiles, not {executor!r}"
         )
     if executor == "serial" or len(tiles) <= 1 or (max_workers or 2) == 1:
         for tile in tiles:
@@ -491,32 +458,21 @@ def run_tiles(
         return
 
     workers = max_workers or default_workers()
-    if executor == "threads":
-        pool = ThreadPoolExecutor(max_workers=workers)
-        # Each task runs under a copy of the caller's context, so the
-        # tracer's current-span contextvar propagates into the pool and
-        # tile spans keep their engine-call parent.  copy_context() is
-        # a few hundred nanoseconds per tile — noise next to a solve.
-        if batched:
-            submit = lambda tile: pool.submit(
-                contextvars.copy_context().run,
-                solve_pairs_batched, kernel, X, Y, tile.pairs, runtime,
-            )
-        else:
-            submit = lambda tile: pool.submit(
-                contextvars.copy_context().run,
-                solve_pairs, kernel, X, Y, tile.pairs,
-            )
-    else:
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(
-                kernel, list(X), list(Y),
-                runtime.config() if runtime is not None else None,
-            ),
+    pool = ThreadPoolExecutor(max_workers=workers)
+    # Each task runs under a copy of the caller's context, so the
+    # tracer's current-span contextvar propagates into the pool and
+    # tile spans keep their engine-call parent.  copy_context() is
+    # a few hundred nanoseconds per tile — noise next to a solve.
+    if batched:
+        submit = lambda tile: pool.submit(
+            contextvars.copy_context().run,
+            solve_pairs_batched, kernel, X, Y, tile.pairs, runtime,
         )
-        submit = lambda tile: pool.submit(_worker_solve_tile, tile.pairs, batched)
+    else:
+        submit = lambda tile: pool.submit(
+            contextvars.copy_context().run,
+            solve_pairs, kernel, X, Y, tile.pairs,
+        )
 
     try:
         futures = {submit(tile): tile for tile in tiles}
@@ -532,12 +488,8 @@ def run_tiles(
                 yield futures[fut], fut.result()
         pool.shutdown(wait=True)
     except BaseException:
-        # Abort / ^C / consumer close: drop queued work and kill pool
-        # processes instead of letting shutdown block on doomed tiles.
-        # (Thread workers cannot be killed; their queued work is
-        # cancelled and running tasks are left to finish detached.)
+        # Abort / ^C / consumer close: drop queued work instead of
+        # letting shutdown block on doomed tiles.  Threads cannot be
+        # killed, so running tasks are left to finish detached.
         pool.shutdown(wait=False, cancel_futures=True)
-        procs = getattr(pool, "_processes", None)
-        for proc in list((procs or {}).values()):
-            proc.terminate()
         raise

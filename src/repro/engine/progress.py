@@ -1,17 +1,17 @@
 """Streaming progress events and end-of-run diagnostics for the engine.
 
 The engine emits one :class:`ProgressEvent` per completed tile (plus a
-final ``"done"`` event) to an optional callback, so long Gram runs can
-drive progress bars, log lines, or schedulers without polling.  The
-aggregate :class:`Diagnostics` block — solve/cache counters, a solver
-iteration histogram, the non-converged pair list, wall time — travels
-on ``GramResult.info["diagnostics"]``.
+final ``"done"`` event) to an optional callback, on the calling thread
+and in tile order, so long Gram runs can drive progress bars, log
+lines, or schedulers without polling or locking.  The aggregate
+:class:`Diagnostics` block — solve/cache counters, a solver iteration
+histogram, the non-converged pair list, wall time — travels on
+``GramResult.info["diagnostics"]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from threading import Lock
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -44,80 +44,6 @@ class ProgressEvent:
     @property
     def fraction(self) -> float:
         return self.pairs_done / self.pairs_total if self.pairs_total else 1.0
-
-
-class ProgressAggregator:
-    """Serialize, order, and monotonize tile progress events.
-
-    The engine's executors complete tiles concurrently, and the thread
-    and process pools yield them in completion order.  Handing those
-    events straight to a user callback has two failure modes:
-
-    * **interleaving** — two events in flight at once reach a callback
-      that is not thread-safe, or arrive with ``tiles_done`` going
-      backwards (tile 5's event before tile 4's);
-    * **undercounting** — a cumulative field (``pairs_done``,
-      ``structure_hits``) regresses because a stale event overtakes a
-      fresher one, briefly reporting buckets served from the structure
-      cache as never having happened.
-
-    The aggregator fixes both: a lock serializes delivery, a reorder
-    buffer holds early events until their predecessors (by
-    ``tiles_done``) have been delivered, and every cumulative field is
-    clamped to its running maximum so no delivered event ever
-    undercounts work already reported.  The terminal ``"done"`` event
-    flushes any stragglers (in order) before being forwarded.
-
-    One aggregator serves one engine call; it is cheap enough that the
-    engine wraps every call's callback unconditionally.
-    """
-
-    #: Cumulative event fields that must never decrease across delivery.
-    _MONOTONE = (
-        "tiles_done", "pairs_done", "solves", "cache_hits",
-        "structure_hits", "structure_misses", "elapsed",
-    )
-
-    def __init__(self, callback: ProgressCallback) -> None:
-        self.callback = callback
-        self._lock = Lock()
-        self._pending: dict[int, ProgressEvent] = {}
-        self._next_tile = 1
-        self._floor: dict[str, float] = {}
-        self.delivered = 0
-        self.reordered = 0
-        self.clamped = 0
-
-    def _deliver(self, event: ProgressEvent) -> None:
-        fixes = {}
-        for name in self._MONOTONE:
-            value = getattr(event, name)
-            floor = self._floor.get(name)
-            if floor is not None and value < floor:
-                fixes[name] = floor
-            else:
-                self._floor[name] = value
-        if fixes:
-            self.clamped += 1
-            event = replace(event, **fixes)
-        self.delivered += 1
-        self.callback(event)
-
-    def __call__(self, event: ProgressEvent) -> None:
-        with self._lock:
-            if event.phase != "tile":
-                # Terminal event: flush any buffered stragglers first so
-                # the callback sees every tile, in order, before "done".
-                for k in sorted(self._pending):
-                    self._deliver(self._pending.pop(k))
-                self._deliver(event)
-                return
-            self._pending[event.tiles_done] = event
-            if event.tiles_done != self._next_tile:
-                self.reordered += 1
-            while self._next_tile in self._pending:
-                self._deliver(self._pending.pop(self._next_tile))
-                self._next_tile += 1
 
 
 def iteration_histogram(iterations: np.ndarray) -> dict[str, int]:

@@ -1,11 +1,9 @@
-"""Fault-tolerant tile execution: a supervised worker pool.
+"""Fault-tolerant tile execution: the engine's process worker pool.
 
-The plain process executor dies with its workers: one OOM-killed child
-raises ``BrokenProcessPool`` out of :class:`concurrent.futures.
-ProcessPoolExecutor` and the whole Gram computation is lost.  This
-module rebuilds the pool on raw :mod:`multiprocessing` with a
-supervision loop in the parent, so a worker death is an *event*, not a
-verdict:
+A plain process pool dies with its workers: one OOM-killed child
+breaks the pool and the whole Gram computation is lost.  This module
+builds the pool on raw :mod:`multiprocessing` with a supervision loop
+in the parent, so a worker death is an *event*, not a verdict:
 
 * **crash recovery** — a dead worker's in-flight tile is re-queued
   (work stealing: any idle worker may pick it up) and the worker slot
@@ -24,8 +22,10 @@ Queue topology matters here: each worker owns a private inbox *and* a
 private outbox.  A worker SIGKILLed mid-``put`` can corrupt only its
 own queue — with one shared results queue, a single death could
 deadlock or poison every sibling's channel.  The parent never blocks
-on a child: outboxes are drained with ``get_nowait`` and anything
-unreadable is treated as a crash of that worker alone.
+on a child: it sleeps in :func:`multiprocessing.connection.wait` until
+an outbox turns readable or a worker exits, drains outboxes with
+``get_nowait``, and treats anything unreadable as a crash of that
+worker alone.
 
 Determinism: a retried tile recomputes from the same inputs with the
 same task body, so a run disturbed by worker kills produces a Gram
@@ -40,6 +40,7 @@ import os
 import queue
 import time
 from dataclasses import asdict, dataclass, field
+from multiprocessing.connection import wait
 from typing import Iterator, Sequence
 
 from ..obs.metrics import get_registry
@@ -60,7 +61,8 @@ DEFAULT_MAX_TILE_RETRIES = 2
 #: Default base of the exponential retry backoff.
 DEFAULT_RETRY_BACKOFF_S = 0.05
 
-#: Supervision-loop poll cadence while nothing is happening.
+#: Longest the supervision loop waits for a worker event before it
+#: rechecks deadlines, retry backoff and the abort event.
 POLL_INTERVAL_S = 0.02
 
 
@@ -153,7 +155,9 @@ class SupervisedPool:
     multiprocessing start method.
 
     :meth:`run` yields ``(tile, outcomes, quarantined)`` in completion
-    order; ``stats`` carries the final :class:`SupervisorStats`.
+    order, each only after every idle worker holds its next tile, so
+    workers never wait on the engine; ``stats`` carries the final
+    :class:`SupervisorStats`.
     """
 
     def __init__(
@@ -285,6 +289,7 @@ class SupervisedPool:
                         "supervised run aborted (engine closed)"
                     )
                 quarantine_now: list[int] = []
+                finished_now: list[tuple[Tile, list[PairOutcome], bool]] = []
                 progressed = False
 
                 # 1. Drain every worker's outbox (never block on one).
@@ -306,7 +311,9 @@ class SupervisedPool:
                             finished[task_id] = True
                             n_done += 1
                             progressed = True
-                            yield self.tiles[task_id], payload, False
+                            finished_now.append(
+                                (self.tiles[task_id], payload, False)
+                            )
                         elif fail(task_id, attempt, payload):
                             quarantine_now.append(task_id)
 
@@ -382,7 +389,7 @@ class SupervisedPool:
                         (i, j, float("nan"), 0, False, float("inf"))
                         for i, j in tile.pairs
                     ]
-                    yield tile, outcomes, True
+                    finished_now.append((tile, outcomes, True))
 
                 # 5. Dispatch ready tiles (backoff-gated) to idle slots.
                 now = time.monotonic()
@@ -416,8 +423,16 @@ class SupervisedPool:
                         progressed = True
                     ready[0:0] = held  # keep backoff-held tiles in order
 
+                # 6. Hand this pass's tiles to the engine while the
+                #    workers solve their next ones; with nothing to do,
+                #    sleep until a result lands or a worker dies.
+                yield from finished_now
                 if not progressed:
-                    time.sleep(POLL_INTERVAL_S)
+                    wait(
+                        [s.outbox._reader for s in slots]
+                        + [s.process.sentinel for s in slots],
+                        timeout=POLL_INTERVAL_S,
+                    )
         finally:
             if self.chaos_spec is not None:
                 if prev_env is None:

@@ -33,7 +33,7 @@ Solvers: ``pcg`` (Algorithm 1, default), ``cg``, ``fixed_point``,
 
 Dataset-scale calls (``__call__``, :meth:`MarginalizedGraphKernel.diag`)
 delegate to :class:`repro.engine.GramEngine`, which tiles the pair
-space, runs pluggable serial/thread/process executors, and serves
+space, runs serial, thread or supervised-process executors, and serves
 repeats from a content-addressed kernel cache.
 """
 
@@ -178,7 +178,7 @@ class MarginalizedGraphKernel:
 
     def __getstate__(self) -> dict:
         # Engines hold caches (locks) and progress callbacks that must
-        # not travel to process-pool workers; each process rebuilds a
+        # not travel to supervised workers; each process rebuilds a
         # default engine lazily if it needs one.
         state = self.__dict__.copy()
         state["_gram_engine"] = None

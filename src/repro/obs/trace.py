@@ -17,9 +17,9 @@ overhead budget (bench-gated) is < 2% on the batched Gram bench.
 Process boundaries: span *ids* embed the pid and never collide, but
 spans recorded inside process-pool workers live in that worker's
 tracer and are not shipped back to the parent — the engine's
-``process`` executor therefore traces only the orchestration layer
-(tile dispatch, scatter), while ``serial`` and ``threads`` trace the
-full plan/fill/solve lifecycle.
+``process_supervised`` executor therefore traces only the
+orchestration layer (tile dispatch, scatter), while ``serial`` and
+``threads`` trace the full plan/fill/solve lifecycle.
 
 Module-level configuration (one tracer per process):
 

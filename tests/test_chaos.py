@@ -304,9 +304,9 @@ class TestSupervisedExecution:
         eng.close()
         return res
 
-    def test_fault_free_matches_process_executor(self, baseline):
-        eng = GramEngine(make_kernel(), executor="process", max_workers=2,
-                         tile_pairs=8, cache=False)
+    def test_fault_free_matches_serial_executor(self, baseline):
+        eng = GramEngine(make_kernel(), executor="serial", tile_pairs=8,
+                         cache=False)
         res = eng.gram(GRAPHS)
         assert np.array_equal(baseline.matrix, res.matrix)
 
@@ -341,8 +341,9 @@ class TestSupervisedExecution:
 
     def test_poison_tiles_quarantine_to_nan(self):
         # attempts=99: the kill survives every retry -> quarantine
+        events = []
         eng = supervised_engine(chaos="kill-worker:p=1.0,attempts=99,seed=3",
-                                max_tile_retries=1)
+                                max_tile_retries=1, progress=events.append)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no non-convergence noise
             res = eng.gram(GRAPHS)
@@ -351,6 +352,8 @@ class TestSupervisedExecution:
         assert d.quarantined_pairs == 55  # all 10*11/2 pairs
         assert d.solves == 0
         assert np.isnan(res.matrix).all()
+        # NaN placeholders are not cache hits, in events or diagnostics
+        assert events[-1].cache_hits == d.cache_hits == 0
 
     def test_quarantine_never_poisons_the_value_cache(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
@@ -412,6 +415,11 @@ class TestSupervisedExecution:
         with pytest.raises(ValueError):
             GramEngine(kern, tile_timeout_s=0)
         with pytest.raises(ValueError):
+            GramEngine(kern, retry_backoff_s=-1)
+        removed = "process"  # the plain pool is gone, with no alias
+        with pytest.raises(ValueError, match="unknown executor"):
+            GramEngine(kern, executor=removed)
+        with pytest.raises(ValueError):
             GramEngine(kern, shard=(2, 2), spill_dir="/tmp/x")
         with pytest.raises(ValueError):
             GramEngine(kern, shard=(0, 2))  # shard requires spill_dir
@@ -452,8 +460,8 @@ class TestShardedExecution:
         eng.close()
         d = res.info["diagnostics"]
         assert d.solves == 0 and d.blocks_served > 0
-        ref = GramEngine(make_kernel(), executor="process", max_workers=2,
-                         tile_pairs=8, cache=False).gram(GRAPHS)
+        ref = GramEngine(make_kernel(), executor="serial", tile_pairs=8,
+                         cache=False).gram(GRAPHS)
         assert np.array_equal(res.matrix, ref.matrix)
 
     def test_single_shard_sees_nan_placeholders(self, tmp_path):

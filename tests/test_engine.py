@@ -69,7 +69,9 @@ def K_naive(graphs):
 
 
 class TestExecutorEquivalence:
-    @pytest.mark.parametrize("executor", ["serial", "threads", "process"])
+    @pytest.mark.parametrize(
+        "executor", ["serial", "threads", "process_supervised"]
+    )
     def test_symmetric_matches_naive(self, graphs, K_naive, executor):
         eng = GramEngine(make_kernel(), executor=executor, max_workers=2)
         res = eng.gram(graphs)
@@ -77,7 +79,9 @@ class TestExecutorEquivalence:
         assert res.converged
         assert np.allclose(res.matrix, res.matrix.T)
 
-    @pytest.mark.parametrize("executor", ["serial", "threads", "process"])
+    @pytest.mark.parametrize(
+        "executor", ["serial", "threads", "process_supervised"]
+    )
     def test_rectangular_matches_naive(self, graphs, executor):
         mgk = make_kernel()
         eng = GramEngine(mgk, executor=executor, max_workers=2)
@@ -88,7 +92,8 @@ class TestExecutorEquivalence:
     def test_acceptance_process_20_graphs(self):
         """ISSUE 1 acceptance: process executor == serial loop, 20 graphs."""
         gs = make_graphs(20, seed0=300)
-        eng = GramEngine(make_kernel(), executor="process", max_workers=2)
+        eng = GramEngine(make_kernel(), executor="process_supervised",
+                         max_workers=2)
         K = eng.gram(gs).matrix
         assert np.allclose(K, naive_gram(make_kernel(), gs), rtol=1e-12)
 
@@ -292,7 +297,7 @@ class TestDiagnostics:
 
         mgk = make_kernel()
         mgk.gram_engine = GramEngine(
-            mgk, executor="process", progress=lambda ev: None
+            mgk, executor="process_supervised", progress=lambda ev: None
         )
         mgk.gram_engine.gram(graphs[:2])
         clone = pickle.loads(pickle.dumps(mgk))

@@ -2,27 +2,26 @@
 
 The load-bearing properties:
 
-* every executor (serial, threads, process, supervised) runs the same
+* every executor (serial, threads, supervised processes) runs the same
   plan → fill → solve stage functions over the same bucket tasks, so
   the batched Gram is **bitwise identical** across executors and
   caching modes;
 * the mmap block store round-trips tile outcomes exactly, detects
   corruption and torn writes (reads them as absent), and the engine's
   rerun path recomputes exactly the missing tiles;
-* progress events stay ordered and monotone under concurrent tile
-  completion.
+* progress events stay ordered and monotone whichever executor
+  completes the tiles.
 """
 
 from __future__ import annotations
 
 import glob
 import os
-import threading
 
 import numpy as np
 import pytest
 
-from repro.engine import GramEngine, ProgressAggregator
+from repro.engine import GramEngine
 from repro.engine.block_store import (
     GramBlockStore,
     outcomes_to_rows,
@@ -36,7 +35,6 @@ from repro.engine.executors import (
     solve_bucket,
 )
 from repro.engine.offload import AsyncOffloader
-from repro.engine.progress import ProgressEvent
 from repro.graphs.generators import random_labeled_graph
 from repro.kernels.basekernels import synthetic_kernels
 from repro.kernels.marginalized import MarginalizedGraphKernel
@@ -87,7 +85,7 @@ def assert_bitwise(res, ref):
 
 class TestPipelineBitwise:
     @pytest.mark.parametrize(
-        "executor", ["serial", "threads", "process", "process_supervised"]
+        "executor", ["serial", "threads", "process_supervised"]
     )
     @pytest.mark.parametrize("cache", [None, False])
     def test_executors_and_cache_modes(self, barrier_result, executor, cache):
@@ -310,87 +308,21 @@ class TestAsyncOffloader:
 
 
 # ---------------------------------------------------------------------------
-# progress ordering under concurrent completion
+# progress ordering
 # ---------------------------------------------------------------------------
 
 
-def _tile_event(k, pairs_done, structure_hits=0):
-    return ProgressEvent(
-        phase="tile", tiles_done=k, tiles_total=8, pairs_done=pairs_done,
-        pairs_total=100, solves=pairs_done, cache_hits=0,
-        elapsed=float(k), structure_hits=structure_hits,
-    )
-
-
-class TestProgressAggregator:
-    def test_reorders_out_of_order_events(self):
-        got = []
-        agg = ProgressAggregator(got.append)
-        for k in (2, 1, 4, 3):
-            agg(_tile_event(k, pairs_done=10 * k))
-        assert [e.tiles_done for e in got] == [1, 2, 3, 4]
-        assert agg.reordered > 0
-
-    def test_monotone_counters_never_undercount(self):
-        got = []
-        agg = ProgressAggregator(got.append)
-        # Tile 2's event carries *staler* cumulative counters than tile
-        # 1's (a racing emitter snapshotted early): delivery must clamp
-        # to the running floor, never report structure work undone.
-        agg(_tile_event(1, pairs_done=50, structure_hits=3))
-        agg(_tile_event(2, pairs_done=40, structure_hits=1))
-        assert [e.pairs_done for e in got] == [50, 50]
-        assert [e.structure_hits for e in got] == [3, 3]
-        assert agg.clamped == 1
-
-    def test_done_flushes_stragglers_in_order(self):
-        got = []
-        agg = ProgressAggregator(got.append)
-        agg(_tile_event(1, 10))
-        agg(_tile_event(4, 40))  # 2 and 3 never arrive in order
-        agg(_tile_event(3, 30))
-        agg(ProgressEvent(
-            phase="done", tiles_done=8, tiles_total=8, pairs_done=100,
-            pairs_total=100, solves=100, cache_hits=0, elapsed=9.0,
-        ))
-        assert [e.tiles_done for e in got] == [1, 3, 4, 8]
-        assert got[-1].phase == "done"
-
-    def test_threaded_emission_serializes(self):
-        got = []
-        agg = ProgressAggregator(got.append)
-        events = [_tile_event(k, 10 * k) for k in range(1, 33)]
-        rng = np.random.default_rng(0)
-        chunks = [events[k::4] for k in range(4)]
-        for c in chunks:
-            rng.shuffle(c)
-        threads = [
-            threading.Thread(target=lambda c=c: [agg(e) for e in c])
-            for c in chunks
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        agg(ProgressEvent(
-            phase="done", tiles_done=32, tiles_total=8, pairs_done=320,
-            pairs_total=100, solves=320, cache_hits=0, elapsed=99.0,
-        ))
-        tiles = [e.tiles_done for e in got if e.phase == "tile"]
-        assert tiles == sorted(tiles)
-        pairs = [e.pairs_done for e in got]
-        assert pairs == sorted(pairs)
-
-    def test_engine_events_ordered_and_monotone(self):
+class TestProgressEvents:
+    @pytest.mark.parametrize("executor", ["threads", "process_supervised"])
+    def test_engine_events_ordered_and_monotone(self, executor):
         events = []
-        eng = make_engine(executor="threads", max_workers=2,
+        eng = make_engine(executor=executor, max_workers=2,
                           progress=events.append)
         eng.gram(GRAPHS)
         assert events[-1].phase == "done"
-        tiles = [e.tiles_done for e in events]
-        assert tiles == sorted(tiles)
-        pairs = [e.pairs_done for e in events]
-        assert pairs == sorted(pairs)
+        for name in ("tiles_done", "pairs_done", "solves", "cache_hits"):
+            values = [getattr(e, name) for e in events]
+            assert values == sorted(values), name
         assert events[-1].pairs_done == events[-1].pairs_total
 
 

@@ -266,17 +266,17 @@ def test_sole_label_kernels_through_plan_fill():
     assert np.allclose(Kb, Kf, rtol=RTOL, atol=0)
 
 
-def test_process_executor_ignores_warm_start():
+def test_supervised_executor_ignores_warm_start():
     # Process workers are rebuilt per call, so warm history can never
     # accumulate; the engine must keep the PR-4 tiling (merged sweep
     # tiles would be a pure pessimization) and produce bitwise the
     # same result with or without the flag.
     graphs = mixed_batch(6, n_graphs=8)
     plain = make_engine(
-        executor="process", max_workers=2, structure_cache=False
+        executor="process_supervised", max_workers=2, structure_cache=False
     ).gram(graphs)
     warm = make_engine(
-        executor="process", max_workers=2, warm_start=True
+        executor="process_supervised", max_workers=2, warm_start=True
     ).gram(graphs)
     assert np.array_equal(warm.matrix, plain.matrix)
     assert np.array_equal(warm.iterations, plain.iterations)
