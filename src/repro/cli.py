@@ -6,8 +6,9 @@ Batch entry points for the common workflows:
   JSON-lines file;
 * ``gram`` — compute the (normalized) Gram matrix of a dataset through
   the :mod:`repro.engine` subsystem and save it as ``.npy``, printing
-  solver statistics; supports parallel executors (``--executor``), a
-  persistent kernel cache (``--cache-dir``), and incremental extension
+  solver statistics; supports parallel executors (``--executor``),
+  persistent per-tile result blocks that a rerun is served from
+  (``--spill-dir``, alias ``--cache-dir``), and incremental extension
   of a previously saved matrix (``--extend``);
 * ``reorder`` — report non-empty-octile counts of a dataset under the
   available orderings (a Fig. 7 row for your own data);
@@ -150,7 +151,6 @@ def cmd_gram(args: argparse.Namespace) -> int:
         max_workers=args.workers,
         tile_pairs=args.tile_pairs,
         batch_pairs=args.batch_pairs,
-        cache_dir=args.cache_dir,
         structure_cache=False if args.no_structure_cache else None,
         structure_cache_dir=args.structure_cache_dir,
         warm_start=args.warm_start,
@@ -334,7 +334,7 @@ def _build_serving_engine(args: argparse.Namespace, kernel):
         kernel,
         executor=args.executor,
         max_workers=args.workers,
-        cache_dir=args.cache_dir,
+        spill_dir=args.cache_dir,
     )
 
 
@@ -783,9 +783,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--batch-pairs", type=int, default=None, metavar="N",
                    help="pairs per shape-bucketed batched tile "
                         "(default: auto; 0 forces the per-pair path)")
-    m.add_argument("--cache-dir", default=None,
-                   help="persist kernel values here; reruns and extends "
-                        "hit this cache")
     m.add_argument("--no-structure-cache", action="store_true",
                    help="disable the structural-plan cache (assembly "
                         "topology is then rebuilt on every call)")
@@ -805,12 +802,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="graphs above N nodes keep the identity order "
                         "under --reorder-products (default 512; resolved "
                         "lazily so the CLI stays import-light)")
-    m.add_argument("--spill-dir", default=None, metavar="DIR",
-                   help="out-of-core root: per-tile result blocks are "
-                        "persisted here (a rerun after a crash recomputes "
-                        "only missing tiles) and oversized result "
-                        "matrices are memory-mapped instead of held in "
-                        "RAM")
+    m.add_argument("--spill-dir", "--cache-dir", dest="spill_dir",
+                   default=None, metavar="DIR",
+                   help="out-of-core root and persistent result store: "
+                        "per-tile result blocks are persisted here (a "
+                        "rerun is served from them; one after a crash "
+                        "recomputes only missing tiles) and oversized "
+                        "result matrices are memory-mapped instead of "
+                        "held in RAM")
     m.add_argument("--supervised", action="store_true",
                    help="shorthand for the process_supervised "
                         "executor: fault-tolerant worker pool with "
@@ -868,8 +867,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--executor", default="serial",
                         choices=["serial", "threads", "process_supervised"])
         sp.add_argument("--workers", type=int, default=None)
-        sp.add_argument("--cache-dir", default=None,
-                        help="persistent kernel cache shared across runs")
+        sp.add_argument("--cache-dir", default=None, metavar="DIR",
+                        help="the engine's spill dir: per-tile result "
+                             "blocks persisted here serve repeated "
+                             "requests across runs")
 
     t = sub.add_parser(
         "fit", help="train a graph GPR and save it to a model registry"

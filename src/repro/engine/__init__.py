@@ -14,8 +14,11 @@ numerical one.  This package is the single entry point for it:
 * :mod:`repro.engine.supervisor`  — the process backend: a
   fault-tolerant supervised worker pool (retry, respawn, deadlines,
   poison-tile quarantine);
-* :mod:`repro.engine.cache`       — in-memory LRU, on-disk, and tiered
-  kernel-value caches;
+* :mod:`repro.engine.cache`       — the in-memory kernel-value LRU,
+  structure-plan and warm-start stores, and the verified disk I/O
+  every on-disk tier reads through;
+* :mod:`repro.engine.block_store` — per-tile result blocks under a
+  spill directory, the one persistent value tier;
 * :mod:`repro.engine.fingerprint` — content-addressed identities for
   graphs and kernel hyperparameters;
 * :mod:`repro.engine.progress`    — streaming progress events and
@@ -23,17 +26,16 @@ numerical one.  This package is the single entry point for it:
 
 :class:`~repro.kernels.marginalized.MarginalizedGraphKernel` delegates
 its ``__call__`` and ``diag`` here; construct an explicit engine to
-choose an executor, share a disk cache, or extend Grams incrementally.
+choose an executor, persist results in a spill directory, or extend
+Grams incrementally.
 """
 
 from .block_store import GramBlockStore
 from .cache import (
     CachedPair,
     CacheStats,
-    DiskCache,
     LRUCache,
     StructureCache,
-    TieredCache,
     WarmStartStore,
 )
 from .core import GramEngine
@@ -56,7 +58,6 @@ __all__ = [
     "CacheStats",
     "DEFAULT_BATCH_PAIRS",
     "Diagnostics",
-    "DiskCache",
     "EngineAborted",
     "GramBlockStore",
     "GramEngine",
@@ -65,7 +66,6 @@ __all__ = [
     "StructureCache",
     "SupervisedPool",
     "SupervisorStats",
-    "TieredCache",
     "Tile",
     "WarmStartStore",
     "build_pair_jobs",

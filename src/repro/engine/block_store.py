@@ -1,39 +1,42 @@
-"""Out-of-core Gram block storage: mmap ``.npy`` blocks, merge-on-read.
+"""Out-of-core Gram block storage: the engine's persistent value tier.
 
 A :class:`GramBlockStore` holds one block per solved tile under a
 spill directory.  A block is a ``(k, 6)`` float64 array — one row
 ``(i, j, value, iterations, converged, residual_norm)`` per pair — in
-NumPy's ``.npy`` format so reads can be memory-mapped: assembling an
-out-of-core Gram matrix streams each block straight from the page
-cache into the result memmap without a heap copy.
+NumPy's ``.npy`` format, one file per tile rather than one per pair.
 
-Integrity and crash safety:
+Integrity and crash safety come from the engine's one verified-write
+primitive (:func:`repro.engine.cache.write_verified`):
 
-* **atomic replace** — blocks are published with the same temp-file +
-  ``os.replace`` primitive as every other store in the engine; a block
-  either exists complete or not at all.
+* **atomic replace** — a block either exists complete or not at all;
 * **checksums** — each block carries a SHA-1 sidecar written *after*
   the data file.  A crash between the two leaves a block without a
   valid sidecar, which reads as absent; external corruption flips the
   digest, which also reads as absent.  Either way the engine recomputes
   exactly the missing tiles — partial-spill crash recovery for free.
 
-Keys are content-addressed by the engine (kernel fingerprint + the
-tile's pair fingerprints), so a rerun after a crash finds precisely
+A read parses the very bytes it verified, never a second open of the
+file.  Keys are content-addressed by the engine (kernel fingerprint +
+the tile's pair fingerprints), so a rerun after a crash finds precisely
 the blocks whose inputs are unchanged, and a hyperparameter change
-misses everything — the same contract as the pair-value cache, at tile
-granularity and ~1000x fewer files.
+misses everything — the same contract as the in-memory pair-value
+cache, at tile granularity.
 """
 
 from __future__ import annotations
 
-import hashlib
 import io
 import os
 
 import numpy as np
 
-from .cache import CacheStats, _atomic_write_bytes
+from .cache import (
+    CacheStats,
+    _sidecar_path,
+    read_verified,
+    remove_verified,
+    write_verified,
+)
 
 #: Columns of a block row.
 BLOCK_COLUMNS = ("i", "j", "value", "iterations", "converged",
@@ -43,10 +46,9 @@ BLOCK_COLUMNS = ("i", "j", "value", "iterations", "converged",
 class GramBlockStore:
     """Per-tile result blocks under ``root`` (two-level fan-out)."""
 
-    def __init__(self, root: str | os.PathLike, mmap: bool = True) -> None:
+    def __init__(self, root: str | os.PathLike) -> None:
         self.root = os.fspath(root)
         os.makedirs(self.root, exist_ok=True)
-        self.mmap = mmap
         self.stats = CacheStats()
 
     # -- paths ---------------------------------------------------------
@@ -55,15 +57,16 @@ class GramBlockStore:
         return os.path.join(self.root, key[:2], key + ".npy")
 
     def _digest_path(self, key: str) -> str:
-        return os.path.join(self.root, key[:2], key + ".sha1")
+        return _sidecar_path(self._block_path(key))
 
     # -- write ---------------------------------------------------------
 
     def put(self, key: str, rows: np.ndarray) -> int:
         """Publish one tile's outcome rows; returns bytes written.
 
-        Data first, sidecar second: a crash in between leaves an
-        unverifiable (= absent) block, never a wrong one.
+        Data first, sidecar second (:func:`~repro.engine.cache.
+        write_verified`): a crash in between leaves an unverifiable
+        (= absent) block, never a wrong one.
 
         Chaos hooks (active only under an installed
         :class:`repro.chaos.FaultPlan`): an ``io-error`` rule raises a
@@ -87,13 +90,11 @@ class GramBlockStore:
         np.save(buf, rows, allow_pickle=False)
         payload = buf.getvalue()
         target = self._block_path(key)
-        os.makedirs(os.path.dirname(target), exist_ok=True)
         if plan is not None and plan.torn_write(key):
-            _atomic_write_bytes(target, payload[: len(payload) // 2])
+            write_verified(target, payload,
+                           written=payload[: len(payload) // 2])
         else:
-            _atomic_write_bytes(target, payload)
-        digest = hashlib.sha1(payload).hexdigest()
-        _atomic_write_bytes(self._digest_path(key), digest.encode())
+            write_verified(target, payload)
         self.stats.puts += 1
         self.stats.bytes_written += len(payload)
         return len(payload)
@@ -102,24 +103,13 @@ class GramBlockStore:
 
     def _verify(self, key: str) -> bytes | None:
         """The block's raw bytes if present and digest-valid, else None."""
-        try:
-            with open(self._digest_path(key)) as fh:
-                want = fh.read().strip()
-            with open(self._block_path(key), "rb") as fh:
-                payload = fh.read()
-        except OSError:
-            return None
-        if hashlib.sha1(payload).hexdigest() != want:
-            return None
-        return payload
+        return read_verified(self._block_path(key))
 
     def get(self, key: str) -> np.ndarray | None:
         """The block's rows, or None if absent/torn/corrupt.
 
-        Verification reads the file once sequentially (cheap, warms the
-        page cache); the returned array is then a read-only memmap of
-        the same file, so merge-on-read assembly never holds more than
-        the OS chooses to cache.
+        The rows are parsed from the bytes the digest check read, so
+        what is returned is exactly what was verified.
         """
         payload = self._verify(key)
         if payload is None:
@@ -127,11 +117,7 @@ class GramBlockStore:
             return None
         self.stats.hits += 1
         self.stats.bytes_read += len(payload)
-        if self.mmap:
-            rows = np.load(self._block_path(key), mmap_mode="r",
-                           allow_pickle=False)
-        else:
-            rows = np.load(io.BytesIO(payload), allow_pickle=False)
+        rows = np.load(io.BytesIO(payload), allow_pickle=False)
         if rows.ndim != 2 or rows.shape[1] != len(BLOCK_COLUMNS):
             self.stats.hits -= 1
             self.stats.misses += 1
@@ -165,13 +151,7 @@ class GramBlockStore:
         return total
 
     def clear(self) -> None:
-        for root, _, files in os.walk(self.root):
-            for f in files:
-                if f.endswith((".npy", ".sha1")):
-                    try:
-                        os.unlink(os.path.join(root, f))
-                    except OSError:
-                        pass
+        remove_verified(self.root, ".npy")
 
 
 def outcomes_to_rows(outcomes) -> np.ndarray:

@@ -1,11 +1,14 @@
-"""Kernel-value caches: in-memory LRU, on-disk store, and a tiered stack.
+"""Engine caches: the in-memory value LRU, plan and warm-start stores.
 
-A cache maps a content-addressed pair key (:func:`repro.engine.
+A value cache maps a content-addressed pair key (:func:`repro.engine.
 fingerprint.pair_key`) to one :class:`CachedPair` — the kernel value
-plus the solver diagnostics the Gram drivers report.  All caches share
-a small interface (``get`` / ``put`` / ``__len__`` / ``clear``) plus a
-:class:`CacheStats` counter block, and are safe to share between the
-threads executor's workers.
+plus the solver diagnostics the Gram drivers report.
+:class:`LRUCache` holds them in memory behind a small interface
+(``get`` / ``put`` / ``__len__`` / ``clear``) plus a
+:class:`CacheStats` counter block, and is safe to share between the
+threads executor's workers.  Values persist across processes only as
+per-tile blocks of :class:`~repro.engine.block_store.GramBlockStore`
+under a spill directory.
 
 Two further stores back the structure-reuse assembly pipeline:
 
@@ -13,27 +16,30 @@ Two further stores back the structure-reuse assembly pipeline:
   disk tier) of :class:`~repro.kernels.linsys.StructurePlan` objects,
   keyed by graph-content hashes and assembly config.  Hyperparameter
   sweeps hit it because hyperparameters never enter the key.
-* :class:`WarmStartStore` — a bytes-bounded LRU of per-pair solution
-  vectors keyed by graph content only, seeding the batched solver at
-  the next sweep point.
+* :class:`WarmStartStore` — a bytes-bounded in-memory LRU of per-pair
+  solution vectors keyed by graph content only, seeding the batched
+  solver at the next sweep point.
 
-The disk store writes one small JSON file per entry under a two-level
-fan-out directory (``ab/abcdef....json``) via temp-file + atomic
-rename, so that concurrent writers — including separate CLI
-invocations and a killed server process sharing a cache directory —
-never observe torn entries; an entry either exists complete or not at
-all.  Unreadable entries (truncated by external interference, partial
-copies) degrade to cache misses and are repaired by the next ``put``.
+Every on-disk cache entry — structure plans here, result blocks in
+:mod:`~repro.engine.block_store` — is written by
+:func:`write_verified` (the data file, then a SHA-1 sidecar, each via
+temp file + atomic rename) and read back only through
+:func:`read_verified`, which returns the bytes when they match the
+sidecar's digest.  Concurrent writers (separate
+CLI invocations, a killed server process sharing a directory) never
+expose a torn entry, and a missing sidecar, truncated data or a
+flipped bit all read as absent: a cache miss the next write repairs.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pickle
 import tempfile
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from threading import Lock
 from typing import NamedTuple
 
@@ -46,8 +52,8 @@ def _atomic_write_bytes(path: str | os.PathLike, payload: bytes,
 
     Temp file in the target directory, optional fsync for crash
     durability, then ``os.replace``; the temp file is removed on any
-    failure.  The single atomic-publication primitive behind the JSON
-    value cache, the pickle structure-plan tier, the model registry's
+    failure.  The single atomic-publication primitive behind the
+    verified disk tiers (:func:`write_verified`), the model registry's
     manifests, and the benchmark result writer.
     """
     path = os.fspath(path)
@@ -76,6 +82,53 @@ def atomic_write_json(path: str | os.PathLike, obj, fsync: bool = True,
     )
 
 
+def _sidecar_path(path: str) -> str:
+    """The SHA-1 sidecar of a verified data file: ``<key>.sha1``."""
+    return os.path.splitext(path)[0] + ".sha1"
+
+
+def write_verified(path: str, payload: bytes,
+                   written: bytes | None = None) -> None:
+    """Publish ``payload`` at ``path``, then its SHA-1 sidecar.
+
+    Data first, sidecar second: a crash in between leaves an
+    unverifiable (= absent) entry, never a wrong one.  ``written``
+    replaces the bytes put in the data file while the sidecar still
+    covers ``payload`` — the on-disk state a torn write leaves, which
+    the chaos ``torn-block`` hook injects.
+    """
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    _atomic_write_bytes(path, payload if written is None else written)
+    _atomic_write_bytes(
+        _sidecar_path(path), hashlib.sha1(payload).hexdigest().encode()
+    )
+
+
+def read_verified(path: str) -> bytes | None:
+    """``path``'s bytes if present and matching its sidecar, else None."""
+    try:
+        with open(_sidecar_path(path)) as fh:
+            want = fh.read().strip()
+        with open(path, "rb") as fh:
+            payload = fh.read()
+    except OSError:
+        return None
+    if hashlib.sha1(payload).hexdigest() != want:
+        return None
+    return payload
+
+
+def remove_verified(root: str, suffix: str) -> None:
+    """Delete every ``*suffix`` data file under ``root`` and its sidecar."""
+    for dirpath, _, files in os.walk(root):
+        for f in files:
+            if f.endswith((suffix, ".sha1")):
+                try:
+                    os.unlink(os.path.join(dirpath, f))
+                except OSError:
+                    pass
+
+
 class CachedPair(NamedTuple):
     """One cached kernel evaluation with its solver diagnostics.
 
@@ -88,23 +141,6 @@ class CachedPair(NamedTuple):
     iterations: int
     converged: bool
     residual_norm: float
-
-    def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "residual_norm": self.residual_norm,
-        }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "CachedPair":
-        return cls(
-            value=float(d["value"]),
-            iterations=int(d["iterations"]),
-            converged=bool(d["converged"]),
-            residual_norm=float(d["residual_norm"]),
-        )
 
 
 @dataclass
@@ -179,98 +215,6 @@ class LRUCache:
             self._data.clear()
 
 
-class DiskCache:
-    """Persistent per-entry JSON store under a fan-out directory."""
-
-    def __init__(self, path: str | os.PathLike) -> None:
-        self.path = os.fspath(path)
-        os.makedirs(self.path, exist_ok=True)
-        self.stats = CacheStats()
-        self._lock = Lock()
-
-    def _entry_path(self, key: str) -> str:
-        return os.path.join(self.path, key[:2], key + ".json")
-
-    def get(self, key: str) -> CachedPair | None:
-        try:
-            with open(self._entry_path(key), "rb") as fh:
-                raw = fh.read()
-            entry = CachedPair.from_json(json.loads(raw))
-        except (OSError, ValueError, KeyError):
-            with self._lock:
-                self.stats.misses += 1
-            return None
-        with self._lock:
-            self.stats.hits += 1
-            self.stats.bytes_read += len(raw)
-        return entry
-
-    def put(self, key: str, entry: CachedPair) -> None:
-        # fsync=False: the rename alone guarantees no torn entry on a
-        # process kill, and a cache entry lost to power failure is just
-        # a future miss — not worth an fsync per solved pair.
-        target = self._entry_path(key)
-        os.makedirs(os.path.dirname(target), exist_ok=True)
-        payload = json.dumps(entry.to_json()).encode()
-        _atomic_write_bytes(target, payload, fsync=False)
-        with self._lock:
-            self.stats.puts += 1
-            self.stats.bytes_written += len(payload)
-
-    def __len__(self) -> int:
-        count = 0
-        for _, _, files in os.walk(self.path):
-            count += sum(1 for f in files if f.endswith(".json"))
-        return count
-
-    def clear(self) -> None:
-        for root, _, files in os.walk(self.path):
-            for f in files:
-                if f.endswith(".json"):
-                    try:
-                        os.unlink(os.path.join(root, f))
-                    except OSError:
-                        pass
-
-
-@dataclass
-class TieredCache:
-    """Memory-in-front-of-disk stack: reads promote, writes go to both."""
-
-    memory: LRUCache = field(default_factory=LRUCache)
-    disk: DiskCache | None = None
-    stats: CacheStats = field(default_factory=CacheStats)
-    _lock: Lock = field(default_factory=Lock, repr=False, compare=False)
-
-    def get(self, key: str) -> CachedPair | None:
-        entry = self.memory.get(key)
-        if entry is None and self.disk is not None:
-            entry = self.disk.get(key)
-            if entry is not None:
-                self.memory.put(key, entry)
-        with self._lock:
-            if entry is None:
-                self.stats.misses += 1
-            else:
-                self.stats.hits += 1
-        return entry
-
-    def put(self, key: str, entry: CachedPair) -> None:
-        self.memory.put(key, entry)
-        if self.disk is not None:
-            self.disk.put(key, entry)
-        with self._lock:
-            self.stats.puts += 1
-
-    def __len__(self) -> int:
-        return max(len(self.memory), len(self.disk) if self.disk else 0)
-
-    def clear(self) -> None:
-        self.memory.clear()
-        if self.disk is not None:
-            self.disk.clear()
-
-
 class StructureCache:
     """Bytes-bounded LRU of structural assembly plans, with a disk tier.
 
@@ -285,10 +229,11 @@ class StructureCache:
     Eviction is by total plan bytes, not entry count: plans span four
     orders of magnitude (a dense 8-pair bucket vs. a 2M-nnz block-CSR
     tile).  The optional disk tier pickles plans under a two-level
-    fan-out directory with atomic publication, mirroring
-    :class:`DiskCache`; unreadable entries degrade to misses.
-    Thread-safe: the threads executor fills one engine-owned instance
-    from many workers.
+    fan-out directory (``<key>.pkl`` + ``<key>.sha1``) through
+    :func:`write_verified`; a plan whose bytes fail their digest —
+    torn, bit-flipped, or missing its sidecar — degrades to a miss and
+    is rebuilt, never unpickled.  Thread-safe: the threads executor
+    fills one engine-owned instance from many workers.
     """
 
     def __init__(self, max_bytes: int = 256 << 20,
@@ -369,12 +314,11 @@ class StructureCache:
                 self.stats.hits += 1
                 return plan
         if self.disk_dir is not None:
+            raw = read_verified(self._disk_path(key))
             try:
-                with open(self._disk_path(key), "rb") as fh:
-                    raw = fh.read()
-                plan = pickle.loads(raw)
-            except (OSError, pickle.UnpicklingError, EOFError,
-                    AttributeError, ImportError):
+                plan = pickle.loads(raw) if raw is not None else None
+            except (pickle.UnpicklingError, EOFError, AttributeError,
+                    ImportError):
                 plan = None
             if plan is not None:
                 with self._lock:
@@ -387,10 +331,8 @@ class StructureCache:
         return None
 
     def _disk_put(self, key: str, plan) -> None:
-        target = self._disk_path(key)
-        os.makedirs(os.path.dirname(target), exist_ok=True)
         payload = pickle.dumps(plan, protocol=4)
-        _atomic_write_bytes(target, payload)
+        write_verified(self._disk_path(key), payload)
         with self._lock:
             self.stats.bytes_written += len(payload)
 
@@ -417,13 +359,7 @@ class StructureCache:
             self._sizes.clear()
             self._bytes = 0
         if self.disk_dir is not None:
-            for root, _, files in os.walk(self.disk_dir):
-                for f in files:
-                    if f.endswith(".pkl"):
-                        try:
-                            os.unlink(os.path.join(root, f))
-                        except OSError:
-                            pass
+            remove_verified(self.disk_dir, ".pkl")
 
 
 class WarmStartStore:
@@ -444,23 +380,13 @@ class WarmStartStore:
     close, to save iterations).  Thread-safe.
     """
 
-    def __init__(self, max_bytes: int = 64 << 20, history: int = 5,
-                 spill_dir: str | os.PathLike | None = None,
-                 offloader=None) -> None:
+    def __init__(self, max_bytes: int = 64 << 20, history: int = 5) -> None:
         if max_bytes < 1:
             raise ValueError("max_bytes must be positive")
         if history < 1:
             raise ValueError("history must be positive")
         self.max_bytes = max_bytes
         self.history = history
-        #: Optional disk spill tier: evicted histories land here instead
-        #: of vanishing, and a memory miss falls back to disk (async via
-        #: ``offloader`` when set, so eviction never blocks the solve
-        #: stage on a write).
-        self.spill_dir = os.fspath(spill_dir) if spill_dir is not None else None
-        if self.spill_dir is not None:
-            os.makedirs(self.spill_dir, exist_ok=True)
-        self.offloader = offloader
         self.stats = CacheStats()
         self._data: OrderedDict[str, tuple[np.ndarray, ...]] = OrderedDict()
         self._bytes = 0
@@ -470,24 +396,6 @@ class WarmStartStore:
     def nbytes(self) -> int:
         return self._bytes
 
-    def _spill_path(self, key: str) -> str:
-        return os.path.join(self.spill_dir, key[:2], key + ".pkl")
-
-    def _spill_write(self, key: str, vecs: tuple[np.ndarray, ...]) -> None:
-        target = self._spill_path(key)
-        os.makedirs(os.path.dirname(target), exist_ok=True)
-        payload = pickle.dumps(vecs, protocol=4)
-        _atomic_write_bytes(target, payload)
-        with self._lock:
-            self.stats.bytes_written += len(payload)
-
-    def _spill(self, key: str, vecs: tuple[np.ndarray, ...]) -> None:
-        if self.offloader is not None and self.offloader.submit(
-            self._spill_write, key, vecs
-        ):
-            return
-        self._spill_write(key, vecs)
-
     def get(self, key: str) -> tuple[np.ndarray, ...] | None:
         """Stored solutions for a pair, most-recent first (None: miss)."""
         with self._lock:
@@ -496,41 +404,15 @@ class WarmStartStore:
                 self._data.move_to_end(key)
                 self.stats.hits += 1
                 return vecs
-        if self.spill_dir is not None:
-            try:
-                with open(self._spill_path(key), "rb") as fh:
-                    raw = fh.read()
-                vecs = pickle.loads(raw)
-            except (OSError, pickle.UnpicklingError, EOFError):
-                vecs = None
-            if vecs is not None:
-                spills = []
-                with self._lock:
-                    # Promote; the insert may evict others to disk.
-                    self._data[key] = vecs
-                    self._data.move_to_end(key)
-                    self._bytes += sum(v.nbytes for v in vecs)
-                    self.stats.hits += 1
-                    self.stats.bytes_read += len(raw)
-                    spills = self._evict_locked()
-                for k, v in spills:
-                    self._spill(k, v)
-                return vecs
-        with self._lock:
             self.stats.misses += 1
-        return None
+            return None
 
-    def _evict_locked(self) -> list[tuple[str, tuple[np.ndarray, ...]]]:
-        """Enforce the byte bound; returns entries to spill (call the
-        spill writes *outside* the lock)."""
-        spills = []
+    def _evict_locked(self) -> None:
+        """Enforce the byte bound (caller holds the lock)."""
         while self._bytes > self.max_bytes and len(self._data) > 1:
-            evicted_key, evicted = self._data.popitem(last=False)
+            _, evicted = self._data.popitem(last=False)
             self._bytes -= sum(v.nbytes for v in evicted)
             self.stats.evictions += 1
-            if self.spill_dir is not None:
-                spills.append((evicted_key, evicted))
-        return spills
 
     def put(self, key: str, x: np.ndarray) -> None:
         """Push a pair's newest solution, keeping ``history`` vectors."""
@@ -542,9 +424,7 @@ class WarmStartStore:
             self._data[key] = vecs
             self._bytes += sum(v.nbytes for v in vecs)
             self.stats.puts += 1
-            spills = self._evict_locked()
-        for k, v in spills:
-            self._spill(k, v)
+            self._evict_locked()
 
     def __len__(self) -> int:
         return len(self._data)
@@ -553,11 +433,3 @@ class WarmStartStore:
         with self._lock:
             self._data.clear()
             self._bytes = 0
-        if self.spill_dir is not None:
-            for root, _, files in os.walk(self.spill_dir):
-                for f in files:
-                    if f.endswith(".pkl"):
-                        try:
-                            os.unlink(os.path.join(root, f))
-                        except OSError:
-                            pass

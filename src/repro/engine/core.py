@@ -48,14 +48,7 @@ from ..kernels.marginalized import GramResult, normalized
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .block_store import GramBlockStore, outcomes_to_rows, rows_to_outcomes
-from .cache import (
-    CachedPair,
-    DiskCache,
-    LRUCache,
-    StructureCache,
-    TieredCache,
-    WarmStartStore,
-)
+from .cache import CachedPair, LRUCache, StructureCache, WarmStartStore
 from .executors import (
     BATCHED_SOLVERS,
     EXECUTORS,
@@ -148,13 +141,11 @@ class GramEngine:
         bucket tile.  An integer sets the pairs-per-tile cap; ``0``
         disables batching and forces the per-pair path.
     cache:
-        A cache object (:class:`~repro.engine.cache.LRUCache`,
-        :class:`~repro.engine.cache.DiskCache`, or
-        :class:`~repro.engine.cache.TieredCache`), ``None`` for a
-        default in-memory LRU, or ``False`` to disable caching.
-    cache_dir:
-        Convenience: wrap the in-memory cache with an on-disk store at
-        this path (ignored when an explicit ``cache`` is given).
+        The in-memory pair-value cache: an
+        :class:`~repro.engine.cache.LRUCache` (share one between
+        engines to share values), ``None`` for a private one, or
+        ``False`` to disable per-pair reuse.  Values outlive the
+        process only as result blocks under ``spill_dir``.
     structure_cache:
         Cache of structural assembly plans for the batched path
         (:class:`~repro.engine.cache.StructureCache`), keyed by graph
@@ -184,16 +175,17 @@ class GramEngine:
         keep the identity order.  Off by default: reordered solves
         agree within solver tolerance, not bitwise.
     spill_dir:
-        Root directory for out-of-core state.  Enables (a) a
+        Root directory for out-of-core state, and the engine's only
+        persistent value tier.  Enables (a) a
         :class:`~repro.engine.block_store.GramBlockStore` of per-tile
         result blocks — written asynchronously as tiles complete, and
-        served on reruns so a crashed or repeated Gram recomputes only
-        missing tiles; (b) disk spill of evicted warm-start histories
-        (when ``warm_start=True``); (c) allocation of result matrices
-        above ``spill_bytes`` as on-disk memmaps, so a Gram larger than
-        RAM completes.  All spill writes ride an
-        :class:`~repro.engine.offload.AsyncOffloader` thread, keeping
-        disk traffic off the solve path.
+        served on reruns, so a repeated Gram in a fresh process is
+        served whole and a crashed one recomputes only missing tiles
+        (a different pair set tiles differently and recomputes);
+        (b) allocation of result matrices above ``spill_bytes`` as
+        on-disk memmaps, so a Gram larger than RAM completes.  Block
+        writes ride an :class:`~repro.engine.offload.AsyncOffloader`
+        thread, keeping disk traffic off the solve path.
     spill_bytes:
         In-RAM budget for one result matrix (default 256 MiB); larger
         results are memory-mapped under ``spill_dir``.  Ignored without
@@ -237,7 +229,6 @@ class GramEngine:
         n_tiles: int | None = None,
         batch_pairs: int | None = None,
         cache=None,
-        cache_dir: str | None = None,
         structure_cache=None,
         structure_cache_dir: str | None = None,
         warm_start=False,
@@ -289,14 +280,13 @@ class GramEngine:
             self.cache = None
         elif cache is not None:
             self.cache = cache
-        elif cache_dir is not None:
-            self.cache = TieredCache(memory=LRUCache(), disk=DiskCache(cache_dir))
         else:
             self.cache = LRUCache()
-        # Out-of-core tier: block store + one async offload thread that
-        # every spill-capable cache shares.  Built before the caches so
-        # the engine-owned ones can be wired to it (instances passed in
-        # by the caller are left untouched — they may be shared).
+        # Out-of-core tier: block store + one async offload thread,
+        # shared with the engine-owned structure cache's disk tier.
+        # Built before that cache so it can be wired to it (instances
+        # passed in by the caller are left untouched — they may be
+        # shared).
         self.spill_dir = os.fspath(spill_dir) if spill_dir is not None else None
         self.spill_bytes = spill_bytes
         if self.spill_dir is not None:
@@ -319,13 +309,7 @@ class GramEngine:
         if warm_start is False or warm_start is None:
             self.warm_store = None
         elif warm_start is True:
-            self.warm_store = WarmStartStore(
-                spill_dir=(
-                    os.path.join(self.spill_dir, "warm")
-                    if self.spill_dir is not None else None
-                ),
-                offloader=self.offloader,
-            )
+            self.warm_store = WarmStartStore()
         else:
             self.warm_store = warm_start
         self.reorder_cutoff = reorder_cutoff if reorder else None
@@ -979,21 +963,17 @@ class GramEngine:
         Combines the engine's lifetime ``solves`` / ``cache_hits``
         counters with the underlying cache's own hit/miss/put stats
         (when it keeps them) — the payload the serving layer exposes at
-        ``/metrics``.  ``cache_entries`` counts the in-memory tier of a
-        tiered cache: this runs on every metrics scrape and must not
-        walk an on-disk store of unbounded size.
+        ``/metrics``.  It runs on every metrics scrape, so it reads
+        counters only and never walks the on-disk block store.
         """
         with self._counter_lock:
             solves, cache_hits = self.solves, self.cache_hits
-        # In-memory front of a TieredCache, else the cache itself
-        # (LRUCache: O(1); None: empty).
-        counted = getattr(self.cache, "memory", self.cache)
         total = solves + cache_hits
         out = {
             "solves": solves,
             "cache_hits": cache_hits,
             "hit_rate": cache_hits / total if total else 0.0,
-            "cache_entries": len(counted) if counted is not None else 0,
+            "cache_entries": len(self.cache) if self.cache is not None else 0,
         }
         stats = getattr(self.cache, "stats", None)
         if stats is not None:
@@ -1021,30 +1001,19 @@ class GramEngine:
     def _cache_tier_stats(self) -> dict:
         """Per-tier cache stats — one block per tier that keeps counters.
 
-        ``value`` is the front-door value cache (whatever ``self.cache``
-        is); when that is a :class:`TieredCache`, ``value_memory`` and
-        ``value_disk`` break out the in-memory and on-disk tiers so the
-        byte counters (disk reads/writes) are attributable.  Runs on
-        every metrics scrape, so it only reads counters — no store
-        walks.
+        ``value`` is the in-memory pair-value cache; ``blocks`` is the
+        persistent tier (the spill dir's block store), whose byte
+        counters attribute the disk reads and writes.  Runs on every
+        metrics scrape, so it only reads counters — no store walks.
         """
         tiers: dict[str, dict] = {}
         stats = getattr(self.cache, "stats", None)
         if stats is not None:
             block = stats.as_dict()
-            counted = getattr(self.cache, "memory", self.cache)
-            block["entries"] = len(counted) if counted is not None else 0
+            block["entries"] = len(self.cache)
             tiers["value"] = block
-        memory = getattr(self.cache, "memory", None)
-        mstats = getattr(memory, "stats", None)
-        if mstats is not None:
-            block = mstats.as_dict()
-            block["entries"] = len(memory)
-            tiers["value_memory"] = block
-        disk = getattr(self.cache, "disk", None)
-        dstats = getattr(disk, "stats", None)
-        if dstats is not None:
-            tiers["value_disk"] = dstats.as_dict()
+        if self.block_store is not None:
+            tiers["blocks"] = self.block_store.stats.as_dict()
         if self.structure_cache is not None:
             block = self.structure_cache.stats.as_dict()
             block["entries"] = len(self.structure_cache)

@@ -93,8 +93,8 @@ def microkernel_signature(kernel: MicroKernel) -> str:
 #: map to one canonical fingerprint: ``fused_batched`` is *defined* as
 #: reproducing ``fused`` (agreement well inside the solver's rtol), so
 #: entries computed by either engine serve cache hits for both, and
-#: flipping the default engine never cold-starts existing disk caches
-#: or registry models.
+#: flipping the default engine never cold-starts existing spilled
+#: blocks or registry models.
 _ENGINE_ALIASES = {"fused_batched": "fused"}
 
 

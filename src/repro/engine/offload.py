@@ -1,8 +1,7 @@
 """Async offload of cold-path work: one daemon thread, bounded queue.
 
-The engine keeps its solve path free
-of disk traffic by pushing spill work — structure-plan pickles, Gram
-block writes, warm-start history spills — onto an
+The engine keeps its solve path free of disk traffic by pushing spill
+work — structure-plan pickles and Gram block writes — onto an
 :class:`AsyncOffloader`.  The queue is bounded: a producer that
 outruns the disk blocks briefly instead of buffering without limit
 (backpressure, not amnesia).  Errors inside offloaded jobs never

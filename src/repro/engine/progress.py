@@ -106,9 +106,10 @@ class Diagnostics:
     #: (cumulative at the time of this call); each is a future cache
     #: miss, not a correctness problem.
     offload_errors: int = 0
-    #: Per-tier cache counters (value/value_memory/value_disk/structure/
-    #: warm_start), cumulative over the engine's lifetime at the time of
-    #: the call — includes byte and eviction counts for disk tiers.
+    #: Per-tier cache counters (value/blocks/structure/warm_start),
+    #: cumulative over the engine's lifetime at the time of the call —
+    #: includes the block store's disk byte counts and the bounded
+    #: in-memory tiers' eviction counts.
     cache_tiers: dict = field(default_factory=dict)
     #: Simulated-hardware pipeline counters (``vgpu_*`` totals from the
     #: metric registry), cumulative across the process.

@@ -44,6 +44,7 @@ from repro.engine import (
     AsyncOffloader,
     EngineAborted,
     GramBlockStore,
+    LRUCache,
     SupervisedPool,
     build_pair_jobs,
     plan_tiles,
@@ -355,17 +356,17 @@ class TestSupervisedExecution:
         # NaN placeholders are not cache hits, in events or diagnostics
         assert events[-1].cache_hits == d.cache_hits == 0
 
-    def test_quarantine_never_poisons_the_value_cache(self, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        eng = supervised_engine(cache=None, cache_dir=cache_dir,
+    def test_quarantine_never_poisons_the_value_cache(self):
+        cache = LRUCache()
+        eng = supervised_engine(cache=cache,
                                 chaos="kill-worker:p=1.0,attempts=99,seed=3",
                                 max_tile_retries=0)
         res = eng.gram(GRAPHS)
         eng.close()
         assert np.isnan(res.matrix).all()
-        # A clean rerun over the same cache dir must recompute: if NaNs
-        # had been cached, it would serve them as hits.
-        eng = supervised_engine(cache=None, cache_dir=cache_dir)
+        # A clean rerun sharing the same value cache must recompute: if
+        # NaNs had been cached, it would serve them as hits.
+        eng = supervised_engine(cache=cache)
         res2 = eng.gram(GRAPHS)
         eng.close()
         d2 = res2.info["diagnostics"]

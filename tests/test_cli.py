@@ -50,6 +50,25 @@ class TestGram:
             main(["gram", str(dataset_path), str(tmp_path / "K.npy"),
                   "--kernels", "quantum"])
 
+    def test_cache_dir_rerun_is_served_from_blocks(self, dataset_path,
+                                                   tmp_path):
+        import json
+
+        cache = tmp_path / "C"
+        diags = []
+        for name in ("K1", "K2"):
+            diag = tmp_path / f"{name}.diag.json"
+            rc = main(["gram", str(dataset_path), str(tmp_path / f"{name}.npy"),
+                       "--cache-dir", str(cache), "--diag-json", str(diag)])
+            assert rc == 0
+            diags.append(json.loads(diag.read_text()))
+        # --cache-dir is the spill dir: the rerun is served from blocks.
+        assert diags[1]["solves"] == 0 and diags[1]["blocks_served"] > 0
+        assert np.array_equal(np.load(tmp_path / "K1.npy"),
+                              np.load(tmp_path / "K2.npy"))
+        assert (cache / "blocks").is_dir()
+        assert not list(cache.rglob("*.json"))
+
 
 class TestReorder:
     def test_report(self, dataset_path, capsys):

@@ -20,9 +20,7 @@ from hypothesis import strategies as st
 from repro import GramEngine, MarginalizedGraphKernel
 from repro.engine import (
     CachedPair,
-    DiskCache,
     LRUCache,
-    TieredCache,
     build_pair_jobs,
     graph_fingerprint,
     kernel_fingerprint,
@@ -161,32 +159,16 @@ class TestCache:
         assert c.get("c") is not None
 
 
-class TestDiskCache:
+class TestSpillRerun:
     def test_roundtrip_across_engines(self, tmp_path, graphs, K_naive):
-        eng1 = GramEngine(make_kernel(), cache_dir=str(tmp_path / "kv"))
-        eng1.gram(graphs)
-        # A fresh engine (fresh process in real life) hits the disk store.
-        eng2 = GramEngine(make_kernel(), cache_dir=str(tmp_path / "kv"))
-        res = eng2.gram(graphs)
+        with GramEngine(make_kernel(), spill_dir=str(tmp_path / "kv")) as eng1:
+            eng1.gram(graphs)
+        # A fresh engine (fresh process in real life) is served from the
+        # spilled result blocks.
+        with GramEngine(make_kernel(), spill_dir=str(tmp_path / "kv")) as eng2:
+            res = eng2.gram(graphs)
         assert res.info["solves"] == 0
         assert np.allclose(res.matrix, K_naive, rtol=1e-12)
-
-    def test_entry_roundtrip(self, tmp_path):
-        dc = DiskCache(tmp_path / "store")
-        entry = CachedPair(0.125, 17, True, 3.5e-10)
-        dc.put("ab" + "0" * 38, entry)
-        assert dc.get("ab" + "0" * 38) == entry
-        assert dc.get("cd" + "0" * 38) is None
-        assert len(dc) == 1
-        dc.clear()
-        assert len(dc) == 0
-
-    def test_tiered_promotes_to_memory(self, tmp_path):
-        tc = TieredCache(memory=LRUCache(8), disk=DiskCache(tmp_path / "s"))
-        tc.put("k" * 40, CachedPair(1.0, 2, True, 0.0))
-        tc.memory.clear()
-        assert tc.get("k" * 40) is not None
-        assert tc.memory.get("k" * 40) is not None
 
 
 class TestExtend:

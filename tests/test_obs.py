@@ -375,19 +375,19 @@ class TestEngineInstrumentation:
                 "evictions"} <= set(v)
         assert "structure" in diag.cache_tiers
 
-    def test_disk_cache_bytes_counted(self, tmp_path):
+    def test_block_store_bytes_counted(self, tmp_path):
         graphs = make_graphs(3)
         mgk = MarginalizedGraphKernel(NK, EK, q=0.2)
-        eng = GramEngine(mgk, cache_dir=str(tmp_path))
-        eng.gram(graphs)
-        tiers = eng.cache_stats()["tiers"]
-        assert tiers["value_disk"]["bytes_written"] > 0
-        # A fresh engine over the same disk store reads those bytes back.
-        eng2 = GramEngine(
-            MarginalizedGraphKernel(NK, EK, q=0.2), cache_dir=str(tmp_path)
-        )
-        eng2.gram(graphs)
-        assert eng2.cache_stats()["tiers"]["value_disk"]["bytes_read"] > 0
+        with GramEngine(mgk, spill_dir=str(tmp_path)) as eng:
+            eng.gram(graphs)
+            tiers = eng.cache_stats()["tiers"]
+        assert tiers["blocks"]["bytes_written"] > 0
+        # A fresh engine over the same spill dir reads those bytes back.
+        with GramEngine(
+            MarginalizedGraphKernel(NK, EK, q=0.2), spill_dir=str(tmp_path)
+        ) as eng2:
+            eng2.gram(graphs)
+            assert eng2.cache_stats()["tiers"]["blocks"]["bytes_read"] > 0
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ The load-bearing properties:
   plan → fill → solve stage functions over the same bucket tasks, so
   the batched Gram is **bitwise identical** across executors and
   caching modes;
-* the mmap block store round-trips tile outcomes exactly, detects
+* the block store round-trips tile outcomes exactly, detects
   corruption and torn writes (reads them as absent), and the engine's
   rerun path recomputes exactly the missing tiles;
 * progress events stay ordered and monotone whichever executor
@@ -155,7 +155,6 @@ class TestBlockStore:
         store.put("ab" + "0" * 38, rows)
         got = store.get("ab" + "0" * 38)
         assert np.array_equal(np.asarray(got), rows)
-        assert isinstance(got, np.memmap)  # merge-on-read path
         assert store.has("ab" + "0" * 38)
         assert len(store) == 1 and store.nbytes > 0
 

@@ -24,7 +24,6 @@ import numpy as np
 import pytest
 
 from repro import GramEngine, MarginalizedGraphKernel
-from repro.engine import DiskCache, CachedPair
 from repro.graphs.generators import random_labeled_graph
 from repro.kernels.basekernels import synthetic_kernels
 from repro.ml import GaussianProcessRegressor, NotFittedError
@@ -256,16 +255,6 @@ class TestEngineServingHooks:
         assert 0.0 <= stats["hit_rate"] <= 1.0
         assert stats["cache_entries"] == 6
         assert stats["cache"]["puts"] == 6
-
-    def test_truncated_disk_entry_is_a_miss_and_repaired(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        entry = CachedPair(1.5, 3, True, 1e-12)
-        cache.put("ab" + "0" * 38, entry)
-        target = tmp_path / "ab" / ("ab" + "0" * 38 + ".json")
-        target.write_text(target.read_text()[:5])  # simulate a torn write
-        assert cache.get("ab" + "0" * 38) is None
-        cache.put("ab" + "0" * 38, entry)
-        assert cache.get("ab" + "0" * 38) == entry
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ The structure cache's contract is layered (ISSUE 5):
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import numpy as np
@@ -383,7 +384,25 @@ def test_structure_cache_disk_tier_roundtrip(tmp_path):
     assert np.array_equal(second.iterations, first.iterations)
 
 
-def test_structure_cache_corrupt_disk_entry_degrades_to_miss(tmp_path):
+def _replace_file(raw: bytes) -> bytes:
+    return b"not a pickle"
+
+
+def _flip_wprod_byte(raw: bytes) -> bytes:
+    """The same pickle with one byte of the plan's ``wprod`` flipped:
+    it still loads, so only the digest can tell it apart."""
+    plan = pickle.loads(raw)
+    if not getattr(plan, "wprod", np.empty(0)).size:
+        return raw  # tile plans and edgeless buckets carry no wprod
+    plan.wprod = plan.wprod.copy()
+    plan.wprod.view(np.uint8)[6] ^= 0x10  # an exponent bit of wprod[0]
+    return pickle.dumps(plan, protocol=4)
+
+
+@pytest.mark.parametrize("corrupt", [_replace_file, _flip_wprod_byte],
+                         ids=["replaced", "wprod_byte_flipped"])
+def test_structure_cache_corrupt_disk_entry_degrades_to_miss(tmp_path,
+                                                              corrupt):
     disk = str(tmp_path / "structures")
     graphs = mixed_batch(2)
     c1 = StructureCache(disk_dir=disk)
@@ -391,9 +410,16 @@ def test_structure_cache_corrupt_disk_entry_degrades_to_miss(tmp_path):
     import glob
     import os
 
+    damaged = 0
     for path in glob.glob(os.path.join(disk, "*", "*.pkl")):
-        with open(path, "wb") as fh:
-            fh.write(b"not a pickle")
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        bad = corrupt(raw)
+        if bad != raw:
+            with open(path, "wb") as fh:
+                fh.write(bad)
+            damaged += 1
+    assert damaged
     c2 = StructureCache(disk_dir=disk)
     res = make_engine(structure_cache=c2).gram(graphs)
     assert c2.stats.misses > 0
