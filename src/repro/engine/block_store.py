@@ -4,6 +4,9 @@ A :class:`GramBlockStore` holds one block per solved tile under a
 spill directory.  A block is a ``(k, 6)`` float64 array — one row
 ``(i, j, value, iterations, converged, residual_norm)`` per pair — in
 NumPy's ``.npy`` format, one file per tile rather than one per pair.
+Block rows are also the engine's only pair-result format: every task
+body returns them, the store writes and serves them unchanged, and the
+engine absorbs them with vectorized writes.
 
 Integrity and crash safety come from the engine's one verified-write
 primitive (:func:`repro.engine.cache.write_verified`):
@@ -62,7 +65,7 @@ class GramBlockStore:
     # -- write ---------------------------------------------------------
 
     def put(self, key: str, rows: np.ndarray) -> int:
-        """Publish one tile's outcome rows; returns bytes written.
+        """Publish one tile's block rows; returns bytes written.
 
         Data first, sidecar second (:func:`~repro.engine.cache.
         write_verified`): a crash in between leaves an unverifiable
@@ -154,18 +157,14 @@ class GramBlockStore:
         remove_verified(self.root, ".npy")
 
 
-def outcomes_to_rows(outcomes) -> np.ndarray:
-    """Pack ``(i, j, value, iters, conv, rnorm)`` tuples into block rows."""
-    rows = np.empty((len(outcomes), len(BLOCK_COLUMNS)), dtype=np.float64)
-    for r, (i, j, value, iters, conv, rnorm) in enumerate(outcomes):
-        rows[r] = (i, j, value, iters, 1.0 if conv else 0.0, rnorm)
+def block_rows(pairs, value, iterations, converged,
+               residual_norm) -> np.ndarray:
+    """Pack per-pair columns (arrays, or scalars for every pair) into
+    ``(k, 6)`` block rows in :data:`BLOCK_COLUMNS` order."""
+    rows = np.empty((len(pairs), len(BLOCK_COLUMNS)))
+    rows[:, :2] = np.reshape(pairs, (-1, 2))
+    rows[:, 2] = value
+    rows[:, 3] = iterations
+    rows[:, 4] = converged
+    rows[:, 5] = residual_norm
     return rows
-
-
-def rows_to_outcomes(rows: np.ndarray) -> list:
-    """Inverse of :func:`outcomes_to_rows` (exact float round-trip)."""
-    return [
-        (int(r[0]), int(r[1]), float(r[2]), int(r[3]),
-         bool(r[4]), float(r[5]))
-        for r in rows
-    ]

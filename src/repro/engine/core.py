@@ -8,6 +8,14 @@ requests from a content-addressed cache (:mod:`~repro.engine.cache` /
 :mod:`~repro.engine.fingerprint`), and streams progress events
 (:mod:`~repro.engine.progress`).
 
+Every call runs the same named stages over plain arrays: *resolve*
+(fingerprint the graphs, dedup positions by content, one value-cache
+lookup per unique pair), *plan* (tile the missing pairs), *route* (serve
+spilled blocks, skip other shards' tiles), *execute* (run the rest) and
+*assemble* (per-position results for one scatter).  Pair results move
+through all of them in one format, the ``(k, 6)`` block rows of
+:mod:`~repro.engine.block_store`.
+
 Beyond full Gram matrices it offers the two operations the learning
 loop actually needs:
 
@@ -47,7 +55,7 @@ from ..kernels.linsys import DEFAULT_RCM_CUTOFF
 from ..kernels.marginalized import GramResult, normalized
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
-from .block_store import GramBlockStore, outcomes_to_rows, rows_to_outcomes
+from .block_store import GramBlockStore
 from .cache import CachedPair, LRUCache, StructureCache, WarmStartStore
 from .executors import (
     BATCHED_SOLVERS,
@@ -86,30 +94,106 @@ _memmap_ids = itertools.count()
 
 
 def _scatter_entries(
-    entries: dict, K: np.ndarray, iters: np.ndarray, symmetric: bool
+    K: np.ndarray, iters: np.ndarray, pi: np.ndarray, pj: np.ndarray,
+    values: np.ndarray, iterations: np.ndarray, symmetric: bool,
 ) -> None:
-    """Write resolved pair entries into result matrices, vectorized.
-
-    A 2000-graph sweep point resolves millions of positions; ``fromiter``
-    plus two fancy assignments beats a Python assignment loop several-fold.
-    """
+    """Write per-position results into result matrices: one scatter."""
     with get_tracer().span(
-        "engine.scatter", n_entries=len(entries), symmetric=symmetric
+        "engine.scatter", n_entries=len(pi), symmetric=symmetric
     ):
-        n = len(entries)
-        ii = np.fromiter((p[0] for p in entries), dtype=np.int64, count=n)
-        jj = np.fromiter((p[1] for p in entries), dtype=np.int64, count=n)
-        vals = np.fromiter(
-            (e.value for e in entries.values()), dtype=np.float64, count=n
-        )
-        its = np.fromiter(
-            (e.iterations for e in entries.values()), dtype=np.int64, count=n
-        )
-        K[ii, jj] = vals
-        iters[ii, jj] = its
+        K[pi, pj] = values
+        iters[pi, pj] = iterations
         if symmetric:
-            K[jj, ii] = vals
-            iters[jj, ii] = its
+            K[pj, pi] = values
+            iters[pj, pi] = iterations
+
+
+class _Call:
+    """One engine call's pairs and tallies, as the stages pass them on.
+
+    Resolve dedups the positions ``(pi[p], pj[p])`` by graph content:
+    position ``p`` reads unique pair ``inverse[p]``, which tiles and
+    block rows address by its first position ``(rep_i[u], rep_j[u])``.
+    The per-unique ``value``/``iterations``/``converged`` arrays start
+    as NaN placeholders and are overwritten by value-cache hits, served
+    blocks and solved tiles; ``placeholder`` marks the pairs that a
+    quarantined or foreign-shard tile leaves NaN.
+    """
+
+    def __init__(self, kfp, fx, fy, pi, pj, first, inverse, n_cols, t0):
+        self.kfp, self.fx, self.fy = kfp, fx, fy
+        self.pi, self.pj, self.inverse = pi, pj, inverse
+        self.rep_i, self.rep_j = pi[first], pj[first]
+        self.counts = np.bincount(inverse, minlength=len(first))
+        self.value = np.full(len(first), np.nan)
+        self.iterations = np.zeros(len(first), dtype=np.int64)
+        self.converged = np.zeros(len(first), dtype=bool)
+        self.placeholder = np.zeros(len(first), dtype=bool)
+        self.keys: list[str] | None = None  # value-cache keys, if on
+        self.n_cols = n_cols
+        self.t0 = t0
+        self.tiles: list = []
+        self.runtime: BatchRuntime | None = None
+        self.block_keys: dict[int, str] = {}
+        self.solves = self.pairs_done = self.tiles_done = 0
+        self.blocks_served = self.blocks_written = 0
+        self.quarantined_pos = self.pending_pos = 0
+
+    def set_missing(self, missing: np.ndarray) -> None:
+        """Record the unique pairs left to tile as ``reps`` (their first
+        positions), and index those positions for :meth:`unique_of`."""
+        self.reps = list(zip(self.rep_i[missing].tolist(),
+                             self.rep_j[missing].tolist()))
+        lin = self.rep_i[missing] * self.n_cols + self.rep_j[missing]
+        order = np.argsort(lin)
+        self._lin, self._unique = lin[order], missing[order]
+        self.pairs_done = len(self.pi) - int(self.counts[missing].sum())
+
+    def unique_of(self, i, j) -> np.ndarray:
+        """Unique-pair indices of missing positions ``(i[k], j[k])``."""
+        lin = np.asarray(i, dtype=np.int64) * self.n_cols + np.asarray(
+            j, dtype=np.int64
+        )
+        return self._unique[np.searchsorted(self._lin, lin)]
+
+    def absorb(self, rows: np.ndarray, solved: bool,
+               quarantined: bool = False, cache=None) -> None:
+        """Take one tile's block rows into the per-unique arrays.
+
+        Quarantined rows are NaN fallbacks, not results: they resolve
+        positions so assembly completes, but never enter the value
+        cache (a rerun has to recompute them).
+        """
+        u = self.unique_of(rows[:, 0], rows[:, 1])
+        self.value[u] = rows[:, 2]
+        self.iterations[u] = rows[:, 3]
+        self.converged[u] = rows[:, 4] != 0
+        n_pos = int(self.counts[u].sum())
+        self.pairs_done += n_pos
+        if solved:
+            self.solves += len(rows)
+        if quarantined:
+            self.placeholder[u] = True
+            self.quarantined_pos += n_pos
+        elif cache is not None:
+            for k, (_, _, value, iters, conv, rnorm) in zip(
+                u.tolist(), rows.tolist()
+            ):
+                entry = CachedPair(value, int(iters), bool(conv), rnorm)
+                cache.put(self.keys[k], entry)
+
+    def structure_delta(self) -> tuple[int, int]:
+        """This call's structure-cache (hits, misses).
+
+        They come from the per-call runtime counters — the shared
+        cache's global stats cannot attribute lookups per call when
+        several threads drive one engine.  The supervised executor's
+        workers keep their own runtimes, so its calls legitimately
+        report zero here.
+        """
+        if self.runtime is None:
+            return 0, 0
+        return self.runtime.call_hits, self.runtime.call_misses
 
 
 class GramEngine:
@@ -473,27 +557,30 @@ class GramEngine:
         self,
         X: Sequence[Graph],
         Y: Sequence[Graph],
-        positions: list[tuple[int, int]],
-    ) -> tuple[dict[tuple[int, int], CachedPair], Diagnostics]:
-        """Resolve every requested (i, j) via cache or tiled solves.
+        pi: np.ndarray,
+        pj: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, Diagnostics]:
+        """Resolve every position ``(pi[p], pj[p])`` via cache or solves.
 
-        Positions whose content-addressed keys coincide (duplicate
-        graphs, symmetric repeats) are deduplicated: one solve fills
-        them all.  The whole call runs under an ``engine.compute_pairs``
-        span (when tracing is on) so tile-lifecycle spans nest under
-        one engine-call root — which in turn nests under the serving
-        layer's batch span when a request triggered it.
+        Returns per-position values and iteration counts, and the
+        call's :class:`Diagnostics`.  Positions whose content-addressed
+        keys coincide (duplicate graphs, symmetric repeats) are
+        deduplicated: one solve fills them all.  The whole call runs
+        under an ``engine.compute_pairs`` span (when tracing is on) so
+        tile-lifecycle spans nest under one engine-call root — which in
+        turn nests under the serving layer's batch span when a request
+        triggered it.
         """
         tracer = get_tracer()
         if not tracer.enabled:
-            return self._compute_pairs_impl(X, Y, positions)
+            return self._compute_pairs_impl(X, Y, pi, pj)
         with tracer.span(
             "engine.compute_pairs",
-            pairs=len(positions),
+            pairs=len(pi),
             executor=self.executor,
             batched=self.batched,
         ) as sp:
-            out, diag = self._compute_pairs_impl(X, Y, positions)
+            values, iterations, diag = self._compute_pairs_impl(X, Y, pi, pj)
             sp.set("solves", diag.solves)
             sp.set("cache_hits", diag.cache_hits)
             sp.set("tiles", diag.tiles)
@@ -501,231 +588,174 @@ class GramEngine:
             if diag.blocks_served or diag.blocks_written:
                 sp.set("blocks_served", diag.blocks_served)
                 sp.set("blocks_written", diag.blocks_written)
-            return out, diag
+            return values, iterations, diag
 
-    def _compute_pairs_impl(
-        self,
-        X: Sequence[Graph],
-        Y: Sequence[Graph],
-        positions: list[tuple[int, int]],
-    ) -> tuple[dict[tuple[int, int], CachedPair], Diagnostics]:
+    def _compute_pairs_impl(self, X, Y, pi, pj):
+        """The stages in order: resolve, plan, route, execute, assemble."""
+        call = self._resolve(X, Y, pi, pj)
+        self._plan(X, Y, call)
+        todo = self._route(call)
+        sup_stats = self._execute(X, Y, call, todo)
+        return self._assemble(call, sup_stats)
+
+    def _resolve(self, X, Y, pi, pj) -> _Call:
+        """Stage 1: fingerprint, dedup by content, look up the value cache.
+
+        Graph fingerprints map to int ids, so a position's content is a
+        symmetric pair of ids and ``np.unique`` dedups them all at once.
+        Unique pairs are numbered by first occurrence: the
+        representatives, and the tile plan built on them, follow
+        position order.
+        """
         t0 = time.perf_counter()
         kfp = kernel_fingerprint(self.kernel)
         fx = [graph_fingerprint(g) for g in X]
         fy = fx if Y is X else [graph_fingerprint(g) for g in Y]
-
+        ids: dict[str, int] = {}
+        gx = np.array([ids.setdefault(f, len(ids)) for f in fx], np.int64)
+        gy = np.array([ids.setdefault(f, len(ids)) for f in fy], np.int64)
+        a, b = gx[pi], gy[pj]
+        codes = np.minimum(a, b) * len(ids) + np.maximum(a, b)
+        _, first, inverse = np.unique(
+            codes, return_index=True, return_inverse=True
+        )
+        order = np.argsort(first)
+        renumber = np.empty_like(order)
+        renumber[order] = np.arange(len(order))
+        call = _Call(kfp, fx, fy, pi, pj, first[order], renumber[inverse],
+                     len(Y), t0)
+        missing = np.ones(len(order), dtype=bool)
         if self.cache is not None:
-            def make_key(i: int, j: int):
-                return pair_key(kfp, fx[i], fy[j])
-        else:
-            # No value cache to address: a symmetric content tuple
-            # dedups identically without paying a sha1 per position.
-            def make_key(i: int, j: int):
-                a, b = fx[i], fy[j]
-                return (a, b) if a <= b else (b, a)
+            call.keys = [
+                pair_key(kfp, fx[i], fy[j])
+                for i, j in zip(call.rep_i.tolist(), call.rep_j.tolist())
+            ]
+            for u, key in enumerate(call.keys):
+                entry = self.cache.get(key)
+                if entry is not None:
+                    call.value[u] = entry.value
+                    call.iterations[u] = entry.iterations
+                    call.converged[u] = entry.converged
+                    missing[u] = False
+        call.set_missing(np.flatnonzero(missing))
+        return call
 
-        by_key: dict = {}
-        for pos in positions:
-            by_key.setdefault(make_key(pos[0], pos[1]), []).append(pos)
-
-        resolved: dict[str, CachedPair] = {}
-        missing: list[tuple[str, tuple[int, int]]] = []
-        for key, posns in by_key.items():
-            entry = self.cache.get(key) if self.cache is not None else None
-            if entry is not None:
-                resolved[key] = entry
-            else:
-                missing.append((key, posns[0]))
-
-        key_of = {rep: key for key, rep in missing}
-        reps = [rep for _, rep in missing]
-        batched = self.batched
-        runtime = None
-        if batched:
-            # Shape-bucketed tiles for the batched solver.  The plan is
-            # independent of the worker count, so every executor
-            # assembles identical buckets and returns identical bits.
-            # It is also independent of hyperparameters (within-bucket
-            # ordering is by nnz), so the whole tile plan — including
-            # the cost-model pass behind it — is served from the
-            # structure cache across sweep points.
-            # Sweep mode (warm-starting on): merge all non-solo pairs
-            # into large block-CSR tiles — with most pairs retiring at
-            # iteration zero, bucket count beats per-iteration shape
-            # purity.  Cold single-shot calls keep the PR-4 bucketing.
-            #
-            # The supervised executor builds fresh workers per call, so
-            # in-memory worker state can never carry across calls:
-            # warm history would always be empty (making merged tiling
-            # a pure pessimization) and a memory-only structure cache
-            # would store plans nothing re-reads.  Warm-starting is
-            # therefore a serial/threads feature, and workers get the
-            # structure cache only through its disk tier.  Tile-plan
-            # caching below is unaffected — it runs in this process.
-            if self.executor == "process_supervised":
-                worker_warm = None
-                worker_cache = (
-                    self.structure_cache
-                    if self.structure_cache is not None
-                    and self.structure_cache.disk_dir is not None
-                    else None
-                )
-            else:
-                worker_warm = self.warm_store
-                worker_cache = self.structure_cache
-            merge_small = worker_warm is not None
-            runtime = BatchRuntime(
-                structure_cache=worker_cache,
-                warm_store=worker_warm,
-                rcm_cutoff=self.reorder_cutoff,
-                merge_small=merge_small,
-            )
-            default_pairs = (
-                MERGED_BATCH_PAIRS if merge_small else DEFAULT_BATCH_PAIRS
-            )
-            tiles = None
-            tkey = None
-            if not reps:
-                tiles = []
-            elif self.structure_cache is not None:
-                tkey = self._tiles_key(fx, fy, reps, merge_small)
-                tiles = self.structure_cache.get(tkey)
-                runtime.record(tiles is not None)
-            if tiles is None:
-                with get_tracer().span(
-                    "engine.plan_tiles", n_pairs=len(reps), batched=True
-                ):
-                    jobs = build_pair_jobs(X, Y, reps, q=self.kernel.q)
-                    tiles = plan_bucketed_tiles(
-                        jobs, X, Y,
-                        batch_pairs=self.batch_pairs or default_pairs,
-                        merge_small=merge_small,
-                    )
-                if tkey is not None:
-                    self.structure_cache.put(tkey, tiles)
-        else:
+    def _plan(self, X, Y, call: _Call) -> None:
+        """Stage 2: tile the pairs resolve left missing."""
+        reps = call.reps
+        if not self.batched:
             with get_tracer().span(
                 "engine.plan_tiles", n_pairs=len(reps), batched=False
             ):
                 jobs = build_pair_jobs(X, Y, reps, q=self.kernel.q)
-                tiles = plan_tiles(
+                call.tiles = plan_tiles(
                     jobs,
                     n_tiles=self.n_tiles,
                     tile_pairs=self.tile_pairs,
                     workers=self.workers,
                 )
-
-        # This call's structure traffic comes from the per-call runtime
-        # counters — the shared cache's global stats cannot attribute
-        # lookups per call when several threads drive one engine.  The
-        # supervised executor's workers keep their own runtimes, so its
-        # calls legitimately report zero here.
-        def structure_delta() -> tuple[int, int]:
-            if runtime is None:
-                return 0, 0
-            return runtime.call_hits, runtime.call_misses
-
-        n_total = len(positions)
-        n_hit_positions = n_total - sum(
-            len(by_key[key]) for key, _ in missing
+            return
+        # Shape-bucketed tiles for the batched solver.  The plan is
+        # independent of the worker count, so every executor assembles
+        # identical buckets and returns identical bits.  It is also
+        # independent of hyperparameters (within-bucket ordering is by
+        # nnz), so the whole tile plan — including the cost-model pass
+        # behind it — is served from the structure cache across sweep
+        # points.  Sweep mode (warm-starting on): merge all non-solo
+        # pairs into large block-CSR tiles — with most pairs retiring at
+        # iteration zero, bucket count beats per-iteration shape purity.
+        # Cold single-shot calls keep shape-pure buckets.
+        #
+        # The supervised executor builds fresh workers per call, so
+        # in-memory worker state can never carry across calls: warm
+        # history would always be empty (making merged tiling a pure
+        # pessimization) and a memory-only structure cache would store
+        # plans nothing re-reads.  Warm-starting is therefore a
+        # serial/threads feature, and workers get the structure cache
+        # only through its disk tier.  Tile-plan caching below is
+        # unaffected — it runs in this process.
+        if self.executor == "process_supervised":
+            worker_warm = None
+            worker_cache = (
+                self.structure_cache
+                if self.structure_cache is not None
+                and self.structure_cache.disk_dir is not None
+                else None
+            )
+        else:
+            worker_warm = self.warm_store
+            worker_cache = self.structure_cache
+        merge_small = worker_warm is not None
+        call.runtime = BatchRuntime(
+            structure_cache=worker_cache,
+            warm_store=worker_warm,
+            rcm_cutoff=self.reorder_cutoff,
         )
-        pairs_done = n_hit_positions
-        tiles_done = 0
-        solves = 0
-        blocks_served = 0
-        blocks_written = 0
-        quarantined_pos = 0
-        pending_pos = 0
-        # Positions resolved by NaN placeholders (quarantined tiles,
-        # foreign-shard tiles): excluded from the non-convergence
-        # warning — they were never solved, diverged or otherwise.
-        placeholder_pos: set = set()
-        tiles_total = len(tiles)
-
-        def absorb(outcomes, solved: bool, quarantined: bool = False) -> None:
-            # Quarantined outcomes are NaN fallbacks, not results: they
-            # resolve positions so assembly completes, but must never
-            # enter the value cache (a rerun has to recompute them).
-            nonlocal solves, pairs_done, quarantined_pos
-            for i, j, value, iters, converged, resnorm in outcomes:
-                entry = CachedPair(value, iters, converged, resnorm)
-                key = key_of[(i, j)]
-                resolved[key] = entry
-                if self.cache is not None and not quarantined:
-                    self.cache.put(key, entry)
-                if solved:
-                    solves += 1
-                if quarantined:
-                    quarantined_pos += len(by_key[key])
-                    placeholder_pos.update(by_key[key])
-                pairs_done += len(by_key[key])
-
-        def emit_tile() -> None:
-            nonlocal tiles_done
-            tiles_done += 1
-            if self.progress is not None:
-                s_hits, s_misses = structure_delta()
-                self.progress(
-                    ProgressEvent(
-                        phase="tile",
-                        tiles_done=tiles_done,
-                        tiles_total=tiles_total,
-                        pairs_done=pairs_done,
-                        pairs_total=n_total,
-                        solves=solves,
-                        # same definition as the final event/Diagnostics:
-                        # every resolved position that was neither a
-                        # solve nor a quarantined NaN placeholder (cache
-                        # hits, content-duplicate fills, and block-store
-                        # recoveries).  A bucket served from the
-                        # *structure* cache is still numerically solved,
-                        # so its pairs count as solves here — never as
-                        # cache hits — and the structure reuse is
-                        # reported separately.
-                        cache_hits=pairs_done - solves - quarantined_pos,
-                        elapsed=time.perf_counter() - t0,
-                        structure_hits=s_hits,
-                        structure_misses=s_misses,
-                    )
+        default_pairs = (
+            MERGED_BATCH_PAIRS if merge_small else DEFAULT_BATCH_PAIRS
+        )
+        tiles = None
+        tkey = None
+        if not reps:
+            tiles = []
+        elif self.structure_cache is not None:
+            tkey = self._tiles_key(call.fx, call.fy, reps, merge_small)
+            tiles = self.structure_cache.get(tkey)
+            call.runtime.record(tiles is not None)
+        if tiles is None:
+            with get_tracer().span(
+                "engine.plan_tiles", n_pairs=len(reps), batched=True
+            ):
+                jobs = build_pair_jobs(X, Y, reps, q=self.kernel.q)
+                tiles = plan_bucketed_tiles(
+                    jobs, X, Y,
+                    batch_pairs=self.batch_pairs or default_pairs,
+                    merge_small=merge_small,
                 )
+            if tkey is not None:
+                self.structure_cache.put(tkey, tiles)
+        call.tiles = tiles
 
-        # Crash recovery / rerun reuse: serve any tile whose result
-        # block already sits (whole and digest-valid) in the spill
-        # store, and remember the keys to record the rest under.  With
-        # ``shard=(i, n)`` the same scan routes tiles across engine
-        # processes: tile ownership hashes off the content key, blocks
-        # any shard already spilled are served, and foreign missing
-        # tiles are skipped — their positions resolve to NaN
-        # placeholders counted as pending.
-        block_keys: dict[int, str] = {}
-        todo = tiles
-        if self.block_store is not None and tiles:
-            # Make earlier async block writes visible before scanning.
-            self.offloader.flush(timeout=60.0)
-            todo = []
-            for tile in tiles:
-                bkey = self._block_key(kfp, fx, fy, tile.pairs)
-                rows = self.block_store.get(bkey)
-                if rows is not None:
-                    absorb(rows_to_outcomes(rows), solved=False)
-                    blocks_served += 1
-                    emit_tile()
-                elif self.shard is not None and (
-                    int(bkey[:8], 16) % self.shard[1] != self.shard[0]
-                ):
-                    for pos in tile.pairs:
-                        key = key_of[pos]
-                        if key not in resolved:
-                            resolved[key] = CachedPair(
-                                float("nan"), 0, False, float("inf")
-                            )
-                            pending_pos += len(by_key[key])
-                            placeholder_pos.update(by_key[key])
-                    emit_tile()
-                else:
-                    block_keys[id(tile)] = bkey
-                    todo.append(tile)
+    def _route(self, call: _Call) -> list:
+        """Stage 3: the block scan and the shard skip; returns the tiles
+        left to execute.
 
+        Crash recovery / rerun reuse: serve any tile whose result block
+        already sits (whole and digest-valid) in the spill store, and
+        remember the keys to record the rest under.  With
+        ``shard=(i, n)`` the same scan routes tiles across engine
+        processes: tile ownership hashes off the content key, blocks any
+        shard already spilled are served, and foreign missing tiles are
+        skipped — their positions keep NaN placeholders counted as
+        pending.
+        """
+        if self.block_store is None or not call.tiles:
+            return call.tiles
+        # Make earlier async block writes visible before scanning.
+        self.offloader.flush(timeout=60.0)
+        todo = []
+        for tile in call.tiles:
+            bkey = self._block_key(call.kfp, call.fx, call.fy, tile.pairs)
+            rows = self.block_store.get(bkey)
+            if rows is not None:
+                call.absorb(rows, solved=False, cache=self.cache)
+                call.blocks_served += 1
+                self._emit_tile(call)
+            elif self.shard is not None and (
+                int(bkey[:8], 16) % self.shard[1] != self.shard[0]
+            ):
+                u = call.unique_of(*np.transpose(tile.pairs))
+                call.placeholder[u] = True
+                call.pending_pos += int(call.counts[u].sum())
+                self._emit_tile(call)
+            else:
+                call.block_keys[id(tile)] = bkey
+                todo.append(tile)
+        return todo
+
+    def _execute(self, X, Y, call: _Call, todo: list):
+        """Stage 4: run the tiles, absorbing and spilling their rows;
+        returns the supervisor's stats (None off the process pool)."""
         abort = Event()
         with self._counter_lock:
             self._active_aborts.add(abort)
@@ -734,8 +764,10 @@ class GramEngine:
             supervisor = SupervisedPool(
                 self.kernel, X, Y, todo,
                 max_workers=self.max_workers,
-                batched=batched,
-                runtime_cfg=runtime.config() if runtime is not None else None,
+                runtime_cfg=(
+                    call.runtime.config() if call.runtime is not None
+                    else None
+                ),
                 max_tile_retries=self.max_tile_retries,
                 tile_timeout_s=self.tile_timeout_s,
                 retry_backoff_s=self.retry_backoff_s,
@@ -746,72 +778,72 @@ class GramEngine:
         else:
             runner = run_tiles(
                 self.executor, self.kernel, X, Y, todo, self.max_workers,
-                batched=batched, runtime=runtime, abort=abort,
+                runtime=call.runtime, abort=abort,
             )
         try:
             for item in runner:
                 if supervisor is not None:
-                    tile, outcomes, quarantined = item
+                    tile, rows, quarantined = item
                 else:
-                    (tile, outcomes), quarantined = item, False
-                absorb(outcomes, solved=not quarantined,
-                       quarantined=quarantined)
+                    (tile, rows), quarantined = item, False
+                call.absorb(rows, solved=not quarantined,
+                            quarantined=quarantined, cache=self.cache)
                 if self.block_store is not None and not quarantined:
                     # Quarantined NaN fallbacks never reach the block
                     # store either — a spilled poison block would be
                     # served as truth on every rerun.
-                    bkey = block_keys[id(tile)]
-                    rows = outcomes_to_rows(outcomes)
+                    bkey = call.block_keys[id(tile)]
                     if not self.offloader.submit(
                         self.block_store.put, bkey, rows
                     ):
                         # Closed offloader: spill synchronously.
                         self.block_store.put(bkey, rows)
-                    blocks_written += 1
-                emit_tile()
+                    call.blocks_written += 1
+                self._emit_tile(call)
         finally:
             with self._counter_lock:
                 self._active_aborts.discard(abort)
-        if self.offloader is not None and blocks_written:
+        if self.offloader is not None and call.blocks_written:
             # Durability point: every block of this call is on disk (or
             # counted as a failed spill) before results are assembled.
             self.offloader.flush(timeout=60.0)
+        return supervisor.stats if supervisor is not None else None
 
-        out = {
-            pos: resolved[key] for key, posns in by_key.items() for pos in posns
-        }
+    def _assemble(self, call: _Call, sup_stats):
+        """Stage 5: per-position values and iterations, and Diagnostics."""
+        values = call.value[call.inverse]
+        iterations = call.iterations[call.inverse]
+        n_total = len(call.pi)
         # NaN placeholders (quarantined tiles, foreign shard tiles) are
-        # neither solves nor cache hits.
-        hits = n_total - solves - quarantined_pos - pending_pos
+        # neither solves nor cache hits, and never count as
+        # non-converged: they were never solved, diverged or otherwise.
+        hits = n_total - call.solves - call.quarantined_pos - call.pending_pos
+        flagged = ~(call.converged | call.placeholder)[call.inverse]
         with self._counter_lock:
-            self.solves += solves
+            self.solves += call.solves
             self.cache_hits += hits
-        s_hits, s_misses = structure_delta()
-        sup_stats = supervisor.stats if supervisor is not None else None
+        s_hits, s_misses = call.structure_delta()
         diag = Diagnostics(
             executor=self.executor,
             workers=self.workers,
-            tiles=tiles_total,
+            tiles=len(call.tiles),
             pairs=n_total,
-            solves=solves,
+            solves=call.solves,
             cache_hits=hits,
-            wall_time=time.perf_counter() - t0,
-            iteration_histogram=iteration_histogram(
-                np.array([e.iterations for e in out.values()], dtype=int)
-            ),
+            wall_time=time.perf_counter() - call.t0,
+            iteration_histogram=iteration_histogram(iterations),
             nonconverged_pairs=sorted(
-                pos for pos, e in out.items()
-                if not e.converged and pos not in placeholder_pos
+                zip(call.pi[flagged].tolist(), call.pj[flagged].tolist())
             ),
             structure_hits=s_hits,
             structure_misses=s_misses,
-            blocks_served=blocks_served,
-            blocks_written=blocks_written,
+            blocks_served=call.blocks_served,
+            blocks_written=call.blocks_written,
             retries=sup_stats.retries if sup_stats else 0,
             respawns=sup_stats.respawns if sup_stats else 0,
             timeouts=sup_stats.timeouts if sup_stats else 0,
-            quarantined_pairs=quarantined_pos,
-            pending_pairs=pending_pos,
+            quarantined_pairs=call.quarantined_pos,
+            pending_pairs=call.pending_pos,
             offload_errors=(
                 self.offloader.errors if self.offloader is not None else 0
             ),
@@ -822,18 +854,47 @@ class GramEngine:
             self.progress(
                 ProgressEvent(
                     phase="done",
-                    tiles_done=tiles_total,
-                    tiles_total=tiles_total,
+                    tiles_done=len(call.tiles),
+                    tiles_total=len(call.tiles),
                     pairs_done=n_total,
                     pairs_total=n_total,
-                    solves=solves,
+                    solves=call.solves,
                     cache_hits=hits,
                     elapsed=diag.wall_time,
                     structure_hits=s_hits,
                     structure_misses=s_misses,
                 )
             )
-        return out, diag
+        return values, iterations, diag
+
+    def _emit_tile(self, call: _Call) -> None:
+        call.tiles_done += 1
+        if self.progress is None:
+            return
+        s_hits, s_misses = call.structure_delta()
+        self.progress(
+            ProgressEvent(
+                phase="tile",
+                tiles_done=call.tiles_done,
+                tiles_total=len(call.tiles),
+                pairs_done=call.pairs_done,
+                pairs_total=len(call.pi),
+                solves=call.solves,
+                # same definition as the final event/Diagnostics: every
+                # resolved position that was neither a solve nor a
+                # quarantined NaN placeholder (cache hits,
+                # content-duplicate fills, and block-store recoveries).
+                # A bucket served from the *structure* cache is still
+                # numerically solved, so its pairs count as solves here
+                # — never as cache hits — and the structure reuse is
+                # reported separately.
+                cache_hits=call.pairs_done - call.solves
+                - call.quarantined_pos,
+                elapsed=time.perf_counter() - call.t0,
+                structure_hits=s_hits,
+                structure_misses=s_misses,
+            )
+        )
 
     @staticmethod
     def _warn_nonconverged(diag: Diagnostics) -> None:
@@ -848,13 +909,19 @@ class GramEngine:
             )
 
     @staticmethod
-    def _result_info(diag: Diagnostics) -> dict:
-        return {
-            "diagnostics": diag,
-            "nonconverged_pairs": diag.nonconverged_pairs,
-            "solves": diag.solves,
-            "cache_hits": diag.cache_hits,
-        }
+    def _gram_result(K, iters, diag: Diagnostics, t0: float) -> GramResult:
+        return GramResult(
+            matrix=K,
+            iterations=iters,
+            converged=not diag.nonconverged_pairs,
+            wall_time=time.perf_counter() - t0,
+            info={
+                "diagnostics": diag,
+                "nonconverged_pairs": diag.nonconverged_pairs,
+                "solves": diag.solves,
+                "cache_hits": diag.cache_hits,
+            },
+        )
 
     # ------------------------------------------------------------------
     # public API
@@ -874,27 +941,18 @@ class GramEngine:
         """
         t0 = time.perf_counter()
         X = list(X)
-        if Y is None:
-            positions = [
-                (i, j) for i in range(len(X)) for j in range(i, len(X))
-            ]
-            entries, diag = self._compute_pairs(X, X, positions)
-            K, iters = self._alloc_result((len(X), len(X)))
-            _scatter_entries(entries, K, iters, symmetric=True)
-            if normalize:
-                K = normalized(K)
-        else:
+        if Y is not None:
             if normalize:
                 raise ValueError("normalize requires a symmetric Gram (Y=None)")
             return self.block(X, Y)
+        pi, pj = np.triu_indices(len(X))
+        values, its, diag = self._compute_pairs(X, X, pi, pj)
+        K, iters = self._alloc_result((len(X), len(X)))
+        _scatter_entries(K, iters, pi, pj, values, its, symmetric=True)
+        if normalize:
+            K = normalized(K)
         self._warn_nonconverged(diag)
-        return GramResult(
-            matrix=K,
-            iterations=iters,
-            converged=not diag.nonconverged_pairs,
-            wall_time=time.perf_counter() - t0,
-            info=self._result_info(diag),
-        )
+        return self._gram_result(K, iters, diag, t0)
 
     def block(
         self, rows: Sequence[Graph], cols: Sequence[Graph]
@@ -916,25 +974,12 @@ class GramEngine:
         t0 = time.perf_counter()
         rows = list(rows)
         cols = list(cols)
+        pi, pj = np.indices((len(rows), len(cols))).reshape(2, -1)
+        values, its, diag = self._compute_pairs(rows, cols, pi, pj)
         K, iters = self._alloc_result((len(rows), len(cols)))
-        if not rows or not cols:
-            return GramResult(
-                matrix=K, iterations=iters, converged=True,
-                wall_time=time.perf_counter() - t0, info={},
-            )
-        positions = [
-            (i, j) for i in range(len(rows)) for j in range(len(cols))
-        ]
-        entries, diag = self._compute_pairs(rows, cols, positions)
-        _scatter_entries(entries, K, iters, symmetric=False)
+        _scatter_entries(K, iters, pi, pj, values, its, symmetric=False)
         self._warn_nonconverged(diag)
-        return GramResult(
-            matrix=K,
-            iterations=iters,
-            converged=not diag.nonconverged_pairs,
-            wall_time=time.perf_counter() - t0,
-            info=self._result_info(diag),
-        )
+        return self._gram_result(K, iters, diag, t0)
 
     def pairs(self, pair_list: Sequence[tuple[Graph, Graph]]) -> np.ndarray:
         """Evaluate arbitrary graph pairs as one tiled, cached batch.
@@ -946,16 +991,12 @@ class GramEngine:
         cache, so duplicates across requests are solved once.
         """
         pair_list = list(pair_list)
-        if not pair_list:
-            return np.zeros(0)
         X = [a for a, _ in pair_list]
         Y = [b for _, b in pair_list]
-        positions = [(i, i) for i in range(len(pair_list))]
-        entries, diag = self._compute_pairs(X, Y, positions)
+        pi = np.arange(len(pair_list))
+        values, _, diag = self._compute_pairs(X, Y, pi, pi)
         self._warn_nonconverged(diag)
-        return np.array(
-            [entries[(i, i)].value for i in range(len(pair_list))]
-        )
+        return values
 
     def cache_stats(self) -> dict:
         """Work/caching counters in a JSON-friendly dict.
@@ -1029,10 +1070,10 @@ class GramEngine:
     def diag(self, graphs: Sequence[Graph]) -> np.ndarray:
         """Self-similarities K(G, G), reusing any cached Gram entries."""
         graphs = list(graphs)
-        positions = [(i, i) for i in range(len(graphs))]
-        entries, diag = self._compute_pairs(graphs, graphs, positions)
+        pi = np.arange(len(graphs))
+        values, _, diag = self._compute_pairs(graphs, graphs, pi, pi)
         self._warn_nonconverged(diag)
-        return np.array([entries[(i, i)].value for i in range(len(graphs))])
+        return values
 
     def extend(
         self,
@@ -1061,23 +1102,18 @@ class GramEngine:
                 f"{N} old graphs"
             )
         X = old_graphs + new_graphs
-        positions = [
-            (i, j) for j in range(N, N + M) for i in range(j + 1)
-        ]
-        entries, diag = self._compute_pairs(X, X, positions)
+        # Column by column over the new graphs: (i, j) for every new j
+        # and every i <= j.
+        jj, pi = np.nonzero(np.arange(N + M) <= np.arange(N, N + M)[:, None])
+        pj = jj + N
+        values, its, diag = self._compute_pairs(X, X, pi, pj)
         K, iters = self._alloc_result((N + M, N + M))
         K[:N, :N] = K_old
-        _scatter_entries(entries, K, iters, symmetric=True)
+        _scatter_entries(K, iters, pi, pj, values, its, symmetric=True)
         if normalize:
             K = normalized(K)
         self._warn_nonconverged(diag)
-        info = self._result_info(diag)
-        info["reused_pairs"] = N * (N + 1) // 2
-        info["new_pairs"] = len(positions)
-        return GramResult(
-            matrix=K,
-            iterations=iters,
-            converged=not diag.nonconverged_pairs,
-            wall_time=time.perf_counter() - t0,
-            info=info,
-        )
+        res = self._gram_result(K, iters, diag, t0)
+        res.info["reused_pairs"] = N * (N + 1) // 2
+        res.info["new_pairs"] = len(pi)
+        return res

@@ -1,12 +1,13 @@
-"""Tile executors: the task bodies and the serial and thread backends.
+"""Tile executors: the task body and the serial and thread backends.
 
-Every backend runs the same per-pair task — build the product system,
-solve it, return ``(i, j, value, iterations, converged,
-residual_norm)`` — and streams completed tiles back to the engine in
-completion order (the dynamic-work-queue behavior whose makespan the
-scheduler subsystem models).  The process backend,
+Every backend runs the same task body, :func:`solve_tile`, which solves
+one planned tile and returns its pairs as ``(k, 6)`` block rows
+(:data:`~repro.engine.block_store.BLOCK_COLUMNS`), and streams
+completed tiles back to the engine in completion order (the
+dynamic-work-queue behavior whose makespan the scheduler subsystem
+models).  The process backend,
 :class:`~repro.engine.supervisor.SupervisedPool`, runs the same task
-bodies in worker processes that receive the dataset once, at spawn.
+body in worker processes that receive the dataset once, at spawn.
 """
 
 from __future__ import annotations
@@ -22,12 +23,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ..obs.trace import get_tracer
+from .block_store import BLOCK_COLUMNS, block_rows
 from .tiles import Tile
 
 EXECUTORS = ("serial", "threads", "process_supervised")
-
-#: One solved pair: (i, j, value, iterations, converged, residual_norm).
-PairOutcome = tuple[int, int, float, int, bool, float]
 
 
 class EngineAborted(RuntimeError):
@@ -42,13 +41,14 @@ def default_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def solve_pairs(kernel, X, Y, pairs: Sequence[tuple[int, int]]) -> list[PairOutcome]:
-    """Solve every (i, j) in ``pairs``; the task body all backends share."""
-    out: list[PairOutcome] = []
-    for i, j in pairs:
-        r = kernel.pair(X[i], Y[j])
-        out.append((i, j, r.value, r.iterations, r.converged, r.residual_norm))
-    return out
+def solve_pairs(kernel, X, Y, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Solve every (i, j) in ``pairs`` one at a time, as block rows."""
+    rows = np.empty((len(pairs), len(BLOCK_COLUMNS)))
+    for r, (i, j) in enumerate(pairs):
+        res = kernel.pair(X[i], Y[j])
+        rows[r] = (i, j, res.value, res.iterations, res.converged,
+                   res.residual_norm)
+    return rows
 
 
 #: Solvers the batched path vectorizes; anything else (direct,
@@ -75,10 +75,6 @@ class BatchRuntime:
     structure_cache: object | None = None
     warm_store: object | None = None
     rcm_cutoff: int | None = None
-    #: Mirror of the tile planner's ``merge_small`` (sweep mode): the
-    #: task body's re-bucketing must group pairs exactly like the tiles
-    #: were planned, or a merged tile would be split right back apart.
-    merge_small: bool = False
     call_hits: int = 0
     call_misses: int = 0
     _stats_lock: threading.Lock = field(
@@ -103,7 +99,6 @@ class BatchRuntime:
             "warm_max_bytes": getattr(self.warm_store, "max_bytes", None),
             "warm_history": getattr(self.warm_store, "history", None),
             "rcm_cutoff": self.rcm_cutoff,
-            "merge_small": self.merge_small,
         }
 
     @classmethod
@@ -127,7 +122,6 @@ class BatchRuntime:
                 if cfg["warm"] else None
             ),
             rcm_cutoff=cfg["rcm_cutoff"],
-            merge_small=cfg["merge_small"],
         )
 
 
@@ -240,7 +234,7 @@ def _thread_workspace(bucket=None):
 
 @dataclass
 class BucketTask:
-    """One shape bucket of a tile, threaded through plan → fill → solve.
+    """A tile's shape bucket, threaded through plan → fill → solve.
 
     ``solo`` tasks skip the plan/fill stages entirely (the per-pair
     fallback is the whole body).
@@ -254,34 +248,20 @@ class BucketTask:
     system: object | None = None
 
 
-def bucket_tasks(
-    kernel, X, Y, pairs: Sequence[tuple[int, int]],
-    runtime: BatchRuntime | None = None,
-) -> list[BucketTask]:
-    """Group a tile's pairs into per-bucket stage tasks.
+def bucket_tasks(tile: Tile) -> BucketTask:
+    """The stage task of a tile planned for the batched solver.
 
-    Bucket order (sorted keys) and member order (input order) are both
-    deterministic, so every executor assembles identical buckets.
+    :func:`~repro.engine.tiles.plan_bucketed_tiles` already grouped the
+    tile's pairs into one bucket (``tile.bucket``), so the task takes
+    that bucket and the pairs in planned order.
     """
-    from ..kernels.linsys import BATCH_SPARSE_MAX, pair_bucket
-
-    merge = runtime is not None and runtime.merge_small
-    buckets: dict[tuple[str, int], list[tuple[int, int]]] = {}
-    for i, j in pairs:
-        key = pair_bucket(X[i].n_nodes * Y[j].n_nodes)
-        if merge and key[0] != "solo":
-            key = ("sparse", BATCH_SPARSE_MAX)
-        buckets.setdefault(key, []).append((i, j))
-    return [
-        BucketTask(
-            key=key,
-            members=buckets[key],
-            # Nothing to amortize (singleton) or compute-bound giants:
-            # the per-pair path is as fast or faster.
-            solo=len(buckets[key]) < 2 or key[0] == "solo",
-        )
-        for key in sorted(buckets)
-    ]
+    return BucketTask(
+        key=tile.bucket,
+        members=tile.pairs,
+        # Nothing to amortize (singleton) or compute-bound giants: the
+        # per-pair path is as fast or faster.
+        solo=len(tile.pairs) < 2 or tile.bucket[0] == "solo",
+    )
 
 
 def plan_bucket(
@@ -342,7 +322,7 @@ def fill_bucket(
 def solve_bucket(
     task: BucketTask, kernel, X, Y,
     runtime: BatchRuntime | None = None,
-) -> list[PairOutcome]:
+) -> np.ndarray:
     """Stage 3: the batched solve (or the per-pair solo fallback)."""
     from ..solvers.batched_pcg import batched_cg_solve, batched_pcg_solve
 
@@ -370,45 +350,36 @@ def solve_bucket(
             # res.x is freshly allocated per solve — safe to retain.
             warm.put(task.skey, res.x)
         sp.set("iterations", int(res.iterations.sum()))
-    values = system.kernel_values(res.x)
-    return [
-        (i, j, float(values[b]), int(res.iterations[b]),
-         bool(res.converged[b]), float(res.residual_norms[b]))
-        for b, (i, j) in enumerate(task.members)
-    ]
+    return block_rows(task.members, system.kernel_values(res.x),
+                      res.iterations, res.converged, res.residual_norms)
 
 
-def solve_pairs_batched(
-    kernel, X, Y, pairs: Sequence[tuple[int, int]],
-    runtime: BatchRuntime | None = None,
-) -> list[PairOutcome]:
-    """Batched task body: stack the tile's pairs and solve them together.
+def solve_tile(
+    kernel, X, Y, tile: Tile, runtime: BatchRuntime | None = None,
+) -> np.ndarray:
+    """The task body every backend runs: one tile's pairs as block rows.
 
-    Pairs are grouped into shape buckets (tiles planned by
-    :func:`~repro.engine.tiles.plan_bucketed_tiles` arrive bucket-pure
-    already; arbitrary pair lists still work), each bucket is assembled
-    into one :class:`~repro.kernels.linsys.BatchedProductSystem`, and
-    the batched PCG/CG advances all of its pairs per iteration.
-    Oddball work falls back to the per-pair body: singleton buckets
-    (nothing to amortize) and solvers the batched path does not
-    vectorize.
+    A tile planned for the batched solver (``tile.bucket`` set by
+    :func:`~repro.engine.tiles.plan_bucketed_tiles`) is assembled into
+    one :class:`~repro.kernels.linsys.BatchedProductSystem`, and the
+    batched PCG/CG advances all of its pairs per iteration.  Other
+    tiles, solo and singleton buckets, and solvers the batched path
+    does not vectorize run the per-pair loop.
 
-    With a :class:`BatchRuntime`, each bucket's structural plan is
+    With a :class:`BatchRuntime`, the bucket's structural plan is
     served from the structure cache (topology skipped entirely on a
     hit — only the numeric fill and the solve run), and the batched
     solver is warm-started from the warm store's previous solutions.
-    The fallback paths (solo/singleton/non-batchable) bypass both by
-    design: they are per-pair and compute-bound.
+    The per-pair fallbacks bypass both by design: they are per-pair
+    and compute-bound.
     """
-    if kernel.solver not in BATCHED_SOLVERS:
-        return solve_pairs(kernel, X, Y, pairs)
-    out: list[PairOutcome] = []
-    for task in bucket_tasks(kernel, X, Y, pairs, runtime):
-        if not task.solo:
-            plan_bucket(task, X, Y, runtime)
-            fill_bucket(task, kernel, runtime)
-        out.extend(solve_bucket(task, kernel, X, Y, runtime))
-    return out
+    if tile.bucket is None or kernel.solver not in BATCHED_SOLVERS:
+        return solve_pairs(kernel, X, Y, tile.pairs)
+    task = bucket_tasks(tile)
+    if not task.solo:
+        plan_bucket(task, X, Y, runtime)
+        fill_bucket(task, kernel, runtime)
+    return solve_bucket(task, kernel, X, Y, runtime)
 
 
 def run_tiles(
@@ -418,10 +389,9 @@ def run_tiles(
     Y,
     tiles: Sequence[Tile],
     max_workers: int | None = None,
-    batched: bool = False,
     runtime: BatchRuntime | None = None,
     abort=None,
-) -> Iterator[tuple[Tile, list[PairOutcome]]]:
+) -> Iterator[tuple[Tile, np.ndarray]]:
     """Execute tiles on the chosen backend, yielding in completion order.
 
     ``executor`` is ``"serial"`` or ``"threads"``; the engine runs
@@ -430,11 +400,10 @@ def run_tiles(
     should arrive largest-first (see
     :func:`~repro.engine.tiles.plan_tiles`); with the thread pool that
     ordering makes the natural work-queue dispatch approximate LPT
-    scheduling.  With ``batched=True`` every tile runs the batched task
-    body (:func:`solve_pairs_batched`) instead of the per-pair loop —
-    the backends are oblivious to the difference.  ``runtime`` carries
-    the structure cache / warm store / reordering config, shared with
-    the caller.
+    scheduling.  Every tile runs :func:`solve_tile`, which picks the
+    batched or per-pair body from the tile itself — the backends are
+    oblivious to the difference.  ``runtime`` carries the structure
+    cache / warm store / reordering config, shared with the caller.
 
     ``abort`` (a :class:`threading.Event`) cancels the run between
     tiles: the generator raises :class:`EngineAborted` after cancelling
@@ -449,12 +418,7 @@ def run_tiles(
         for tile in tiles:
             if abort is not None and abort.is_set():
                 raise EngineAborted("engine run aborted")
-            if batched:
-                yield tile, solve_pairs_batched(
-                    kernel, X, Y, tile.pairs, runtime=runtime
-                )
-            else:
-                yield tile, solve_pairs(kernel, X, Y, tile.pairs)
+            yield tile, solve_tile(kernel, X, Y, tile, runtime)
         return
 
     workers = max_workers or default_workers()
@@ -463,19 +427,12 @@ def run_tiles(
     # tracer's current-span contextvar propagates into the pool and
     # tile spans keep their engine-call parent.  copy_context() is
     # a few hundred nanoseconds per tile — noise next to a solve.
-    if batched:
-        submit = lambda tile: pool.submit(
-            contextvars.copy_context().run,
-            solve_pairs_batched, kernel, X, Y, tile.pairs, runtime,
-        )
-    else:
-        submit = lambda tile: pool.submit(
-            contextvars.copy_context().run,
-            solve_pairs, kernel, X, Y, tile.pairs,
-        )
-
     try:
-        futures = {submit(tile): tile for tile in tiles}
+        futures = {
+            pool.submit(contextvars.copy_context().run,
+                        solve_tile, kernel, X, Y, tile, runtime): tile
+            for tile in tiles
+        }
         pending = set(futures)
         while pending:
             if abort is not None and abort.is_set():

@@ -13,10 +13,10 @@ in the parent, so a worker death is an *event*, not a verdict:
 * **bounded retry with backoff** — each failure delays the tile's next
   dispatch by ``retry_backoff_s * 2**(failures-1)``;
 * **poison quarantine** — a tile that keeps killing workers is, after
-  ``max_tile_retries`` retries, quarantined: its pairs yield NaN
-  outcomes with a diagnostic instead of taking the job down (the
-  engine keeps quarantined values out of every cache so a rerun
-  recomputes them).
+  ``max_tile_retries`` retries, quarantined: its pairs yield NaN block
+  rows with a diagnostic instead of taking the job down (the engine
+  keeps quarantined values out of every cache so a rerun recomputes
+  them).
 
 Queue topology matters here: each worker owns a private inbox *and* a
 private outbox.  A worker SIGKILLed mid-``put`` can corrupt only its
@@ -43,16 +43,12 @@ from dataclasses import asdict, dataclass, field
 from multiprocessing.connection import wait
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
-from .executors import (
-    BatchRuntime,
-    EngineAborted,
-    PairOutcome,
-    default_workers,
-    solve_pairs,
-    solve_pairs_batched,
-)
+from .block_store import block_rows
+from .executors import BatchRuntime, EngineAborted, default_workers, solve_tile
 from .tiles import Tile
 
 #: Default retry budget per tile (initial attempt + this many retries).
@@ -66,12 +62,12 @@ DEFAULT_RETRY_BACKOFF_S = 0.05
 POLL_INTERVAL_S = 0.02
 
 
-def _worker_main(worker_id, inbox, outbox, kernel, X, Y, runtime_cfg,
-                 batched) -> None:
+def _worker_main(worker_id, inbox, outbox, kernel, X, Y, runtime_cfg) -> None:
     """Body of one supervised worker process.
 
-    Messages in: ``(task_id, attempt, pairs)`` or ``None`` (shut down).
-    Messages out: ``(task_id, attempt, ok, outcomes_or_error_string)``.
+    Messages in: ``(task_id, attempt, tile)`` or ``None`` (shut down).
+    Messages out: ``(task_id, attempt, ok, rows_or_error_string)``, with
+    the tile's block rows from :func:`~repro.engine.executors.solve_tile`.
     Chaos hooks run at the top of each task so an injected kill looks
     exactly like a mid-tile crash from the parent's point of view (the
     result simply never arrives).
@@ -84,25 +80,20 @@ def _worker_main(worker_id, inbox, outbox, kernel, X, Y, runtime_cfg,
         msg = inbox.get()
         if msg is None:
             return
-        task_id, attempt, pairs = msg
+        task_id, attempt, tile = msg
         plan = chaos.get_plan()
         if plan is not None:
             token = f"t{task_id}"
             plan.maybe_delay("worker", token, attempt)
             plan.maybe_kill(token, attempt)
         try:
-            if batched:
-                outcomes = solve_pairs_batched(
-                    kernel, X, Y, pairs, runtime=runtime
-                )
-            else:
-                outcomes = solve_pairs(kernel, X, Y, pairs)
+            rows = solve_tile(kernel, X, Y, tile, runtime)
         except BaseException as exc:
             outbox.put(
                 (task_id, attempt, False, f"{type(exc).__name__}: {exc}")
             )
         else:
-            outbox.put((task_id, attempt, True, outcomes))
+            outbox.put((task_id, attempt, True, rows))
 
 
 @dataclass
@@ -154,10 +145,11 @@ class SupervisedPool:
     children inject the same deterministic faults under any
     multiprocessing start method.
 
-    :meth:`run` yields ``(tile, outcomes, quarantined)`` in completion
+    :meth:`run` yields ``(tile, rows, quarantined)`` in completion
     order, each only after every idle worker holds its next tile, so
     workers never wait on the engine; ``stats`` carries the final
-    :class:`SupervisorStats`.
+    :class:`SupervisorStats`.  Each tile runs the batched or per-pair
+    body its plan calls for (:func:`~repro.engine.executors.solve_tile`).
     """
 
     def __init__(
@@ -167,7 +159,6 @@ class SupervisedPool:
         Y,
         tiles: Sequence[Tile],
         max_workers: int | None = None,
-        batched: bool = False,
         runtime_cfg: dict | None = None,
         max_tile_retries: int = DEFAULT_MAX_TILE_RETRIES,
         tile_timeout_s: float | None = None,
@@ -186,7 +177,6 @@ class SupervisedPool:
         self.Y = list(Y) if Y is not X else self.X
         self.tiles = list(tiles)
         self.max_workers = max_workers
-        self.batched = batched
         self.runtime_cfg = runtime_cfg
         self.max_tile_retries = max_tile_retries
         self.tile_timeout_s = tile_timeout_s
@@ -211,7 +201,7 @@ class SupervisedPool:
         process = ctx.Process(
             target=_worker_main,
             args=(worker_id, inbox, outbox, self.kernel, self.X, self.Y,
-                  self.runtime_cfg, self.batched),
+                  self.runtime_cfg),
             name=f"gram-supervised-{worker_id}",
             daemon=True,
         )
@@ -220,7 +210,7 @@ class SupervisedPool:
 
     # ------------------------------------------------------------------
 
-    def run(self) -> Iterator[tuple[Tile, list[PairOutcome], bool]]:
+    def run(self) -> Iterator[tuple[Tile, np.ndarray, bool]]:
         """Supervision loop; see the class docstring for semantics."""
         tracer = get_tracer()
         n_tasks = len(self.tiles)
@@ -289,7 +279,7 @@ class SupervisedPool:
                         "supervised run aborted (engine closed)"
                     )
                 quarantine_now: list[int] = []
-                finished_now: list[tuple[Tile, list[PairOutcome], bool]] = []
+                finished_now: list[tuple[Tile, np.ndarray, bool]] = []
                 progressed = False
 
                 # 1. Drain every worker's outbox (never block on one).
@@ -360,8 +350,8 @@ class SupervisedPool:
                         respawn(k, "timeout")
                         progressed = True
 
-                # 4. Quarantine: poison tiles degrade to per-pair NaN
-                #    outcomes with a diagnostic instead of job death.
+                # 4. Quarantine: poison tiles degrade to NaN block rows
+                #    with a diagnostic instead of job death.
                 for task_id in quarantine_now:
                     if finished[task_id]:
                         continue
@@ -385,11 +375,8 @@ class SupervisedPool:
                             failures=failures[task_id],
                         ):
                             pass
-                    outcomes = [
-                        (i, j, float("nan"), 0, False, float("inf"))
-                        for i, j in tile.pairs
-                    ]
-                    finished_now.append((tile, outcomes, True))
+                    rows = block_rows(tile.pairs, np.nan, 0, False, np.inf)
+                    finished_now.append((tile, rows, True))
 
                 # 5. Dispatch ready tiles (backoff-gated) to idle slots.
                 now = time.monotonic()
@@ -416,10 +403,9 @@ class SupervisedPool:
                             if self.tile_timeout_s is not None else None
                         )
                         self.stats.dispatches += 1
-                        slot.inbox.put((
-                            task_id, failures[task_id],
-                            self.tiles[task_id].pairs,
-                        ))
+                        slot.inbox.put(
+                            (task_id, failures[task_id], self.tiles[task_id])
+                        )
                         progressed = True
                     ready[0:0] = held  # keep backoff-held tiles in order
 

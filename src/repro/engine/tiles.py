@@ -29,7 +29,9 @@ class Tile:
     ``bucket`` is set by :func:`plan_bucketed_tiles`: tiles planned for
     the batched solver contain only pairs of one shape bucket (see
     :func:`repro.kernels.linsys.pair_bucket`), so the whole tile
-    assembles into a single stacked linear object.
+    assembles into a single stacked linear object.  The task body
+    (:func:`repro.engine.executors.solve_tile`) takes the bucket as
+    planned instead of working it out again.
     """
 
     index: int

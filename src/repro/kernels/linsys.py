@@ -378,7 +378,7 @@ class BatchWorkspace:
     of paying a fresh ``np.zeros`` (mmap + page-fault for MB-sized
     stacks) per bucket.  Buffers are grow-only and zeroed on checkout,
     so results are unaffected.  Not thread-safe: use one workspace per
-    thread (see :func:`repro.engine.executors.solve_pairs_batched`).
+    thread (see :func:`repro.engine.executors.solve_tile`).
     """
 
     def __init__(self) -> None:

@@ -89,12 +89,18 @@ def grid_search(
         "lml" (maximize GP log marginal likelihood) or "loocv"
         (minimize leave-one-out MAE).
     engine_options:
-        When given, each candidate's Gram matrix is computed through a
-        :class:`repro.engine.GramEngine` built with these keyword
-        arguments (executor, workers, cache, ...).  Pass a shared
-        ``cache`` object to reuse kernel evaluations across candidates
-        that revisit a hyperparameter point — content-addressed keys
-        keep distinct candidates from colliding.
+        Keyword arguments for the :class:`repro.engine.GramEngine` each
+        candidate's Gram matrix is computed through (executor, workers,
+        cache, ...).  Candidates get ``cache=False`` unless a ``cache``
+        is given here: every candidate has a new kernel fingerprint, so
+        a private value cache would be written and never read.  Pass a
+        shared ``cache`` object to reuse kernel evaluations across
+        candidates that revisit a hyperparameter point —
+        content-addressed keys keep distinct candidates from colliding.
+        The engine is not attached to the candidate's kernel: attached,
+        the two would form a reference cycle that keeps the engine's
+        caches alive until the cyclic garbage collector runs, instead
+        of freeing them once the candidate is scored.
     structure_reuse:
         Thread one shared :class:`~repro.engine.cache.StructureCache`
         and :class:`~repro.engine.cache.WarmStartStore` through every
@@ -116,6 +122,7 @@ def grid_search(
         raise ValueError("scoring must be 'lml' or 'loocv'")
     names = list(grid)
     shared_opts = dict(engine_options or {})
+    shared_opts.setdefault("cache", False)
     if structure_reuse:
         shared_opts.setdefault("structure_cache", StructureCache())
         shared_opts.setdefault("warm_start", WarmStartStore())
@@ -125,9 +132,7 @@ def grid_search(
     for values in product(*(grid[n] for n in names)):
         params = dict(zip(names, values))
         mgk = kernel_factory(**params)
-        if shared_opts:
-            mgk.gram_engine = GramEngine(mgk, **shared_opts)
-        K = normalized(mgk(graphs).matrix)
+        K = normalized(GramEngine(mgk, **shared_opts).gram(graphs).matrix)
         gpr = GaussianProcessRegressor(alpha=alpha).fit(K, y)
         if scoring == "lml":
             score = gpr.log_marginal_likelihood(y)

@@ -20,7 +20,7 @@ import pytest
 from repro import GramEngine, MarginalizedGraphKernel
 from repro.engine import kernel_fingerprint, plan_bucketed_tiles
 from repro.engine.cache import LRUCache
-from repro.engine.executors import solve_pairs_batched
+from repro.engine.executors import solve_tile
 from repro.engine.tiles import build_pair_jobs
 from repro.graphs.generators import random_labeled_graph
 from repro.kernels.basekernels import synthetic_kernels, unlabeled_kernels
@@ -183,6 +183,15 @@ def test_plan_bucketed_tiles_cover_and_pure():
     assert [t.pairs for t in again] == [t.pairs for t in tiles]
 
 
+def _planned_rows(mgk, graphs, pairs, **plan_kw):
+    """Every planned tile's block rows from the task body, stacked."""
+    jobs = build_pair_jobs(graphs, graphs, pairs, q=mgk.q)
+    tiles = plan_bucketed_tiles(jobs, graphs, graphs, **plan_kw)
+    return tiles, np.vstack(
+        [solve_tile(mgk, graphs, graphs, tile) for tile in tiles]
+    )
+
+
 def test_solo_and_singleton_fall_back_per_pair():
     """Giant pairs and singleton buckets run through kernel.pair."""
     big = random_labeled_graph(140, density=0.05, seed=1)  # N = 19600 > solo cap
@@ -190,24 +199,28 @@ def test_solo_and_singleton_fall_back_per_pair():
     graphs = small + [big]
     mgk = MarginalizedGraphKernel(NK, EK, q=0.2)
     pairs = [(i, j) for i in range(len(graphs)) for j in range(i, len(graphs))]
-    out = solve_pairs_batched(mgk, graphs, graphs, pairs)
-    assert len(out) == len(pairs)
+    tiles, rows = _planned_rows(mgk, graphs, pairs)
+    assert any(t.bucket[0] == "solo" for t in tiles)
+    assert any(len(t) == 1 and t.bucket[0] != "solo" for t in tiles)
+    assert sorted(map(tuple, rows[:, :2].astype(int).tolist())) == pairs
     ref = {
         (i, j): mgk.pair(graphs[i], graphs[j]).value for i, j in pairs
     }
-    for i, j, value, iters, converged, resnorm in out:
-        assert value == pytest.approx(ref[(i, j)], rel=RTOL)
-        assert converged
+    for i, j, value, iters, converged, resnorm in rows:
+        assert value == pytest.approx(ref[(int(i), int(j))], rel=RTOL)
+        assert converged == 1.0
 
 
 def test_unbatchable_solver_falls_back():
     mgk = MarginalizedGraphKernel(NK, EK, q=0.2, solver="direct")
     graphs = mixed_batch(6, n_graphs=5)
     pairs = [(i, j) for i in range(5) for j in range(i, 5)]
-    out = solve_pairs_batched(mgk, graphs, graphs, pairs)
-    for i, j, value, iters, converged, resnorm in out:
+    _, rows = _planned_rows(mgk, graphs, pairs, batch_pairs=4)
+    assert len(rows) == len(pairs)
+    for i, j, value, iters, converged, resnorm in rows:
         assert iters == 0  # direct solves report zero iterations
-        assert value == pytest.approx(mgk.pair(graphs[i], graphs[j]).value)
+        pair = mgk.pair(graphs[int(i)], graphs[int(j)])
+        assert value == pytest.approx(pair.value)
 
 
 # ----------------------------------------------------------------------

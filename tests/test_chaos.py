@@ -49,7 +49,6 @@ from repro.engine import (
     build_pair_jobs,
     plan_tiles,
 )
-from repro.engine.block_store import outcomes_to_rows
 from repro.graphs.generators import random_labeled_graph
 from repro.kernels.basekernels import synthetic_kernels
 
@@ -179,7 +178,7 @@ class TestFaultPlan:
 
 
 class TestBlockStoreChaos:
-    ROWS = outcomes_to_rows([(0, 1, 0.5, 10, True, 1e-9)])
+    ROWS = np.array([(0, 1, 0.5, 10, 1.0, 1e-9)])
 
     def test_torn_block_reads_as_absent(self, tmp_path):
         store = GramBlockStore(tmp_path)
@@ -211,7 +210,7 @@ class TestBlockStoreConcurrentWriters:
     @staticmethod
     def _writer(root, key, value, barrier, n_rounds):
         store = GramBlockStore(root)
-        rows = outcomes_to_rows([(0, 1, value, 10, True, 1e-9)])
+        rows = np.array([(0, 1, value, 10, 1.0, 1e-9)])
         barrier.wait()
         for _ in range(n_rounds):
             store.put(key, rows)
@@ -283,9 +282,9 @@ class TestBlockStoreConcurrentWriters:
         see the clean payload (torn ones verify as absent)."""
         key = "e" * 40
         store = GramBlockStore(tmp_path)
-        clean = outcomes_to_rows([(0, 1, 7.0, 10, True, 1e-9)])
+        clean = np.array([(0, 1, 7.0, 10, 1.0, 1e-9)])
         with active("torn-block:p=1.0"):
-            store.put(key, outcomes_to_rows([(0, 1, 666.0, 1, False, 1.0)]))
+            store.put(key, np.array([(0, 1, 666.0, 1, 0.0, 1.0)]))
         assert store.get(key) is None
         store.put(key, clean)
         got = store.get(key)

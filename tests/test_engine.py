@@ -12,6 +12,9 @@ The load-bearing properties (ISSUE 1 acceptance criteria):
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,6 +160,66 @@ class TestCache:
         assert len(c) == 2
         assert c.get("a") is None
         assert c.get("c") is not None
+
+
+class TestResolve:
+    """Positions dedup by content: one solve per content-unique pair,
+    fanned back out to every position, in any order or shape of call."""
+
+    def test_reordered_calls_after_gram_solve_nothing(self):
+        gs = make_graphs(6, seed0=500)
+        dup = gs + [gs[3], gs[0]]
+        rev = dup[::-1]
+        at = {id(g): k for k, g in enumerate(gs)}
+        d_ix = [at[id(g)] for g in dup]
+        r_ix = [at[id(g)] for g in rev]
+        eng = GramEngine(make_kernel())
+        ref = eng.gram(gs)
+        K, its = ref.matrix, ref.iterations
+        before = eng.solves
+
+        blk = eng.block(rev, dup)
+        assert blk.info["solves"] == 0
+        assert np.array_equal(blk.matrix, K[np.ix_(r_ix, d_ix)])
+        assert np.array_equal(blk.iterations, its[np.ix_(r_ix, d_ix)])
+        vals = eng.pairs(list(zip(rev, dup)))
+        assert np.array_equal(vals, K[r_ix, d_ix])
+        assert np.array_equal(eng.diag(rev), np.diagonal(K)[r_ix])
+        old, new = rev[:3], rev[3:]
+        ext = eng.extend(K[np.ix_(r_ix[:3], r_ix[:3])], old, new)
+        assert ext.info["solves"] == 0
+        assert np.array_equal(ext.matrix, K[np.ix_(r_ix, r_ix)])
+        new_rows = its[np.ix_(r_ix[3:], r_ix)]
+        assert np.array_equal(ext.iterations[3:, :], new_rows)
+        assert eng.solves == before
+
+    def test_fresh_engine_solves_content_unique_pairs(self):
+        gs = make_graphs(5, seed0=520)
+        dup = gs + [gs[1], gs[4], gs[1]]
+        n = len(dup)
+        eng = GramEngine(make_kernel(), cache=False)
+        res = eng.gram(dup)
+        assert res.info["solves"] == 5 * 6 // 2
+        assert res.info["cache_hits"] == n * (n + 1) // 2 - 5 * 6 // 2
+        blk = eng.block(dup[::-1], dup)
+        assert blk.info["solves"] == 5 * 6 // 2
+        assert blk.info["cache_hits"] == n * n - 5 * 6 // 2
+        assert np.allclose(blk.matrix, res.matrix[::-1], rtol=1e-12)
+
+    def test_zero_position_calls_carry_diagnostics(self):
+        eng = GramEngine(make_kernel())
+        gs = make_graphs(2)
+        keys = {"diagnostics", "solves", "cache_hits", "nonconverged_pairs"}
+        for res, shape in (
+            (eng.gram([]), (0, 0)),
+            (eng.block([], gs), (0, 2)),
+            (eng.gram(gs, []), (2, 0)),
+        ):
+            assert res.matrix.shape == shape and res.converged
+            assert set(res.info) == keys
+            assert res.info["diagnostics"].pairs == 0
+            assert res.info["solves"] == res.info["cache_hits"] == 0
+        assert eng.diag([]).shape == eng.pairs([]).shape == (0,)
 
 
 class TestSpillRerun:
@@ -368,6 +431,38 @@ class TestMlEnginePaths:
         assert res.params == ref.params
         assert np.allclose(res.gram, ref.gram)
         assert len(cache) == 2 * (8 * 9 // 2)
+
+    def test_grid_search_candidate_engines(self, graphs, monkeypatch):
+        # Every candidate has a new kernel fingerprint, so a private
+        # value cache could never hit: candidates run without one
+        # unless the caller supplies a cache.  And each candidate's
+        # engine, caches included, is freed once the candidate is
+        # scored, without waiting for the cyclic garbage collector.
+        import repro.engine
+
+        made = []
+
+        class Recording(GramEngine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append((weakref.ref(self), self.cache))
+
+        monkeypatch.setattr(repro.engine, "GramEngine", Recording)
+        y = np.linspace(0.0, 1.0, 8)
+        gc.disable()
+        try:
+            grid_search(graphs, y, make_kernel, {"q": [0.2, 0.4]})
+            grid_search(graphs, y, make_kernel, {"q": [0.3]},
+                        structure_reuse=False)
+        finally:
+            gc.enable()
+        assert len(made) == 3
+        assert all(cache is None for _, cache in made)
+        assert all(ref() is None for ref, _ in made)
+        cache = LRUCache()
+        grid_search(graphs, y, make_kernel, {"q": [0.2]},
+                    engine_options={"cache": cache})
+        assert made[-1][1] is cache
 
 
 class TestEngineProperties:

@@ -6,9 +6,9 @@ The load-bearing properties:
   plan → fill → solve stage functions over the same bucket tasks, so
   the batched Gram is **bitwise identical** across executors and
   caching modes;
-* the block store round-trips tile outcomes exactly, detects
-  corruption and torn writes (reads them as absent), and the engine's
-  rerun path recomputes exactly the missing tiles;
+* the block store round-trips block rows exactly, detects corruption
+  and torn writes (reads them as absent), and the engine's rerun path
+  recomputes exactly the missing tiles;
 * progress events stay ordered and monotone whichever executor
   completes the tiles.
 """
@@ -21,12 +21,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.engine import GramEngine
-from repro.engine.block_store import (
-    GramBlockStore,
-    outcomes_to_rows,
-    rows_to_outcomes,
-)
+from repro.engine import GramEngine, build_pair_jobs, plan_bucketed_tiles
+from repro.engine.block_store import GramBlockStore
 from repro.engine.executors import (
     _thread_workspace,
     bucket_tasks,
@@ -134,27 +130,19 @@ class TestPipelineBitwise:
 # ---------------------------------------------------------------------------
 
 
-OUTCOMES = [
-    (0, 1, 0.123456789123456789, 7, True, 3.2e-13),
-    (2, 5, -1.0 / 3.0, 0, True, 0.0),
-    (3, 3, 1.7976931348623157e308, 12345, False, np.pi),
-]
+ROWS = np.array([
+    (0, 1, 0.123456789123456789, 7, 1.0, 3.2e-13),
+    (2, 5, -1.0 / 3.0, 0, 1.0, 0.0),
+    (3, 3, 1.7976931348623157e308, 12345, 0.0, np.pi),
+])
 
 
 class TestBlockStore:
-    def test_rows_roundtrip_exact(self):
-        back = rows_to_outcomes(outcomes_to_rows(OUTCOMES))
-        assert back == OUTCOMES
-        for orig, rt in zip(OUTCOMES, back):
-            assert isinstance(rt[0], int) and isinstance(rt[3], int)
-            assert isinstance(rt[4], bool)
-
     def test_put_get_roundtrip(self, tmp_path):
         store = GramBlockStore(tmp_path)
-        rows = outcomes_to_rows(OUTCOMES)
-        store.put("ab" + "0" * 38, rows)
+        store.put("ab" + "0" * 38, ROWS)
         got = store.get("ab" + "0" * 38)
-        assert np.array_equal(np.asarray(got), rows)
+        assert got.dtype == np.float64 and got.tobytes() == ROWS.tobytes()
         assert store.has("ab" + "0" * 38)
         assert len(store) == 1 and store.nbytes > 0
 
@@ -166,7 +154,7 @@ class TestBlockStore:
     def test_corruption_detected(self, tmp_path):
         store = GramBlockStore(tmp_path)
         key = "cd" + "0" * 38
-        store.put(key, outcomes_to_rows(OUTCOMES))
+        store.put(key, ROWS)
         path = store._block_path(key)
         with open(path, "r+b") as fh:
             fh.seek(90)
@@ -177,7 +165,7 @@ class TestBlockStore:
         # A crash between data and sidecar leaves no sidecar: absent.
         store = GramBlockStore(tmp_path)
         key = "ee" + "0" * 38
-        store.put(key, outcomes_to_rows(OUTCOMES))
+        store.put(key, ROWS)
         os.unlink(store._digest_path(key))
         assert store.get(key) is None
         assert not store.has(key)
@@ -189,7 +177,7 @@ class TestBlockStore:
 
     def test_clear(self, tmp_path):
         store = GramBlockStore(tmp_path)
-        store.put("ab" + "0" * 38, outcomes_to_rows(OUTCOMES))
+        store.put("ab" + "0" * 38, ROWS)
         store.clear()
         assert len(store) == 0
 
@@ -342,17 +330,21 @@ class TestStageSplit:
         kernel = make_kernel()
         X = GRAPHS[:6]
         reps = [(i, j) for i in range(6) for j in range(i, 6)]
-        tasks = bucket_tasks(kernel, X, X, reps)
+        tiles = plan_bucketed_tiles(
+            build_pair_jobs(X, X, reps, q=kernel.q), X, X
+        )
         direct = {}
-        for t in tasks:
-            if t.solo:
-                out = solve_bucket(t, kernel, X, X)
-            else:
+        for tile in tiles:
+            t = bucket_tasks(tile)
+            assert t.key == tile.bucket and t.members == tile.pairs
+            if not t.solo:
                 plan_bucket(t, X, X)
                 fill_bucket(t, kernel)
-                out = solve_bucket(t, kernel, X, X)
-            for i, j, value, *_ in out:
-                direct[(i, j)] = value
+            rows = solve_bucket(t, kernel, X, X)
+            assert np.array_equal(rows[:, :2], tile.pairs)
+            for i, j, value, *_ in rows:
+                direct[(int(i), int(j))] = value
+        assert sorted(direct) == reps
         ref = make_engine(cache=False, batch_pairs=None).gram(X)
         for (i, j), v in direct.items():
             assert v == ref.matrix[i, j]
