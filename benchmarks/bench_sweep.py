@@ -7,10 +7,10 @@ every hyperparameter point; only the numeric weights change.  This
 bench pins the structure-reuse pipeline's claim on a 16-point stopping-
 probability sweep over a GDB-style small-molecule library:
 
-* the structured sweep (shared ``StructureCache`` + ``WarmStartStore``
-  + RCM reordering, the exact configuration ``grid_search`` uses) must
-  be >= 3x faster than the PR-4 ``fused_batched`` baseline that
-  replans, reassembles, and cold-solves every point;
+* the structured sweep (shared ``StructureCache`` + ``WarmStartStore``,
+  the exact configuration ``grid_search`` uses) must be >= 3x faster
+  than the PR-4 ``fused_batched`` baseline that replans, reassembles,
+  and cold-solves every point;
 * every sweep point's Gram values must agree with the baseline within
   rtol 1e-10 (the engine's equivalence budget);
 * a *cold* single-shot Gram with the default engine (structure cache
@@ -61,8 +61,7 @@ def _engine(q, structured, shared=None):
     if structured:
         cache, warm = shared
         return GramEngine(
-            mgk, cache=False, structure_cache=cache, warm_start=warm,
-            reorder=True,
+            mgk, cache=False, structure_cache=cache, warm_start=warm
         )
     return GramEngine(mgk, cache=False, structure_cache=False)
 

@@ -126,8 +126,6 @@ def cmd_gram(args: argparse.Namespace) -> int:
     if args.supervised:
         executor = "process_supervised"
     engine_kw = {}
-    if args.reorder_cutoff is not None:
-        engine_kw["reorder_cutoff"] = args.reorder_cutoff
     if args.max_tile_retries is not None:
         engine_kw["max_tile_retries"] = args.max_tile_retries
     if args.tile_timeout is not None:
@@ -152,9 +150,7 @@ def cmd_gram(args: argparse.Namespace) -> int:
         tile_pairs=args.tile_pairs,
         batch_pairs=args.batch_pairs,
         structure_cache=False if args.no_structure_cache else None,
-        structure_cache_dir=args.structure_cache_dir,
         warm_start=args.warm_start,
-        reorder=args.reorder_products,
         spill_dir=args.spill_dir,
         progress=progress,
         **engine_kw,
@@ -786,22 +782,10 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--no-structure-cache", action="store_true",
                    help="disable the structural-plan cache (assembly "
                         "topology is then rebuilt on every call)")
-    m.add_argument("--structure-cache-dir", default=None, metavar="DIR",
-                   help="persist structural assembly plans here; reruns, "
-                        "sweeps, and extends over the same graphs skip "
-                        "topology work")
     m.add_argument("--warm-start", action="store_true",
                    help="warm-start batched solves from previous "
                         "solutions of the same graph pairs (sweep mode; "
                         "values agree within solver tolerance)")
-    m.add_argument("--reorder-products", action="store_true",
-                   help="apply RCM bandwidth reduction to block-CSR "
-                        "product systems at plan time (paid once per "
-                        "cached structure)")
-    m.add_argument("--reorder-cutoff", type=int, metavar="N", default=None,
-                   help="graphs above N nodes keep the identity order "
-                        "under --reorder-products (default 512; resolved "
-                        "lazily so the CLI stays import-light)")
     m.add_argument("--spill-dir", "--cache-dir", dest="spill_dir",
                    default=None, metavar="DIR",
                    help="out-of-core root and persistent result store: "

@@ -16,7 +16,7 @@ numerical one.  This package is the single entry point for it:
   poison-tile quarantine);
 * :mod:`repro.engine.cache`       — the in-memory kernel-value LRU,
   structure-plan and warm-start stores, and the verified disk I/O
-  every on-disk tier reads through;
+  the block store reads through;
 * :mod:`repro.engine.block_store` — per-tile result blocks under a
   spill directory, the one persistent value tier;
 * :mod:`repro.engine.fingerprint` — content-addressed identities for

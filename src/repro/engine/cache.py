@@ -12,23 +12,23 @@ under a spill directory.
 
 Two further stores back the structure-reuse assembly pipeline:
 
-* :class:`StructureCache` — a bytes-bounded LRU (plus optional pickle
-  disk tier) of :class:`~repro.kernels.linsys.StructurePlan` objects,
-  keyed by graph-content hashes and assembly config.  Hyperparameter
-  sweeps hit it because hyperparameters never enter the key.
+* :class:`StructureCache` — a bytes-bounded in-memory LRU of
+  :class:`~repro.kernels.linsys.StructurePlan` objects and bucketed
+  tile plans, keyed by graph-content hashes and assembly config.
+  Hyperparameter sweeps hit it because hyperparameters never enter the
+  key.  Plans never leave the process: a cold plan is rebuilt.
 * :class:`WarmStartStore` — a bytes-bounded in-memory LRU of per-pair
   solution vectors keyed by graph content only, seeding the batched
   solver at the next sweep point.
 
-Every on-disk cache entry — structure plans here, result blocks in
-:mod:`~repro.engine.block_store` — is written by
-:func:`write_verified` (the data file, then a SHA-1 sidecar, each via
-temp file + atomic rename) and read back only through
-:func:`read_verified`, which returns the bytes when they match the
-sidecar's digest.  Concurrent writers (separate
-CLI invocations, a killed server process sharing a directory) never
-expose a torn entry, and a missing sidecar, truncated data or a
-flipped bit all read as absent: a cache miss the next write repairs.
+The engine's one on-disk format, the result blocks of
+:mod:`~repro.engine.block_store`, is written by :func:`write_verified`
+(the data file, then a SHA-1 sidecar, each via temp file + atomic
+rename) and read back only through :func:`read_verified`, which returns
+the bytes when they match the sidecar's digest.  Concurrent writers
+(separate CLI invocations, a killed server process sharing a directory)
+never expose a torn entry, and a missing sidecar, truncated data or a
+flipped bit all read as absent: a miss the next write repairs.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -53,8 +52,8 @@ def _atomic_write_bytes(path: str | os.PathLike, payload: bytes,
     Temp file in the target directory, optional fsync for crash
     durability, then ``os.replace``; the temp file is removed on any
     failure.  The single atomic-publication primitive behind the
-    verified disk tiers (:func:`write_verified`), the model registry's
-    manifests, and the benchmark result writer.
+    block store's verified writes (:func:`write_verified`), the model
+    registry's manifests, and the benchmark result writer.
     """
     path = os.fspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
@@ -148,7 +147,7 @@ class CacheStats:
     """Hit/miss/write counters, cumulative over the cache's lifetime.
 
     ``bytes_read``/``bytes_written`` track serialized traffic where the
-    tier has a meaningful byte cost (disk tiers); ``evictions`` counts
+    tier has a meaningful byte cost (the block store); ``evictions`` counts
     entries dropped by capacity bounds.  All zero where inapplicable.
     """
 
@@ -216,38 +215,27 @@ class LRUCache:
 
 
 class StructureCache:
-    """Bytes-bounded LRU of structural assembly plans, with a disk tier.
+    """Bytes-bounded in-memory LRU of structural assembly plans.
 
-    Values are :class:`~repro.kernels.linsys.StructurePlan` objects
-    (treated opaquely here — anything with an ``nbytes`` attribute
-    works).  Keys are content-addressed over the bucket's graph
-    fingerprints plus the assembly configuration (mode, padding, RCM
-    cutoff) — see :func:`repro.engine.executors.structure_key` — so a
-    hyperparameter change is a guaranteed hit while any graph-content
-    or engine-config change is a guaranteed miss.
+    Values are :class:`~repro.kernels.linsys.StructurePlan` objects and
+    the engine's bucketed tile plans (treated opaquely here — anything
+    with an ``nbytes`` attribute, or a list of tiles, works).  Keys are
+    content-addressed over the bucket's graph fingerprints plus the
+    assembly configuration (mode, padding) — see
+    :func:`repro.engine.executors.structure_key` — so a hyperparameter
+    change is a guaranteed hit while any graph-content or
+    engine-config change is a guaranteed miss.
 
     Eviction is by total plan bytes, not entry count: plans span four
     orders of magnitude (a dense 8-pair bucket vs. a 2M-nnz block-CSR
-    tile).  The optional disk tier pickles plans under a two-level
-    fan-out directory (``<key>.pkl`` + ``<key>.sha1``) through
-    :func:`write_verified`; a plan whose bytes fail their digest —
-    torn, bit-flipped, or missing its sidecar — degrades to a miss and
-    is rebuilt, never unpickled.  Thread-safe: the threads executor
-    fills one engine-owned instance from many workers.
+    tile).  Thread-safe: the threads executor fills one engine-owned
+    instance from many workers.
     """
 
-    def __init__(self, max_bytes: int = 256 << 20,
-                 disk_dir: str | os.PathLike | None = None,
-                 offloader=None) -> None:
+    def __init__(self, max_bytes: int = 256 << 20) -> None:
         if max_bytes < 1:
             raise ValueError("max_bytes must be positive")
         self.max_bytes = max_bytes
-        self.disk_dir = os.fspath(disk_dir) if disk_dir is not None else None
-        if self.disk_dir is not None:
-            os.makedirs(self.disk_dir, exist_ok=True)
-        #: Optional :class:`~repro.engine.offload.AsyncOffloader`: disk
-        #: puts run on its worker thread instead of the hot plan thread.
-        self.offloader = offloader
         self.stats = CacheStats()
         self._data: OrderedDict[str, object] = OrderedDict()
         #: Size snapshot per key, taken at insert and refreshed on hit:
@@ -259,7 +247,7 @@ class StructureCache:
 
     @property
     def nbytes(self) -> int:
-        """Bytes currently held by the in-memory tier."""
+        """Bytes of plans currently held."""
         return self._bytes
 
     @staticmethod
@@ -277,9 +265,6 @@ class StructureCache:
             )
         return 0
 
-    def _disk_path(self, key: str) -> str:
-        return os.path.join(self.disk_dir, key[:2], key + ".pkl")
-
     def _refresh_size(self, key: str, plan) -> None:
         size = self._size_of(plan)
         self._bytes += size - self._sizes.get(key, 0)
@@ -291,64 +276,31 @@ class StructureCache:
             self._bytes -= self._sizes.pop(evicted_key, 0)
             self.stats.evictions += 1
 
-    def _insert(self, key: str, plan) -> None:
-        old = self._data.pop(key, None)
-        if old is not None:
-            self._bytes -= self._sizes.pop(key, 0)
-        self._data[key] = plan
-        self._refresh_size(key, plan)
-        self._evict()
-
     def get(self, key: str):
         with self._lock:
             plan = self._data.get(key)
-            if plan is not None:
-                self._data.move_to_end(key)
-                # Plans grow fill memos after insertion; re-snapshot and
-                # re-enforce the bound here too, or a steady-state sweep
-                # (all hits, no puts) would exceed it without limit.
-                # The just-returned entry is most-recently-used, so it
-                # is evicted only if it alone exceeds the whole budget.
-                self._refresh_size(key, plan)
-                self._evict()
-                self.stats.hits += 1
-                return plan
-        if self.disk_dir is not None:
-            raw = read_verified(self._disk_path(key))
-            try:
-                plan = pickle.loads(raw) if raw is not None else None
-            except (pickle.UnpicklingError, EOFError, AttributeError,
-                    ImportError):
-                plan = None
-            if plan is not None:
-                with self._lock:
-                    self._insert(key, plan)  # promote
-                    self.stats.hits += 1
-                    self.stats.bytes_read += len(raw)
-                return plan
-        with self._lock:
-            self.stats.misses += 1
-        return None
-
-    def _disk_put(self, key: str, plan) -> None:
-        payload = pickle.dumps(plan, protocol=4)
-        write_verified(self._disk_path(key), payload)
-        with self._lock:
-            self.stats.bytes_written += len(payload)
+            if plan is None:
+                self.stats.misses += 1
+                return None
+            self._data.move_to_end(key)
+            # Plans grow fill memos after insertion; re-snapshot and
+            # re-enforce the bound here too, or a steady-state sweep
+            # (all hits, no puts) would exceed it without limit.  The
+            # just-returned entry is most-recently-used, so it is
+            # evicted only if it alone exceeds the whole budget.
+            self._refresh_size(key, plan)
+            self._evict()
+            self.stats.hits += 1
+            return plan
 
     def put(self, key: str, plan) -> None:
         with self._lock:
-            self._insert(key, plan)
+            if self._data.pop(key, None) is not None:
+                self._bytes -= self._sizes.pop(key, 0)
+            self._data[key] = plan
+            self._refresh_size(key, plan)
+            self._evict()
             self.stats.puts += 1
-        if self.disk_dir is not None:
-            # Plans pickle without their fill memos (__getstate__), so
-            # deferring the write never races the memo growth on the
-            # fill thread.
-            if self.offloader is not None and self.offloader.submit(
-                self._disk_put, key, plan
-            ):
-                return
-            self._disk_put(key, plan)
 
     def __len__(self) -> int:
         return len(self._data)
@@ -358,8 +310,6 @@ class StructureCache:
             self._data.clear()
             self._sizes.clear()
             self._bytes = 0
-        if self.disk_dir is not None:
-            remove_verified(self.disk_dir, ".pkl")
 
 
 class WarmStartStore:

@@ -51,7 +51,6 @@ from ..chaos import clear as chaos_clear
 from ..chaos import get_plan as chaos_get_plan
 from ..chaos import install as chaos_install
 from ..graphs.graph import Graph
-from ..kernels.linsys import DEFAULT_RCM_CUTOFF
 from ..kernels.marginalized import GramResult, normalized
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
@@ -187,9 +186,8 @@ class _Call:
 
         They come from the per-call runtime counters — the shared
         cache's global stats cannot attribute lookups per call when
-        several threads drive one engine.  The supervised executor's
-        workers keep their own runtimes, so its calls legitimately
-        report zero here.
+        several threads drive one engine.  Supervised workers carry no
+        runtime, so a supervised call counts its tile-plan lookup only.
         """
         if self.runtime is None:
             return 0, 0
@@ -211,12 +209,13 @@ class GramEngine:
         ``"process_supervised"`` (the fault-tolerant process pool of
         :mod:`repro.engine.supervisor`).
     max_workers:
-        Pool size for the parallel executors (default: CPU count).
+        Pool size for the parallel executors (default: CPU count); at
+        least 1.
     tile_pairs / n_tiles:
         Workload parameterization: fix the pair count per tile, or the
         tile count (default: cost-balanced packing into 4 tiles per
-        worker).  Ignored on the batched path, which plans
-        shape-bucketed tiles instead (see ``batch_pairs``).
+        worker); each at least 1.  Ignored on the batched path, which
+        plans shape-bucketed tiles instead (see ``batch_pairs``).
     batch_pairs:
         Batched-solver control.  ``None`` (default): solve through the
         batched pair pipeline whenever the kernel's engine is
@@ -239,10 +238,9 @@ class GramEngine:
         disables structure reuse, or pass a shared instance (what
         :func:`repro.ml.tuning.grid_search` does across candidates).
         Structure-cache hits change nothing numerically: plan + fill is
-        bitwise identical to direct assembly.
-    structure_cache_dir:
-        Add a pickle disk tier to the default structure cache (ignored
-        when an explicit ``structure_cache`` is given).
+        bitwise identical to direct assembly.  Plans live in memory
+        only; the supervised executor's workers, spawned per call, run
+        without them.
     warm_start:
         Warm-start the batched solver from each pair's previous
         solution (:class:`~repro.engine.cache.WarmStartStore`): ``True``
@@ -252,12 +250,6 @@ class GramEngine:
         ones within the solver tolerance (not bitwise).  Serial/threads
         only: the supervised executor's workers are rebuilt per call,
         so history can never accumulate there and the option is ignored.
-    reorder / reorder_cutoff:
-        Apply the RCM bandwidth-reducing permutation to block-CSR
-        buckets at plan time (the paper's locality optimization, paid
-        once per structure).  Graphs above ``reorder_cutoff`` nodes
-        keep the identity order.  Off by default: reordered solves
-        agree within solver tolerance, not bitwise.
     spill_dir:
         Root directory for out-of-core state, and the engine's only
         persistent value tier.  Enables (a) a
@@ -314,10 +306,7 @@ class GramEngine:
         batch_pairs: int | None = None,
         cache=None,
         structure_cache=None,
-        structure_cache_dir: str | None = None,
         warm_start=False,
-        reorder: bool = False,
-        reorder_cutoff: int = DEFAULT_RCM_CUTOFF,
         spill_dir: str | os.PathLike | None = None,
         spill_bytes: int = DEFAULT_SPILL_BYTES,
         max_tile_retries: int = DEFAULT_MAX_TILE_RETRIES,
@@ -331,10 +320,14 @@ class GramEngine:
             raise ValueError(
                 f"unknown executor {executor!r}; pick from {EXECUTORS}"
             )
+        if max_workers is not None and max_workers < 1:
+            raise ValueError("max_workers must be >= 1 (None: CPU count)")
+        if tile_pairs is not None and tile_pairs < 1:
+            raise ValueError("tile_pairs must be positive")
+        if n_tiles is not None and n_tiles < 1:
+            raise ValueError("n_tiles must be positive")
         if batch_pairs is not None and batch_pairs < 0:
             raise ValueError("batch_pairs must be >= 0 (0 disables batching)")
-        if reorder_cutoff < 1:
-            raise ValueError("reorder_cutoff must be positive")
         if spill_bytes < 1:
             raise ValueError("spill_bytes must be positive")
         if max_tile_retries < 0:
@@ -366,11 +359,8 @@ class GramEngine:
             self.cache = cache
         else:
             self.cache = LRUCache()
-        # Out-of-core tier: block store + one async offload thread,
-        # shared with the engine-owned structure cache's disk tier.
-        # Built before that cache so it can be wired to it (instances
-        # passed in by the caller are left untouched — they may be
-        # shared).
+        # Out-of-core tier: block store + one async offload thread for
+        # its writes.
         self.spill_dir = os.fspath(spill_dir) if spill_dir is not None else None
         self.spill_bytes = spill_bytes
         if self.spill_dir is not None:
@@ -387,16 +377,13 @@ class GramEngine:
         elif structure_cache is not None:
             self.structure_cache = structure_cache
         else:
-            self.structure_cache = StructureCache(
-                disk_dir=structure_cache_dir, offloader=self.offloader
-            )
+            self.structure_cache = StructureCache()
         if warm_start is False or warm_start is None:
             self.warm_store = None
         elif warm_start is True:
             self.warm_store = WarmStartStore()
         else:
             self.warm_store = warm_start
-        self.reorder_cutoff = reorder_cutoff if reorder else None
         self.max_tile_retries = max_tile_retries
         self.tile_timeout_s = tile_timeout_s
         self.retry_backoff_s = retry_backoff_s
@@ -666,31 +653,19 @@ class GramEngine:
         # iteration zero, bucket count beats per-iteration shape purity.
         # Cold single-shot calls keep shape-pure buckets.
         #
-        # The supervised executor builds fresh workers per call, so
-        # in-memory worker state can never carry across calls: warm
-        # history would always be empty (making merged tiling a pure
-        # pessimization) and a memory-only structure cache would store
-        # plans nothing re-reads.  Warm-starting is therefore a
-        # serial/threads feature, and workers get the structure cache
-        # only through its disk tier.  Tile-plan caching below is
-        # unaffected — it runs in this process.
-        if self.executor == "process_supervised":
-            worker_warm = None
-            worker_cache = (
-                self.structure_cache
-                if self.structure_cache is not None
-                and self.structure_cache.disk_dir is not None
-                else None
-            )
-        else:
-            worker_warm = self.warm_store
-            worker_cache = self.structure_cache
-        merge_small = worker_warm is not None
+        # One rule for the task bodies' runtime: serial and threads
+        # tiles carry the engine's structure cache and warm store, and
+        # supervised workers get none.  They are spawned per call, so
+        # warm history would always be empty there (making merged
+        # tiling a pure pessimization) and cached plans would never be
+        # re-read.  The runtime still counts this process's tile-plan
+        # lookups below.
+        local = self.executor != "process_supervised"
         call.runtime = BatchRuntime(
-            structure_cache=worker_cache,
-            warm_store=worker_warm,
-            rcm_cutoff=self.reorder_cutoff,
+            structure_cache=self.structure_cache if local else None,
+            warm_store=self.warm_store if local else None,
         )
+        merge_small = call.runtime.warm_store is not None
         default_pairs = (
             MERGED_BATCH_PAIRS if merge_small else DEFAULT_BATCH_PAIRS
         )
@@ -764,10 +739,6 @@ class GramEngine:
             supervisor = SupervisedPool(
                 self.kernel, X, Y, todo,
                 max_workers=self.max_workers,
-                runtime_cfg=(
-                    call.runtime.config() if call.runtime is not None
-                    else None
-                ),
                 max_tile_retries=self.max_tile_retries,
                 tile_timeout_s=self.tile_timeout_s,
                 retry_backoff_s=self.retry_backoff_s,

@@ -60,11 +60,10 @@ BATCHED_SOLVERS = ("pcg", "cg")
 class BatchRuntime:
     """Structure-reuse context threaded into the batched task body.
 
-    ``structure_cache`` serves/holds assembly plans, ``warm_store``
-    previous solution vectors, ``rcm_cutoff`` enables the plan-time RCM
-    reordering of block-CSR buckets (None disables it).  All fields
-    optional: a ``None`` runtime (or field) reproduces the PR-4
-    behavior bitwise.
+    ``structure_cache`` serves/holds assembly plans and ``warm_store``
+    previous solution vectors.  Both optional: a ``None`` runtime (or
+    field) builds every plan and solves every bucket cold, which is
+    what supervised workers do.
 
     The runtime is created fresh per engine call and accumulates that
     call's structure hits/misses (:meth:`record`) — the shared cache's
@@ -74,7 +73,6 @@ class BatchRuntime:
 
     structure_cache: object | None = None
     warm_store: object | None = None
-    rcm_cutoff: int | None = None
     call_hits: int = 0
     call_misses: int = 0
     _stats_lock: threading.Lock = field(
@@ -89,55 +87,18 @@ class BatchRuntime:
             else:
                 self.call_misses += 1
 
-    def config(self) -> dict:
-        """Picklable description for supervised worker processes."""
-        return {
-            "structure": self.structure_cache is not None,
-            "disk_dir": getattr(self.structure_cache, "disk_dir", None),
-            "max_bytes": getattr(self.structure_cache, "max_bytes", None),
-            "warm": self.warm_store is not None,
-            "warm_max_bytes": getattr(self.warm_store, "max_bytes", None),
-            "warm_history": getattr(self.warm_store, "history", None),
-            "rcm_cutoff": self.rcm_cutoff,
-        }
 
-    @classmethod
-    def from_config(cls, cfg: dict | None) -> "BatchRuntime | None":
-        if cfg is None:
-            return None
-        from .cache import StructureCache, WarmStartStore
-
-        return cls(
-            structure_cache=(
-                StructureCache(
-                    max_bytes=cfg["max_bytes"], disk_dir=cfg["disk_dir"]
-                )
-                if cfg["structure"] else None
-            ),
-            warm_store=(
-                WarmStartStore(
-                    max_bytes=cfg["warm_max_bytes"],
-                    history=cfg["warm_history"],
-                )
-                if cfg["warm"] else None
-            ),
-            rcm_cutoff=cfg["rcm_cutoff"],
-        )
-
-
-def structure_key(pair_graphs, bucket: tuple[str, int],
-                  rcm_cutoff: int | None) -> str:
+def structure_key(pair_graphs, bucket: tuple[str, int]) -> str:
     """Content-addressed identity of a bucket's structural plan.
 
-    Covers the assembly config (bucket mode and padding, reordering
-    cutoff) and every member pair's graph fingerprints *in order* —
-    the stacked layout depends on member order.  Hyperparameters are
-    deliberately absent: a sweep point changes the kernel fingerprint
-    but never this key.
+    Covers the assembly config (bucket mode and padding) and every
+    member pair's graph fingerprints *in order* — the stacked layout
+    depends on member order.  Hyperparameters are deliberately absent:
+    a sweep point changes the kernel fingerprint but never this key.
     """
     from .fingerprint import graph_fingerprint
 
-    parts = [f"plan-v1|{bucket[0]}|{bucket[1]}|rcm={rcm_cutoff}"]
+    parts = [f"plan-v1|{bucket[0]}|{bucket[1]}"]
     for a, b in pair_graphs:
         parts.append(graph_fingerprint(a))
         parts.append(graph_fingerprint(b))
@@ -149,8 +110,8 @@ def _seed_warm_start(warm_store, key: str, system, rtol: float = 0.0,
     """Residual-minimizing warm start from the bucket's solution history.
 
     Warm vectors are stored *per bucket* in the bucket's stacked layout
-    (keyed by the structure key, which pins members, order, padding,
-    and permutation), so seeding costs O(1) Python per bucket: fetch
+    (keyed by the structure key, which pins members, order and
+    padding), so seeding costs O(1) Python per bucket: fetch
     the k stacked history vectors, compute their images under S (one
     stacked matvec each), and solve the per-pair least-squares problem
     min_c ||b − S Σ cₐvₐ||₂ — a batched ridge-regularized k×k solve
@@ -272,10 +233,9 @@ def plan_bucket(
 
     cache = runtime.structure_cache if runtime is not None else None
     warm = runtime.warm_store if runtime is not None else None
-    rcm_cutoff = runtime.rcm_cutoff if runtime is not None else None
     pair_graphs = [(X[i], Y[j]) for i, j in task.members]
     if cache is not None or warm is not None:
-        task.skey = structure_key(pair_graphs, task.key, rcm_cutoff)
+        task.skey = structure_key(pair_graphs, task.key)
     tracer = get_tracer()
     with tracer.span("tile.plan", mode=task.key[0],
                      n_pairs=len(task.members)) as sp:
@@ -285,9 +245,7 @@ def plan_bucket(
             runtime.record(plan is not None)
             sp.set("structure_hit", plan is not None)
         if plan is None:
-            plan = build_structure_plan(
-                pair_graphs, mode=task.key[0], rcm_cutoff=rcm_cutoff
-            )
+            plan = build_structure_plan(pair_graphs, mode=task.key[0])
             if cache is not None:
                 cache.put(task.skey, plan)
     task.plan = plan
@@ -403,7 +361,7 @@ def run_tiles(
     scheduling.  Every tile runs :func:`solve_tile`, which picks the
     batched or per-pair body from the tile itself — the backends are
     oblivious to the difference.  ``runtime`` carries the structure
-    cache / warm store / reordering config, shared with the caller.
+    cache and warm store, shared with the caller.
 
     ``abort`` (a :class:`threading.Event`) cancels the run between
     tiles: the generator raises :class:`EngineAborted` after cancelling

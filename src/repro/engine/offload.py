@@ -1,14 +1,13 @@
 """Async offload of cold-path work: one daemon thread, bounded queue.
 
-The engine keeps its solve path free of disk traffic by pushing spill
-work — structure-plan pickles and Gram block writes — onto an
-:class:`AsyncOffloader`.  The queue is bounded: a producer that
-outruns the disk blocks briefly instead of buffering without limit
-(backpressure, not amnesia).  Errors inside offloaded jobs never
-propagate into the engine; they are counted and the last one kept for
-diagnostics — a failed spill degrades to a future cache miss or an
-in-RAM retry, exactly like the synchronous tiers treat unreadable
-entries.
+The engine keeps its solve path free of disk traffic by pushing its
+spill work — Gram block writes — onto an :class:`AsyncOffloader`.  The
+queue is bounded: a producer that outruns the disk blocks briefly
+instead of buffering without limit (backpressure, not amnesia).
+Errors inside offloaded jobs never propagate into the engine; they are
+counted and the last one kept for diagnostics — a failed spill degrades
+to a future cache miss or an in-RAM retry, exactly like the
+synchronous tiers treat unreadable entries.
 """
 
 from __future__ import annotations

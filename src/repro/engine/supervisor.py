@@ -48,7 +48,7 @@ import numpy as np
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .block_store import block_rows
-from .executors import BatchRuntime, EngineAborted, default_workers, solve_tile
+from .executors import EngineAborted, default_workers, solve_tile
 from .tiles import Tile
 
 #: Default retry budget per tile (initial attempt + this many retries).
@@ -62,7 +62,7 @@ DEFAULT_RETRY_BACKOFF_S = 0.05
 POLL_INTERVAL_S = 0.02
 
 
-def _worker_main(worker_id, inbox, outbox, kernel, X, Y, runtime_cfg) -> None:
+def _worker_main(worker_id, inbox, outbox, kernel, X, Y) -> None:
     """Body of one supervised worker process.
 
     Messages in: ``(task_id, attempt, tile)`` or ``None`` (shut down).
@@ -70,12 +70,13 @@ def _worker_main(worker_id, inbox, outbox, kernel, X, Y, runtime_cfg) -> None:
     the tile's block rows from :func:`~repro.engine.executors.solve_tile`.
     Chaos hooks run at the top of each task so an injected kill looks
     exactly like a mid-tile crash from the parent's point of view (the
-    result simply never arrives).
+    result simply never arrives).  Workers carry no structure cache or
+    warm store: they are spawned per call, so nothing they kept would be
+    read again.
     """
     from .. import chaos
 
     chaos.install_from_env()
-    runtime = BatchRuntime.from_config(runtime_cfg)
     while True:
         msg = inbox.get()
         if msg is None:
@@ -87,7 +88,7 @@ def _worker_main(worker_id, inbox, outbox, kernel, X, Y, runtime_cfg) -> None:
             plan.maybe_delay("worker", token, attempt)
             plan.maybe_kill(token, attempt)
         try:
-            rows = solve_tile(kernel, X, Y, tile, runtime)
+            rows = solve_tile(kernel, X, Y, tile)
         except BaseException as exc:
             outbox.put(
                 (task_id, attempt, False, f"{type(exc).__name__}: {exc}")
@@ -159,7 +160,6 @@ class SupervisedPool:
         Y,
         tiles: Sequence[Tile],
         max_workers: int | None = None,
-        runtime_cfg: dict | None = None,
         max_tile_retries: int = DEFAULT_MAX_TILE_RETRIES,
         tile_timeout_s: float | None = None,
         retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S,
@@ -177,7 +177,6 @@ class SupervisedPool:
         self.Y = list(Y) if Y is not X else self.X
         self.tiles = list(tiles)
         self.max_workers = max_workers
-        self.runtime_cfg = runtime_cfg
         self.max_tile_retries = max_tile_retries
         self.tile_timeout_s = tile_timeout_s
         self.retry_backoff_s = retry_backoff_s
@@ -200,8 +199,7 @@ class SupervisedPool:
         outbox = ctx.Queue()
         process = ctx.Process(
             target=_worker_main,
-            args=(worker_id, inbox, outbox, self.kernel, self.X, self.Y,
-                  self.runtime_cfg),
+            args=(worker_id, inbox, outbox, self.kernel, self.X, self.Y),
             name=f"gram-supervised-{worker_id}",
             daemon=True,
         )

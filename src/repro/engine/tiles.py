@@ -85,12 +85,14 @@ def plan_tiles(
     worker — enough slack for the dynamic queue to rebalance, few
     enough to amortize task dispatch.
     """
+    if tile_pairs is not None and tile_pairs < 1:
+        raise ValueError("tile_pairs must be positive")
+    if n_tiles is not None and n_tiles < 1:
+        raise ValueError("n_tiles must be positive")
     if not jobs:
         return []
     ordered = sorted(jobs, key=lambda j: -j.cycles)
     if tile_pairs is not None:
-        if tile_pairs < 1:
-            raise ValueError("tile_pairs must be positive")
         tiles = []
         for k in range(0, len(ordered), tile_pairs):
             chunk = ordered[k : k + tile_pairs]

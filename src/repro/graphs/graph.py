@@ -99,14 +99,13 @@ class Graph:
             if self.coords.shape[0] != n:
                 raise ValueError("coords length mismatch")
         # Derived-array caches (degrees, flattened edge arrays, content
-        # fingerprint, RCM node order).  Graphs are treated as immutable
-        # by the whole stack — fingerprinting, the kernel cache, the
-        # structure cache, and these caches all rely on that.
+        # fingerprint).  Graphs are treated as immutable by the whole
+        # stack — fingerprinting, the kernel cache, the structure cache,
+        # and these caches all rely on that.
         self._degrees: np.ndarray | None = None
         self._edge_arrays: EdgeArrays | None = None
         self._n_edges: int | None = None
         self._fingerprint: str | None = None
-        self._rcm_order: np.ndarray | None = None
 
     def __getstate__(self) -> dict:
         # Keep pickled payloads (process-pool datasets, registry stores)
@@ -116,7 +115,6 @@ class Graph:
         state["_edge_arrays"] = None
         state["_n_edges"] = None
         state["_fingerprint"] = None
-        state["_rcm_order"] = None
         return state
 
     # ------------------------------------------------------------------

@@ -42,10 +42,9 @@ The batched assembly is split into two halves:
 
 * :func:`build_structure_plan` — the **structural plan**: product-vector
   layout, off-diagonal sparsity pattern (CSR indptr/indices or dense
-  scatter indices), padding, pre-gathered label/degree operands, and the
-  optional RCM bandwidth-reducing permutation.  Pure topology — it
-  depends on the graphs and the bucket shape only, never on
-  hyperparameters (q, base-kernel parameters, solver settings).
+  scatter indices), padding, and pre-gathered label/degree operands.
+  Pure topology — it depends on the graphs and the bucket shape only,
+  never on hyperparameters (q, base-kernel parameters, solver settings).
 * :func:`fill_batched_system` — the **numeric fill**: evaluates the base
   kernels over the plan's pre-gathered operands and writes D× V×⁻¹
   diagonals and edge-weight values into the preallocated pattern.
@@ -548,22 +547,6 @@ class BatchedProductSystem:
         )
 
 
-#: Graphs larger than this keep the identity ordering at plan time:
-#: the pure-Python RCM BFS is O(n + e) with interpreter-speed constants,
-#: and block-CSR buckets cap product sizes at 512 anyway, so factors
-#: beyond the cutoff only appear through direct assembler calls.
-DEFAULT_RCM_CUTOFF = 512
-
-
-def _rcm_or_identity(g: Graph, cutoff: int) -> np.ndarray | None:
-    """Cached RCM node order of ``g``, or None (identity) above ``cutoff``."""
-    if g.n_nodes > cutoff or g.n_nodes < 3:
-        return None
-    from ..reorder.rcm import rcm_order_cached
-
-    return rcm_order_cached(g)
-
-
 def _cat(parts, dtype):
     if isinstance(parts, np.ndarray):
         return parts
@@ -639,9 +622,9 @@ class StructurePlan:
     :class:`BatchedProductSystem` *except* the base-kernel values and q:
     the stacked layout, the off-diagonal sparsity pattern (CSR
     indptr/indices or dense scatter indices), pre-gathered label and
-    degree operands, edge-weight products (graph content, so
-    hyperparameter-free), and the optional RCM permutation.  Plans are
-    pure data — picklable for the disk tier of
+    degree operands, and edge-weight products (graph content, so
+    hyperparameter-free), all in the natural node order of each pair's
+    graphs.  Plans live in memory only, in the engine's
     :class:`repro.engine.cache.StructureCache`.  Fills never mutate the
     pattern arrays; the only writes are the whole-tuple memo swaps
     (``_vx_memo``/``_ke_memo``), which are atomic and signature-keyed,
@@ -668,10 +651,6 @@ class StructurePlan:
     sole_edge1: np.ndarray | None
     sole_edge2: np.ndarray | None
     nnz: int  # stored off-diagonal entries (4T)
-    #: Whether an RCM permutation is baked into the layout.  The warm
-    #: store keys vectors by structure key (which pins the permutation),
-    #: so no per-slot canonical map needs to be carried.
-    reordered: bool = False
     # dense mode
     scatter: np.ndarray | None = None  # (S_true,) -> padded layout
     w_scatter: np.ndarray | None = None  # (4T,) flat into B·N·N
@@ -686,17 +665,10 @@ class StructurePlan:
     #: only q re-evaluates neither κv nor κe — and reuses the whole
     #: assembled off-diagonal operator, since W depends on the edge
     #: values alone; one that varies a node-kernel parameter still
-    #: reuses the edge side, and vice versa.  Excluded from pickling,
-    #: but *counted* by ``nbytes`` so the StructureCache's byte bound
-    #: sees the memoized operator.
+    #: reuses the edge side, and vice versa.  *Counted* by ``nbytes``
+    #: so the StructureCache's byte bound sees the memoized operator.
     _vx_memo: tuple | None = field(default=None, repr=False, compare=False)
     _ke_memo: tuple | None = field(default=None, repr=False, compare=False)
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_vx_memo"] = None
-        state["_ke_memo"] = None
-        return state
 
     @property
     def batch(self) -> int:
@@ -736,7 +708,6 @@ class StructurePlan:
 def build_structure_plan(
     pairs: list[tuple[Graph, Graph]],
     mode: str = "auto",
-    rcm_cutoff: int | None = None,
 ) -> StructurePlan:
     """Build the structural plan for a bucket of graph pairs.
 
@@ -745,18 +716,7 @@ def build_structure_plan(
     never enter, which is what makes plans reusable across an entire
     hyperparameter sweep.
 
-    Parameters
-    ----------
-    mode:
-        As in :func:`build_batched_system`.
-    rcm_cutoff:
-        When set, block-CSR ("sparse") buckets are laid out under the
-        per-graph RCM bandwidth-reducing permutation (paper Section
-        IV-A's locality insight applied to the product system): product
-        node (i, i') lands at (rcm₁(i), rcm₂(i')).  Graphs above the
-        cutoff keep the identity order.  ``None`` disables reordering.
-        Dense buckets are always identity — a stacked GEMV has no
-        bandwidth to reduce.
+    ``mode`` is as in :func:`build_batched_system`.
     """
     if not pairs:
         raise ValueError("cannot batch an empty pair list")
@@ -784,31 +744,8 @@ def build_structure_plan(
     ip_loc = pos - i_loc * mseg
     noff1 = np.concatenate(([0], np.cumsum(n)))
     noff2 = np.concatenate(([0], np.cumsum(m)))
-    noff1_rep = np.repeat(noff1[:-1], sizes)
-    noff2_rep = np.repeat(noff2[:-1], sizes)
-
-    # ---- optional RCM permutation (block-CSR buckets only) ---------
-    o1s = [None] * B
-    o2s = [None] * B
-    if mode == "sparse" and rcm_cutoff is not None:
-        o1s = [_rcm_or_identity(g, rcm_cutoff) for g in g1s]
-        o2s = [_rcm_or_identity(g, rcm_cutoff) for g in g2s]
-    reordered = any(o is not None for o in o1s) or any(
-        o is not None for o in o2s
-    )
-    if reordered:
-        O1 = np.concatenate(
-            [o if o is not None else np.arange(g.n_nodes) for o, g in zip(o1s, g1s)]
-        )
-        O2 = np.concatenate(
-            [o if o is not None else np.arange(g.n_nodes) for o, g in zip(o2s, g2s)]
-        )
-        i_old = O1[noff1_rep + i_loc]
-        ip_old = O2[noff2_rep + ip_loc]
-    else:
-        i_old, ip_old = i_loc, ip_loc
-    I1 = noff1_rep + i_old
-    I2 = noff2_rep + ip_old
+    I1 = np.repeat(noff1[:-1], sizes) + i_loc
+    I2 = np.repeat(noff2[:-1], sizes) + ip_loc
 
     node_labels1, sole_node1 = _gather_label_sets(
         [g.node_labels for g in g1s], I1
@@ -843,10 +780,6 @@ def build_structure_plan(
     eoff2 = np.concatenate(([0], np.cumsum(m2s)))
     nnz = int(4 * (m1s * m2s).sum())
 
-    # Inverse node permutations for remapping directed endpoints.
-    p1s = [None if o is None else np.argsort(o) for o in o1s]
-    p2s = [None if o is None else np.argsort(o) for o in o2s]
-
     # Untiled κe operand indices, vectorized across the whole bucket:
     # entry t of pair b addresses edge pair (t // m2, t mod m2).  This
     # runs once per *plan*, so the div/mod arithmetic that was too slow
@@ -880,10 +813,6 @@ def build_structure_plan(
         mb = int(m[b])
         s1, t1 = e1.src, e1.dst
         s2, t2 = e2.src, e2.dst
-        if p1s[b] is not None:
-            s1, t1 = p1s[b][s1], p1s[b][t1]
-        if p2s[b] is not None:
-            s2, t2 = p2s[b][s2], p2s[b][t2]
         if mode == "dense":
             # Flat scatter index b N² + (s1 m + s2) N + (t1 m + t2),
             # split into a per-edge1 and a per-edge2 factor.
@@ -928,7 +857,6 @@ def build_structure_plan(
         sole_edge1=sole_edge1,
         sole_edge2=sole_edge2,
         nnz=nnz,
-        reordered=reordered,
     )
     if mode == "dense":
         plan.scatter = np.repeat(offsets[:-1], sizes) + pos
@@ -1081,7 +1009,6 @@ def fill_batched_system(
             "mode": plan.mode,
             "nnz": plan.nnz,
             "padded": plan.padded,
-            "reordered": plan.reordered,
         },
     )
 
@@ -1094,7 +1021,6 @@ def build_batched_system(
     mode: str = "auto",
     workspace: BatchWorkspace | None = None,
     plan: StructurePlan | None = None,
-    rcm_cutoff: int | None = None,
 ) -> BatchedProductSystem:
     """Assemble a bucket of graph pairs as one stacked linear object.
 
@@ -1117,16 +1043,12 @@ def build_batched_system(
         buffers across calls (one per executor worker).
     plan:
         A previously built (cached) structural plan for exactly these
-        pairs; ``mode`` and ``rcm_cutoff`` are ignored when given.
-    rcm_cutoff:
-        Forwarded to :func:`build_structure_plan`.
+        pairs; ``mode`` is ignored when given.
     """
     tracer = get_tracer()
     if plan is None:
         with tracer.span("tile.plan", mode=mode, n_pairs=len(pairs)):
-            plan = build_structure_plan(
-                pairs, mode=mode, rcm_cutoff=rcm_cutoff
-            )
+            plan = build_structure_plan(pairs, mode=mode)
     with tracer.span("tile.fill", mode=plan.mode, n_pairs=plan.batch):
         return fill_batched_system(
             plan, node_kernel, edge_kernel, q=q, workspace=workspace

@@ -104,15 +104,14 @@ def grid_search(
     structure_reuse:
         Thread one shared :class:`~repro.engine.cache.StructureCache`
         and :class:`~repro.engine.cache.WarmStartStore` through every
-        candidate's engine, and enable RCM reordering (default on).
-        The product-graph topology is hyperparameter-independent, so
-        every candidate after the first skips assembly topology
-        entirely and warm-starts its solves from the previous
-        candidate's solutions — the sweep regime the structure-reuse
-        pipeline is built for (several-fold wall-clock on dense grids).
-        Candidate Gram values agree with ``structure_reuse=False``
-        within the solver tolerance.  Explicit ``engine_options`` keys
-        win over the injected ones.
+        candidate's engine (default on).  The product-graph topology
+        is hyperparameter-independent, so every candidate after the
+        first skips assembly topology entirely and warm-starts its
+        solves from the previous candidate's solutions — the sweep
+        regime the structure-reuse pipeline is built for (several-fold
+        wall-clock on dense grids).  Candidate Gram values agree with
+        ``structure_reuse=False`` within the solver tolerance.
+        Explicit ``engine_options`` keys win over the injected ones.
     """
     from ..engine import GramEngine
     from ..engine.cache import StructureCache, WarmStartStore
@@ -126,7 +125,6 @@ def grid_search(
     if structure_reuse:
         shared_opts.setdefault("structure_cache", StructureCache())
         shared_opts.setdefault("warm_start", WarmStartStore())
-        shared_opts.setdefault("reorder", True)
     best: TuningResult | None = None
     history: list[tuple[dict, float]] = []
     for values in product(*(grid[n] for n in names)):

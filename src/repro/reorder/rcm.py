@@ -117,23 +117,6 @@ def _pseudo_peripheral_in(
     return u
 
 
-def rcm_order_cached(graph: Graph) -> np.ndarray:
-    """RCM order memoized on the graph object.
-
-    The structure-reuse assembly pipeline reorders every block-CSR
-    product system by the factor graphs' RCM permutations at plan time;
-    a graph participates in O(dataset) pairs, so the BFS must run once
-    per graph, not once per pair.  Graphs are immutable by stack-wide
-    convention (like ``degrees``/``edge_arrays``), which is what makes
-    the memo safe.
-    """
-    order = getattr(graph, "_rcm_order", None)
-    if order is None:
-        order = rcm_order(graph)
-        graph._rcm_order = order
-    return order
-
-
 def bandwidth(graph: Graph, order: np.ndarray | None = None) -> int:
     """Matrix bandwidth max |pos(i) - pos(j)| over edges, under ``order``."""
     n = graph.n_nodes

@@ -277,6 +277,26 @@ class TestTiling:
         tiles = plan_tiles(jobs, tile_pairs=10)
         assert sorted(len(t) for t in tiles) == [6, 10, 10, 10]
 
+    @pytest.mark.parametrize("kwargs", [
+        {"n_tiles": 0},
+        {"n_tiles": -3},
+        {"tile_pairs": 0},
+        {"max_workers": 0},
+        {"executor": "threads", "max_workers": -1},
+        {"executor": "process_supervised", "max_workers": -1},
+    ], ids=["n_tiles=0", "n_tiles<0", "tile_pairs=0", "max_workers=0",
+            "threads-max_workers<0", "supervised-max_workers<0"])
+    def test_bad_tiling_and_worker_args_rejected_at_construction(
+        self, graphs, kwargs
+    ):
+        name = next(k for k in kwargs if k != "executor")
+        with pytest.raises(ValueError, match=name):
+            GramEngine(make_kernel(), **kwargs)
+        if name != "max_workers":
+            jobs = build_pair_jobs(graphs, graphs, [(0, 1)], q=0.2)
+            with pytest.raises(ValueError, match=name):
+                plan_tiles(jobs, **kwargs)
+
 
 class TestFingerprints:
     def test_graph_fingerprint_ignores_name(self, graphs):
@@ -431,6 +451,15 @@ class TestMlEnginePaths:
         assert res.params == ref.params
         assert np.allclose(res.gram, ref.gram)
         assert len(cache) == 2 * (8 * 9 // 2)
+        # The default sweep (shared plans, warm starts) against
+        # candidates computed in isolation.
+        iso = grid_search(graphs, y, make_kernel, {"q": [0.2, 0.4]},
+                          structure_reuse=False)
+        assert ref.params == iso.params
+        assert np.allclose(ref.gram, iso.gram, rtol=1e-10, atol=0)
+        assert [p for p, _ in ref.history] == [p for p, _ in iso.history]
+        assert np.allclose([s for _, s in ref.history],
+                           [s for _, s in iso.history], rtol=1e-6, atol=0)
 
     def test_grid_search_candidate_engines(self, graphs, monkeypatch):
         # Every candidate has a new kernel fingerprint, so a private
