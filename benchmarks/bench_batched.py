@@ -16,7 +16,7 @@ enumeration regime where graph kernels are classically benchmarked):
 * a mixed drug-like set (log-normal sizes, max 64 atoms) is reported
   as a second series: its compute-bound tail solves per-pair by design
   ("solo" buckets), so the speedup there is modest but must never be
-  a slowdown (>= 0.9x guard).
+  a slowdown (>= 0.9x guard); its values are held to the same rtol.
 
 Shape criteria only — absolute numbers vary by machine; the committed
 baseline gate (``benchmarks/check_regression.py``) tracks the
@@ -56,19 +56,25 @@ def _time_gram(engine: str, graphs, **kernel_kw):
     return res, time.perf_counter() - t0
 
 
+def _max_rel(batched, serial) -> float:
+    """Largest |batched - serial| / |serial| over a Gram matrix."""
+    denom = np.abs(serial)
+    denom[denom == 0] = 1.0
+    return float(np.max(np.abs(batched - serial) / denom))
+
+
 def run_batched_bench():
     n = int(200 * max(1.0, SCALE) ** 0.5)
     frags = fragment_library(n_graphs=n)
     serial_res, serial_t = _time_gram("fused", frags)
     batched_res, batched_t = _time_gram("fused_batched", frags)
-    denom = np.abs(serial_res.matrix)
-    denom[denom == 0] = 1.0
-    max_rel = float(np.max(np.abs(batched_res.matrix - serial_res.matrix) / denom))
+    max_rel = _max_rel(batched_res.matrix, serial_res.matrix)
 
     n_mixed = max(4, n // 4)
     mixed = drugbank_dataset(n_graphs=n_mixed, seed=11, max_atoms=64)
     mixed_serial_res, mixed_serial_t = _time_gram("fused", mixed)
     mixed_batched_res, mixed_batched_t = _time_gram("fused_batched", mixed)
+    mixed_max_rel = _max_rel(mixed_batched_res.matrix, mixed_serial_res.matrix)
 
     # Stage breakdown from a separate traced rerun of the batched arm:
     # the timed arms above run with tracing disabled, so the no-op path
@@ -98,6 +104,9 @@ def run_batched_bench():
         "mixed_serial_t": mixed_serial_t,
         "mixed_batched_t": mixed_batched_t,
         "mixed_speedup": mixed_serial_t / mixed_batched_t,
+        "mixed_max_rel": mixed_max_rel,
+        "mixed_converged": (mixed_batched_res.converged
+                            and mixed_serial_res.converged),
     }
 
 
@@ -112,7 +121,8 @@ def test_batched_speedup(benchmark, request):
     print(f"{'drug-like (<=64 atoms)':>24s} {r['mixed_pairs']:7d} "
           f"{r['mixed_serial_t']:7.2f}s {r['mixed_batched_t']:7.2f}s "
           f"{r['mixed_speedup']:7.2f}x")
-    print(f"max |Δ|/|K| vs per-pair: {r['max_rel']:.2e}  (bound {RTOL:g})")
+    print(f"max |Δ|/|K| vs per-pair: fragments {r['max_rel']:.2e}, "
+          f"drug-like {r['mixed_max_rel']:.2e}  (bound {RTOL:g})")
     st = r["stage_seconds"]
     print(f"stage breakdown (traced rerun): plan {st['plan']:.2f}s  "
           f"fill {st['fill']:.2f}s  solve {st['solve']:.2f}s  "
@@ -134,12 +144,14 @@ def test_batched_speedup(benchmark, request):
             "serial_seconds": r["mixed_serial_t"],
             "batched_seconds": r["mixed_batched_t"],
             "speedup": r["mixed_speedup"],
+            "max_rel_error": r["mixed_max_rel"],
         },
     })
 
-    assert r["converged"]
+    assert r["converged"] and r["mixed_converged"]
     # the engine's equivalence contract with the per-pair path
     assert r["max_rel"] <= RTOL
+    assert r["mixed_max_rel"] <= RTOL
     # ISSUE 4 acceptance: >= 3x on the n=200 small-molecule Gram
     assert r["speedup"] >= MIN_SPEEDUP, (
         f"fused_batched only {r['speedup']:.2f}x over serial fused"

@@ -26,10 +26,11 @@ class EdgeArrays:
 
     Every pair evaluation needs the same per-graph extractions — the
     undirected edge list, the edge weights, the compact per-edge label
-    arrays, and the directed (forward + reverse) endpoint arrays the
-    off-diagonal operator is indexed by.  Recomputing them per pair
-    costs O(n²) array work times O(dataset²) pairs; caching them on the
-    graph makes the cost O(dataset).
+    arrays, the directed (forward + reverse) endpoint arrays the
+    off-diagonal operator is indexed by, and the CSR order of those
+    directed edges.  Recomputing them per pair costs O(n²) array work
+    times O(dataset²) pairs; caching them on the graph makes the cost
+    O(dataset).
     """
 
     edges: np.ndarray  # (m, 2) undirected edges, i < j
@@ -38,6 +39,8 @@ class EdgeArrays:
     src: np.ndarray  # (2m,) directed sources  [i…, j…]
     dst: np.ndarray  # (2m,) directed targets  [j…, i…]
     directed_weights: np.ndarray  # (2m,) weights for both directions
+    csr_order: np.ndarray  # (2m,) directed edges sorted by (src, dst)
+    out_counts: np.ndarray  # (n,) directed edges leaving each node
 
     @property
     def n_directed(self) -> int:
@@ -152,13 +155,17 @@ class Graph:
             i, j = edges[:, 0], edges[:, 1]
             weights = self.adjacency[i, j]
             labels = {k: v[i, j] for k, v in self.edge_labels.items()}
+            src = np.concatenate([i, j])
+            dst = np.concatenate([j, i])
             self._edge_arrays = EdgeArrays(
                 edges=edges,
                 weights=weights,
                 labels=labels,
-                src=np.concatenate([i, j]),
-                dst=np.concatenate([j, i]),
+                src=src,
+                dst=dst,
                 directed_weights=np.concatenate([weights, weights]),
+                csr_order=np.lexsort((dst, src)),
+                out_counts=np.bincount(src, minlength=self.n_nodes),
             )
         return self._edge_arrays
 

@@ -22,12 +22,13 @@ This module provides :class:`ProductSystem` plus three off-diagonal
 operator constructions:
 
 * ``dense``  — explicitly assembled (nm x nm) matrix; ground truth.
-* ``fused``  — sparse edge-pair expansion in CSR; the fast CPU engine.
-  The edge base-kernel matrix is computed once per pair and reused every
-  CG iteration (the product matrix is never *stored* densely, but its
-  nonzero support is).
+* ``fused``  — sparse edge-pair expansion, written straight into CSR
+  (:class:`CSROffdiag`); the fast CPU engine.  The edge base-kernel
+  matrix is computed once per pair and reused every CG iteration (the
+  product matrix is never *stored* densely, but its nonzero support
+  is).
 * the virtual-GPU tile pipeline lives in :mod:`repro.xmv` and wraps a
-  :class:`ProductSystem` built here with ``build_operator=False``.
+  :class:`ProductSystem` built here with ``engine="none"``.
 
 It also provides the **batched** assembly behind the
 ``fused_batched`` engine: :func:`build_batched_system` stacks a whole
@@ -63,8 +64,11 @@ from typing import Callable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
+# The CSR kernel behind ``W @ v``; :class:`CSROffdiag` runs it into a
+# preallocated buffer.
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
-from ..graphs.graph import Graph
+from ..graphs.graph import EdgeArrays, Graph
 from ..obs.trace import current_span, get_tracer
 from .basekernels import Constant, MicroKernel, TensorProduct
 
@@ -191,13 +195,39 @@ class ProductSystem:
         return x.reshape(self.n, self.m)
 
 
+class CSROffdiag:
+    """One pair's off-diagonal W in CSR: the ``fused`` engine's
+    ``matvec_offdiag``.
+
+    Calling it returns ``W @ v``.  :meth:`matvec_into` writes the same
+    product into a caller's buffer: scipy computes ``W @ v`` by running
+    ``csr_matvec`` on a freshly zeroed vector, so running it on a
+    zeroed buffer gives the same bits without the dispatch and the
+    allocation.  Algorithm 1's loop (:mod:`repro.solvers.pcg`) takes
+    that path; it calls any other operator.
+    """
+
+    __slots__ = ("W", "_csr")
+
+    def __init__(self, W: sp.csr_matrix) -> None:
+        self.W = W
+        self._csr = (*W.shape, W.indptr, W.indices, W.data)
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        return self.W @ v
+
+    def matvec_into(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        out.fill(0.0)
+        _csr_matvec(*self._csr, v, out)
+        return out
+
+
 def build_product_system(
     g1: Graph,
     g2: Graph,
     node_kernel: MicroKernel,
     edge_kernel: MicroKernel,
     q: float | np.ndarray = 0.05,
-    p: np.ndarray | None = None,
     engine: str = "fused",
 ) -> ProductSystem:
     """Assemble the product system for a graph pair.
@@ -208,9 +238,8 @@ def build_product_system(
         Stopping probability: a scalar applied to every node of both
         graphs, or a pair-specific array is not supported (the paper
         uses a uniform stopping probability; Section VII-B sweeps it
-        down to 0.0005).
-    p:
-        Starting probabilities per node; default uniform 1/n per graph.
+        down to 0.0005).  Starting probabilities are uniform, 1/n per
+        graph.
     engine:
         "fused" (sparse edge-pair operator), "dense" (explicit matrix),
         or "none" (no off-diagonal operator attached — used by the
@@ -226,18 +255,18 @@ def build_product_system(
         raise ValueError("vertex base kernel must have range (0, 1] for SPD")
     vx = V.ravel()
 
+    # Kronecker products of vectors as outer products, flattened
+    # row-major: entry i·m + i' is the one product a[i]·b[i'] that
+    # np.kron forms.  The uniform p× is (1/n)·(1/m) everywhere.
     d1 = g1.degrees + q
     d2 = g2.degrees + q
-    dx = np.kron(d1, d2)
-
-    p1 = np.full(n, 1.0 / n) if p is None else np.asarray(p, dtype=np.float64)
-    p2 = np.full(m, 1.0 / m)
-    px = np.kron(p1, p2)
+    dx = np.multiply.outer(d1, d2).ravel()
+    px = np.full(n * m, (1.0 / n) * (1.0 / m))
     # Proper random-walk semantics: at node i the walk stops with
     # probability q / d_i and transitions to j with probability
     # A_ij / d_i, which sum to one.  Hence q×_{ii'} = (q/d_i)(q/d'_i')
     # and the right-hand side D× q× is the constant vector q².
-    qx = np.kron(q / d1, q / d2)
+    qx = np.multiply.outer(q / d1, q / d2).ravel()
 
     system = ProductSystem(n=n, m=m, vx=vx, dx=dx, px=px, qx=qx)
 
@@ -249,7 +278,7 @@ def build_product_system(
         system.info["W_dense"] = W
     elif engine == "fused":
         W = assemble_sparse_offdiag(g1, g2, edge_kernel)
-        system.matvec_offdiag = lambda v: W @ v
+        system.matvec_offdiag = CSROffdiag(W)
         system.info["W_nnz"] = W.nnz
         system.info["W_sparse"] = W
     else:
@@ -282,32 +311,72 @@ def assemble_dense_offdiag(
     return Ax * Ex
 
 
+_INT32_MAX = np.iinfo(np.int32).max
+
+
 def assemble_sparse_offdiag(
     g1: Graph, g2: Graph, edge_kernel: MicroKernel
 ) -> sp.csr_matrix:
     """Sparse CSR W = A× ∘ E× over the edge-pair support (fused engine).
 
-    Builds all four directed combinations of each undirected edge pair
-    from one (m1 x m2) edge base-kernel evaluation, fully vectorized.
+    Row (i, i') holds one entry per pair of directed edges i → j and
+    i' → j', at column (j, j'), valued w_ij w'_i'j' κe(e_ij, e'_i'j');
+    κe and the weights are symmetric, so one (m1 x m2) evaluation over
+    undirected edges serves all four directions.  With each graph's
+    directed edges in CSR order (:attr:`EdgeArrays.csr_order`), the
+    entries of row (i, i') are i's edges times i''s edges, row-major,
+    which is column order.  So the CSR arrays are written directly: the
+    row pointer from out-count products, then one gather of the value
+    grid onto the directed edge pairs and one scatter of values and
+    column indices into their slots — no COO stage and no sort.  The
+    arrays, index dtypes included, are the ones scipy's COO→CSR
+    conversion of the same entries produces.
     """
     n, m = g1.n_nodes, g2.n_nodes
     ea1, ea2 = g1.edge_arrays(), g2.edge_arrays()
     m1, m2 = len(ea1.edges), len(ea2.edges)
     N = n * m
-    if m1 == 0 or m2 == 0:
-        return sp.csr_matrix((N, N))
-    Ke = edge_kernel_values(edge_kernel, ea1.labels, ea2.labels, m1, m2)
-    vals_u = (ea1.weights[:, None] * ea2.weights[None, :]) * Ke  # (m1, m2)
+    nnz = 4 * m1 * m2
+    # scipy's index dtype: int32 unless the size or the count overflows it
+    index = np.int32 if max(N, nnz) <= _INT32_MAX else np.int64
+    indptr = np.zeros(N + 1, dtype=index)
+    np.cumsum(np.multiply.outer(ea1.out_counts, ea2.out_counts),
+              out=indptr[1:])
+    data = np.empty(nnz)
+    indices = np.empty(nnz, dtype=index)
+    if nnz:
+        Ke = edge_kernel_values(edge_kernel, ea1.labels, ea2.labels, m1, m2)
+        vals_u = (ea1.weights[:, None] * ea2.weights[None, :]) * Ke
+        # CSR slot of directed edge pair (a, b), a leaving node i and b
+        # leaving node i': rows (0..i-1, ·) hold first1[a]·2m2 entries
+        # and rows (i, 0..i'-1) hold count1[a]·first2[b]; inside row
+        # (i, i'), a's run of count2[b] entries follows rank1[a] others
+        # and b is rank2[b]-th in it.
+        first1, count1, rank1 = _csr_edge_slots(ea1)
+        first2, count2, rank2 = _csr_edge_slots(ea2)
+        slot = np.multiply.outer(count1, first2)
+        slot += np.multiply.outer(rank1, count2)
+        slot += (first1 * (2 * m2))[:, None]
+        slot += rank2
+        slot = slot.ravel()
+        o1, o2 = ea1.csr_order, ea2.csr_order
+        # directed edge d of a graph with M undirected edges is edge
+        # d mod M: the forward copies come first, then the reverse ones
+        data[slot] = vals_u.take(o1 % m1, axis=0).take(o2 % m2, axis=1).ravel()
+        indices[slot] = np.add.outer(ea1.dst[o1] * m, ea2.dst[o2]).ravel()
+    return sp.csr_matrix((data, indices, indptr), shape=(N, N))
 
-    # Directed endpoints: forward and reverse of each undirected edge.
-    s1, t1 = ea1.src, ea1.dst
-    s2, t2 = ea2.src, ea2.dst
-    vals = np.tile(vals_u, (2, 2))  # κe symmetric, weights symmetric
 
-    rows = (s1[:, None] * m + s2[None, :]).ravel()
-    cols = (t1[:, None] * m + t2[None, :]).ravel()
-    W = sp.coo_matrix((vals.ravel(), (rows, cols)), shape=(N, N))
-    return W.tocsr()
+def _csr_edge_slots(
+    ea: EdgeArrays,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each directed edge in CSR order: the CSR position of its
+    source's first edge, its source's out-count, and its rank among
+    them."""
+    src = ea.src[ea.csr_order]
+    counts = ea.out_counts
+    first = (np.cumsum(counts) - counts)[src]
+    return first, counts[src], np.arange(len(src)) - first
 
 
 # ----------------------------------------------------------------------
@@ -320,12 +389,18 @@ def assemble_sparse_offdiag(
 BATCH_DENSE_MAX = 64
 
 #: Product sizes above this stay on the per-pair path ("solo" bucket):
-#: systems that large are compute-bound — the per-pair Python overhead
-#: is noise next to their SpMV work, and stacking them evicts each
-#: pair's operator from cache between its iterations (the scalar loop
-#: keeps W hot across all ~30 of them), so batching *loses* there.
-#: Measured crossover on molecule-like sparsity is near N ≈ 512.
-#: This is the "oddball shapes fall back to per-pair" rule.
+#: the "oddball shapes fall back to per-pair" rule.  The cap was
+#: measured as a crossover near N ≈ 512 on molecule-like sparsity, at
+#: a time when the per-pair path built W through COO and ran an
+#: allocating PCG loop.  At molecule sizes those pairs are not
+#: compute-bound: over the 992 solo pairs of a 60-molecule drug-like
+#: set (2-core VM, serial, medians of 5), that path spent 0.42 s on
+#: assembly and 0.74 s in the loop, of which scipy's CSR kernel was
+#: 0.18 s.  Writing W straight into CSR and updating the loop's
+#: vectors in place cut assembly to 0.25 s and the loop to 0.60 s; the
+#: kernel is the same 0.18 s, so overhead is still most of a solo
+#: pair.  The cap has not been measured again since; moving it changes
+#: the bits of every pair it re-routes.
 BATCH_SPARSE_MAX = 512
 
 #: Upper bound on stacked-dense storage (elements).  A bucket whose

@@ -19,8 +19,11 @@ Engines
     well within 1e-10 relative (block-CSR buckets are bitwise
     identical per block), so the two engines share cache entries.
 ``fused``
-    Per-pair CPU path: precompute the sparse edge-pair weight matrix
-    W = A× ∘ E× once per pair, then PCG with sparse matvecs.
+    Per-pair CPU path: write the sparse edge-pair weight matrix
+    W = A× ∘ E× once per pair, straight into CSR from the two graphs'
+    cached edge arrays, then run PCG in preallocated buffers, with
+    scipy's CSR kernel writing each matvec into one of them.  This is
+    also where ``fused_batched`` sends the pairs it does not batch.
 ``dense``
     Explicit product matrix; oracle for testing and tiny problems.
 ``vgpu``

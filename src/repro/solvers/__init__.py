@@ -11,7 +11,8 @@ use.  All of them are implemented here against the common
   whole shape bucket of pairs (the ``fused_batched`` engine's solver):
   one stacked matvec per CG iteration, per-pair convergence masks,
   converged pairs drop out of the active set.
-* :mod:`repro.solvers.cg` — unpreconditioned CG (ablation).
+* :mod:`repro.solvers.cg` — unpreconditioned CG (ablation): the same
+  loop as Algorithm 1 with M = I.
 * :mod:`repro.solvers.fixed_point` — Eq. (9) iteration, the method
   class of the GraphKernels package; diverges at small stopping
   probability, reproducing the convergence-failure observation of

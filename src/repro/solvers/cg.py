@@ -1,10 +1,10 @@
 """Unpreconditioned conjugate gradient (ablation for the preconditioner).
 
-Identical to :mod:`repro.solvers.pcg` with M = I.  The diagonal
-preconditioner matters because D× V×⁻¹ varies over orders of magnitude
-on weighted graphs with heterogeneous degrees (the degree matrix enters
-multiplicatively); the ablation bench quantifies the iteration-count
-gap.
+Identical to :mod:`repro.solvers.pcg` with M = I: the same loop, run
+without the diagonal scaling.  The diagonal preconditioner matters
+because D× V×⁻¹ varies over orders of magnitude on weighted graphs
+with heterogeneous degrees (the degree matrix enters multiplicatively);
+the ablation bench quantifies the iteration-count gap.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..kernels.linsys import ProductSystem
+from .pcg import _krylov
 from .result import SolveResult
 
 
@@ -20,38 +21,13 @@ def cg_solve(
     rtol: float = 1e-9,
     atol: float = 0.0,
     max_iter: int | None = None,
+    x0: np.ndarray | None = None,
 ) -> SolveResult:
-    """Solve the product system with plain CG (no preconditioner)."""
-    N = system.size
+    """Solve the product system with plain CG (no preconditioner).
+
+    Parameters are those of :func:`repro.solvers.pcg.pcg_solve`; the
+    default iteration cap is ``max(64, 4N)``.
+    """
     if max_iter is None:
-        max_iter = max(64, 4 * N)
-    diag = system.sys_diag
-    b = system.rhs
-    bnorm = float(np.linalg.norm(b))
-    threshold = max(rtol * bnorm, atol)
-
-    x = np.zeros(N)
-    r = b.copy()
-    p = r.copy()
-    rho = float(r @ r)
-    history: list[float] = []
-    rnorm = float(np.sqrt(rho))
-    if rnorm <= threshold:
-        return SolveResult(x, 0, True, rnorm, [rnorm])
-
-    for it in range(1, max_iter + 1):
-        a = diag * p - system.matvec_offdiag(p)
-        pa = float(p @ a)
-        if pa <= 0:
-            return SolveResult(x, it - 1, False, rnorm, history)
-        alpha = rho / pa
-        x += alpha * p
-        r -= alpha * a
-        rho_new = float(r @ r)
-        rnorm = float(np.sqrt(rho_new))
-        history.append(rnorm)
-        if rnorm <= threshold:
-            return SolveResult(x, it, True, rnorm, history)
-        p = r + (rho_new / rho) * p
-        rho = rho_new
-    return SolveResult(x, max_iter, False, rnorm, history)
+        max_iter = max(64, 4 * system.size)
+    return _krylov(system, rtol, atol, max_iter, x0, precondition=False)

@@ -98,10 +98,11 @@ class TestPCGBehaviour:
         it_cg = cg_solve(s, rtol=1e-10).iterations
         assert it_pcg <= it_cg
 
-    def test_rejects_bad_diagonal(self, system):
+    @pytest.mark.parametrize("solve", [pcg_solve, cg_solve])
+    def test_rejects_bad_diagonal(self, system, solve):
         system.vx = -system.vx
         with pytest.raises(ValueError, match="diagonal"):
-            pcg_solve(system)
+            solve(system)
 
 
 class TestFixedPointFailure:
