@@ -833,14 +833,15 @@ def build_structure_plan(
     px = np.repeat((1.0 / n) * (1.0 / m), sizes)
 
     # ---- stacked edge-level off-diagonal pattern -------------------
-    # Per-pair broadcast construction, exactly mirroring
-    # :func:`assemble_sparse_offdiag` (same ``np.tile(vals_u, (2, 2))``
-    # entry order, same index arithmetic), with global offsets folded
-    # into the small per-edge factor arrays so the big (2 m1, 2 m2)
-    # index grids cost one broadcast add each.  The tiled entries are
-    # exact copies of the untiled (m1, m2) value grid, so the pattern
-    # stores *gather indices into the untiled value vector* instead of
-    # values — that is what makes the numeric fill a single gather.
+    # Per-pair broadcast construction over the pair's (2 m1, 2 m2)
+    # grid of directed edge pairs: each undirected edge pair appears
+    # four times, once per direction combination, tiled 2 x 2 over the
+    # untiled (m1, m2) value grid.  Global offsets are folded into the
+    # small per-edge factor arrays so the big index grids cost one
+    # broadcast add each.  The tiled entries are exact copies of the
+    # untiled value grid, so the pattern stores *gather indices into
+    # the untiled value vector* instead of values — that is what makes
+    # the numeric fill a single gather.
     if mode == "dense":
         N = padded
         offsets = np.arange(B + 1, dtype=np.int64) * N

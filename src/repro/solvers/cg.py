@@ -9,8 +9,6 @@ the ablation bench quantifies the iteration-count gap.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..kernels.linsys import ProductSystem
 from .pcg import _krylov
 from .result import SolveResult
@@ -21,13 +19,13 @@ def cg_solve(
     rtol: float = 1e-9,
     atol: float = 0.0,
     max_iter: int | None = None,
-    x0: np.ndarray | None = None,
 ) -> SolveResult:
     """Solve the product system with plain CG (no preconditioner).
 
-    Parameters are those of :func:`repro.solvers.pcg.pcg_solve`; the
-    default iteration cap is ``max(64, 4N)``.
+    ``rtol``, ``atol`` and ``max_iter`` are those of
+    :func:`repro.solvers.pcg.pcg_solve`; the default iteration cap is
+    ``max(64, 4N)``.
     """
     if max_iter is None:
         max_iter = max(64, 4 * system.size)
-    return _krylov(system, rtol, atol, max_iter, x0, precondition=False)
+    return _krylov(system, rtol, atol, max_iter, None, precondition=False)

@@ -15,7 +15,8 @@ the standard PCG recurrence and matches the paper line for line:
   p ← z + β p.
 
 Every vector lives in a buffer allocated once per solve and is updated
-in place; ‖r‖ is √(rᵀr), which is how ``np.linalg.norm`` computes it.
+in place; ‖r‖ is √(rᵀr), which is how ``np.linalg.norm`` computes it
+(with M = I that rᵀr is also ρ, so CG computes it once per step).
 Each update is the same floating-point operation, on the same operands
 in the same order, as its allocating form (``x += α * p``,
 ``p = z + β * p``), so the in-place loop reproduces the allocating one
@@ -106,9 +107,10 @@ def _krylov(
         r -= apply(x)
     z = np.divide(r, diag) if precondition else r  # line 5: M⁻¹ r
     p = z.copy()
-    rho = float(r @ z)
+    rr = float(r @ r)
+    rho = float(r @ z) if precondition else rr
     history: list[float] = []
-    rnorm = math.sqrt(r @ r)
+    rnorm = math.sqrt(rr)
     if rnorm <= threshold:
         return SolveResult(x, 0, True, rnorm, [rnorm])
 
@@ -121,13 +123,16 @@ def _krylov(
         alpha = rho / pa
         x += np.multiply(p, alpha, out=tmp)
         r -= np.multiply(a, alpha, out=tmp)
-        rnorm = math.sqrt(r @ r)
+        rr = float(r @ r)
+        rnorm = math.sqrt(rr)
         history.append(rnorm)
         if rnorm <= threshold:
             return SolveResult(x, it, True, rnorm, history)
         if precondition:
             np.divide(r, diag, out=z)
-        rho_new = float(r @ z)
+            rho_new = float(r @ z)
+        else:
+            rho_new = rr  # z is r
         beta = rho_new / rho
         np.add(z, np.multiply(p, beta, out=p), out=p)
         rho = rho_new

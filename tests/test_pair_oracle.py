@@ -247,16 +247,6 @@ def test_cg_matches_reference_bitwise(case, q):
         assert_bitwise(cg_solve(system, **kw), reference_cg(system, **kw))
 
 
-def test_cg_warm_start_from_its_solution_stops_at_once():
-    g1, g2, (nk, ek) = CASES["weighted-random"]()
-    system = build_product_system(g1, g2, nk, ek, q=0.05)
-    cold = cg_solve(system, rtol=1e-11)
-    warm = cg_solve(system, rtol=1e-11, x0=cold.x)
-    assert cold.converged and warm.iterations == 0 and warm.converged
-    with pytest.raises(ValueError, match="x0"):
-        cg_solve(system, x0=np.zeros(system.size + 1))
-
-
 def test_breakdown_exit_matches_reference_bitwise():
     # Shrinking D× makes S indefinite with a positive diagonal: PCG
     # takes one step, then meets pᵀa <= 0; CG meets it at once.
