@@ -42,6 +42,9 @@ METRICS = [
     ("BENCH_engine.json", "stages.cold.pairs_per_sec", "absolute"),
     ("BENCH_sweep.json", "speedup", "ratio"),
     ("BENCH_sweep.json", "cold_throughput_ratio", "ratio"),
+    # warm-start seed quality: a ratio of two deterministic iteration
+    # counts, so it transfers across hardware exactly.
+    ("BENCH_sweep.json", "iters_ratio", "ratio"),
     # search: recall is machine-independent, the /topk-vs-Gram speedup
     # is computed within one run — both transfer across hardware.
     ("BENCH_search.json", "recall_at_10.lsh", "ratio"),

@@ -320,9 +320,9 @@ class WarmStartStore:
     vectors are previous sweep points' stacked solutions for the same
     bucket, and adjacent hyperparameters give nearby solutions, which
     is the entire value of the store.  Because the structure key pins
-    the bucket's members, order, padding, and permutation, one entry
-    covers a whole bucket in its exact stacked layout — seeding costs
-    O(1) Python per bucket instead of a per-pair loop.  Up to
+    the bucket's members, order and padding, one entry covers a whole
+    bucket in its exact stacked layout — seeding costs O(1) Python per
+    bucket instead of a per-pair loop.  Up to
     ``history`` (default 5) vectors are retained per key, most-recent
     first; the seeding layer projects onto their span, which tracks the
     solution manifold far better than a single copied vector (CG

@@ -649,8 +649,9 @@ class GramEngine:
         # nnz), so the whole tile plan — including the cost-model pass
         # behind it — is served from the structure cache across sweep
         # points.  Sweep mode (warm-starting on): merge all non-solo
-        # pairs into large block-CSR tiles — with most pairs retiring at
-        # iteration zero, bucket count beats per-iteration shape purity.
+        # pairs into large block-CSR tiles — with seeded pairs finishing
+        # in a few iterations, bucket count beats per-iteration shape
+        # purity.
         # Cold single-shot calls keep shape-pure buckets.
         #
         # One rule for the task bodies' runtime: serial and threads

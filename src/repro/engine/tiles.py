@@ -126,9 +126,10 @@ DEFAULT_BATCH_PAIRS = 128
 
 #: Pair cap per *merged* tile (sweep mode): with warm-started solves the
 #: per-iteration cost argument behind small shape-pure buckets vanishes
-#: (most pairs retire at iteration zero), and the bucket-count Python
-#: constant dominates instead — so merged tiles go as large as the nnz
-#: cap allows.
+#: (on a 16-point q sweep at rtol 1e-11, a seeded pair needs 2.5
+#: iterations on average against 13 cold, and about a tenth retire at
+#: iteration zero), and the bucket-count Python constant dominates
+#: instead — so merged tiles go as large as the nnz cap allows.
 MERGED_BATCH_PAIRS = 4096
 
 #: Cost cap per batched tile, in stored off-diagonal entries (4 e1 e2
@@ -166,7 +167,7 @@ def plan_bucketed_tiles(
     warm-starting is on), every non-solo pair lands in one shared
     ``("sparse", BATCH_SPARSE_MAX)`` bucket instead of its shape-pure
     bucket: block-CSR needs no padding, so mixed sizes stack fine, and
-    with warm-started solves retiring most pairs at iteration zero the
+    with warm-started solves finishing in a few iterations per pair the
     per-bucket Python constant dominates the old per-iteration
     argument for shape purity.
     """

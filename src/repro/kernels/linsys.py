@@ -399,7 +399,9 @@ BATCH_DENSE_MAX = 64
 #: 0.18 s.  Writing W straight into CSR and updating the loop's
 #: vectors in place cut assembly to 0.25 s and the loop to 0.60 s; the
 #: kernel is the same 0.18 s, so overhead is still most of a solo
-#: pair.  The cap has not been measured again since; moving it changes
+#: pair.  Measured again after that change, a cold serial Gram of the
+#: same set took 1.72, 1.81, 1.97 and 2.45 s with the cap at 512, 1024,
+#: 2048 and 4096 (medians of 5), so the cap stays; moving it changes
 #: the bits of every pair it re-routes.
 BATCH_SPARSE_MAX = 512
 

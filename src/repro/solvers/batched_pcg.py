@@ -13,9 +13,11 @@ Convergence is masked per pair.  A pair that meets its threshold (or
 breaks down, or exhausts its iteration cap) *retires*: its solution is
 written back and its residual and search direction are zeroed, which
 freezes its segment (α and β become 0 for it) at the cost of dead
-flops.  Once retired pairs outweigh :data:`COMPACT_FRACTION` of the
-layout, the state vectors and the stacked operator are compacted so
-the survivors keep vectorizing at full density.
+flops.  Warm-started pairs whose initial residual already meets the
+threshold retire the same way before the first iteration.  Once
+retired pairs outweigh :data:`COMPACT_FRACTION` of the layout, the
+state vectors and the stacked operator are compacted so the survivors
+keep vectorizing at full density.
 
 Equivalence contract: per-pair and batched solves perform the same
 elementwise operations in the same order; the only divergences are
@@ -36,10 +38,11 @@ from ..kernels.linsys import BatchedProductSystem, _concat_ranges
 from ..obs.trace import get_tracer
 
 #: Compact state + operator once the alive fraction of the layout
-#: drops below this (a rebuild costs about one matvec).  0.35 balances
-#: dead flops against rebuild churn for both trajectories: cold solves
-#: retire in a burst near the end, and warm-started solves retire most
-#: pairs at iteration zero and trickle out the stragglers — a higher
+#: drops below this (a rebuild costs about one matvec), at
+#: initialization as inside the loop.  0.35 balances dead flops against
+#: rebuild churn for both trajectories: cold solves retire in a burst
+#: near the end, and warm-started solves retire a share of the bucket
+#: at iteration zero and trickle out the stragglers — a higher
 #: threshold re-compacts on nearly every straggler retirement.
 COMPACT_FRACTION = 0.35
 
@@ -65,7 +68,6 @@ def batched_pcg_solve(
     atol: float = 0.0,
     max_iter: int | None = None,
     x0: np.ndarray | None = None,
-    r0: np.ndarray | None = None,
 ) -> BatchedSolveResult:
     """Diagonal-PCG over every pair of a bucket with masked convergence.
 
@@ -75,18 +77,15 @@ def batched_pcg_solve(
 
     ``x0`` warm-starts the iteration from a stacked initial guess (the
     engine seeds it with a residual-minimizing combination of previous
-    sweep points' solutions): the initial residual becomes b − S x0, so
-    pairs whose guess already meets the threshold retire at zero
-    iterations.  Pairs whose x0 segment is zero follow the cold
+    sweep points' solutions).  The solver forms the initial residual
+    b − S x0 itself, with one stacked matvec, so a pair retires at zero
+    iterations only when the true residual of its guess meets the
+    threshold.  Pairs whose x0 segment is zero follow the cold
     trajectory bitwise — the exact-iteration fallback when no prior
     solution exists.  Dense-mode padding slots of ``x0`` must be zero.
-    ``r0`` optionally supplies b − S x0 when the seeding already
-    computed it (the CG recurrence tracks r incrementally, so a
-    rounding-level difference from a recomputation is as harmless as
-    CG's own residual drift); ignored when ``x0`` is None.
     """
     return _batched_krylov(system, rtol, atol, max_iter, precondition=True,
-                           x0=x0, r0=r0)
+                           x0=x0)
 
 
 def batched_cg_solve(
@@ -95,12 +94,11 @@ def batched_cg_solve(
     atol: float = 0.0,
     max_iter: int | None = None,
     x0: np.ndarray | None = None,
-    r0: np.ndarray | None = None,
 ) -> BatchedSolveResult:
     """Unpreconditioned batched CG (mirrors :func:`repro.solvers.cg.
     cg_solve`, including its ``max(64, 4N)`` default iteration cap)."""
     return _batched_krylov(system, rtol, atol, max_iter, precondition=False,
-                           x0=x0, r0=r0)
+                           x0=x0)
 
 
 def _batched_krylov(
@@ -110,7 +108,6 @@ def _batched_krylov(
     max_iter: int | None,
     precondition: bool,
     x0: np.ndarray | None = None,
-    r0: np.ndarray | None = None,
 ) -> BatchedSolveResult:
     """Traced entry: a ``pcg.batch`` span carrying iteration/retirement
     stats wraps the solve when tracing is on; the disabled path calls
@@ -118,7 +115,7 @@ def _batched_krylov(
     tracer = get_tracer()
     if not tracer.enabled:
         return _batched_krylov_impl(
-            system, rtol, atol, max_iter, precondition, x0, r0, None
+            system, rtol, atol, max_iter, precondition, x0, None
         )
     stats = {"compactions": 0, "breakdowns": 0, "zero_iter_retired": 0}
     with tracer.span(
@@ -129,7 +126,7 @@ def _batched_krylov(
         warm_started=x0 is not None,
     ) as sp:
         res = _batched_krylov_impl(
-            system, rtol, atol, max_iter, precondition, x0, r0, stats
+            system, rtol, atol, max_iter, precondition, x0, stats
         )
         iters = res.iterations
         sp.set("iterations_total", int(iters.sum()))
@@ -148,12 +145,11 @@ def _batched_krylov_impl(
     max_iter: int | None,
     precondition: bool,
     x0: np.ndarray | None,
-    r0: np.ndarray | None,
     stats: dict | None,
 ) -> BatchedSolveResult:
     return BatchedSolveHandle(
         system, rtol=rtol, atol=atol, max_iter=max_iter,
-        precondition=precondition, x0=x0, r0=r0, stats=stats,
+        precondition=precondition, x0=x0, stats=stats,
     ).run()
 
 
@@ -161,7 +157,7 @@ class BatchedSolveHandle:
     """The state of one batched Krylov solve.
 
     The constructor performs the setup phase of the solve (initial
-    residual, zero-iteration warm-start retirements, CG state);
+    residual, CG state, zero-iteration warm-start retirements);
     :meth:`run` iterates until every pair has retired and returns the
     outputs.
     """
@@ -174,7 +170,6 @@ class BatchedSolveHandle:
         max_iter: int | None = None,
         precondition: bool = True,
         x0: np.ndarray | None = None,
-        r0: np.ndarray | None = None,
         stats: dict | None = None,
     ) -> None:
         B = system.batch
@@ -219,25 +214,17 @@ class BatchedSolveHandle:
                     f"x0 has shape {self.x.shape}, "
                     f"expected ({self.sysk.total},)"
                 )
-            if r0 is not None:
-                self.r = np.asarray(r0, dtype=np.float64).copy()
-            else:
-                # r = b − S x0 = b − (diag·x0 − W x0).  Zero segments
-                # keep the cold r = b exactly (the matvec of zeros is
-                # zero).
-                self.r = b - (
-                    self.sysk.diag * self.x
-                    - self.sysk.matvec_offdiag(self.x)
-                )
+            # r = b − S x0 = b − (diag·x0 − W x0), formed here rather
+            # than taken from the seeding: a zero-iteration retirement
+            # must rest on the true residual of x0.  Zero segments keep
+            # the cold r = b exactly (the matvec of zeros is zero).
+            self.r = b - (
+                self.sysk.diag * self.x
+                - self.sysk.matvec_offdiag(self.x)
+            )
             self.rnorm = self.sysk.pair_norms(self.r)
-        # The CG state (z, p, ρ) is created only after the
-        # zero-iteration retirements below: a well-seeded warm start
-        # can retire most (or all) of a bucket instantly, and the state
-        # is then built on the compacted survivors — elementwise/
-        # per-segment identical to building it first and compacting
-        # after.
-        self.p = None
-        self.rho = None
+        self.p = self.r / self.sysk.diag if precondition else self.r.copy()
+        self.rho = self.sysk.pair_dots(self.r, self.p)
         # Scratch buffers and cached layout arrays, refreshed on
         # compaction.
         self.t = np.empty_like(self.x)
@@ -245,32 +232,15 @@ class BatchedSolveHandle:
         self.starts = self.sysk.offsets[:-1]
         self.seglen = self.sysk.seg_lengths
 
+        # Warm-started pairs whose guess already meets the threshold
+        # retire now and freeze like any later retirement; compaction
+        # follows the loop's COMPACT_FRACTION rule.
         done0 = self.rnorm <= self.threshold
         if done0.any():
-            # Bulk zero-iteration retirement (the common case for a
-            # well-seeded warm start, where most or all of a bucket is
-            # already converged): copying the whole layout into x_out
-            # is safe — every pair retires exactly once, and later
-            # retirements overwrite their own segments — and avoids
-            # building gather ranges over a mostly-retired layout.
-            # Zeroing r/p is unnecessary here: either nothing stays
-            # alive, or _compact() immediately drops the retired
-            # segments.
-            idx = np.flatnonzero(done0)
             if stats is not None:
-                stats["zero_iter_retired"] = len(idx)
-            pair = self.pair_of[idx]
-            self.iters_out[pair] = 0
-            self.conv_out[pair] = True
-            self.rnorm_out[pair] = self.rnorm[idx]
-            self.x_out[:] = self.x
-            self.alive[idx] = False
-        if self.alive.any() and not self.alive.all():
-            self._compact()
-        if self.alive.any():
-            z = self.r / self.sysk.diag if precondition else self.r.copy()
-            self.p = z.copy()
-            self.rho = self.sysk.pair_dots(self.r, z)
+                stats["zero_iter_retired"] = int(done0.sum())
+            self._retire(np.flatnonzero(done0), 0, True)
+            self._compact_if_sparse()
 
         self.it = 0
 
@@ -292,11 +262,14 @@ class BatchedSolveHandle:
         # vanish, so x, r, p stop changing there; ρ = 1 keeps the β
         # division finite (β = ρ_new/ρ = 0/1).
         self.r[src] = 0.0
-        if self.p is not None:
-            self.p[src] = 0.0
-        if self.rho is not None:
-            self.rho = self.rho.copy()
-            self.rho[local_idx] = 1.0
+        self.p[src] = 0.0
+        self.rho[local_idx] = 1.0
+
+    def _compact_if_sparse(self) -> None:
+        """Compact once live pairs are down to COMPACT_FRACTION."""
+        n_alive = int(self.alive.sum())
+        if 0 < n_alive <= COMPACT_FRACTION * len(self.alive):
+            self._compact()
 
     def _compact(self) -> None:
         if self.stats is not None:
@@ -307,10 +280,8 @@ class BatchedSolveHandle:
         )
         self.x = self.x[gather]
         self.r = self.r[gather]
-        if self.p is not None:
-            self.p = self.p[gather]
-        if self.rho is not None:
-            self.rho = self.rho[keep]
+        self.p = self.p[gather]
+        self.rho = self.rho[keep]
         self.sysk = self.sysk.take(keep)
         self.pair_of = self.pair_of[keep]
         self.rnorm = self.rnorm[keep]
@@ -372,11 +343,9 @@ class BatchedSolveHandle:
         capped = self.alive & (it >= self.caps)
         if capped.any():
             self._retire(np.flatnonzero(capped), self.caps[capped], False)
-        n_alive = int(self.alive.sum())
-        if n_alive == 0:
+        if not self.alive.any():
             return
-        if n_alive <= COMPACT_FRACTION * len(self.alive):
-            self._compact()
+        self._compact_if_sparse()
 
         sysk = self.sysk
         if self.precondition:

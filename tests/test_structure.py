@@ -37,6 +37,7 @@ from repro.kernels.linsys import (
     build_structure_plan,
     fill_batched_system,
 )
+from repro.solvers import batched_pcg
 from repro.solvers.batched_pcg import batched_pcg_solve
 from repro.solvers.pcg import pcg_solve
 
@@ -198,6 +199,49 @@ def test_warm_started_sweep_matches_within_rtol(seed):
     # cold solve (the exact-iteration fallback covers only point 0).
     assert warm_iters[-1] < cold_iters
     assert warm.stats.hits > 0
+
+
+@pytest.mark.parametrize("rtol", [1e-9, 1e-11])
+def test_warm_sweep_retires_only_on_true_residuals(monkeypatch, rtol):
+    graphs = mixed_batch(5)
+    qs = np.geomspace(0.04, 0.05, 6)
+    solve = batched_pcg.batched_pcg_solve
+    tally = {"iters": 0, "zero": 0, "worst": 0.0}
+
+    def checked(system, **kw):
+        res = solve(system, **kw)
+        tally["iters"] += int(res.iterations.sum())
+        zero = res.iterations == 0
+        if zero.any():
+            x = res.x
+            r = system.rhs - (system.diag * x - system.matvec_offdiag(x))
+            bound = np.maximum(
+                kw["rtol"] * system.pair_norms(system.rhs),
+                kw.get("atol", 0.0),
+            )
+            ratio = system.pair_norms(r)[zero] / bound[zero]
+            tally["zero"] += int(zero.sum())
+            tally["worst"] = max(tally["worst"], float(ratio.max()))
+        return res
+
+    monkeypatch.setattr(batched_pcg, "batched_pcg_solve", checked)
+
+    def sweep(warm_start):
+        tally.update(iters=0, zero=0, worst=0.0)
+        cache = StructureCache()
+        for q in qs:
+            make_engine(
+                graphs_kernel_q=q, rtol=rtol, structure_cache=cache,
+                warm_start=warm_start,
+            ).gram(graphs)
+        return dict(tally)
+
+    cold = sweep(False)
+    warm = sweep(WarmStartStore())
+    assert warm["zero"] > 0
+    # Every zero-iteration pair meets its threshold on b − S x.
+    assert warm["worst"] <= 1.0
+    assert warm["iters"] < cold["iters"]
 
 
 def test_warm_start_without_history_is_exact_cold_fallback():
@@ -415,6 +459,48 @@ def test_batched_solver_exact_x0_retires_at_zero_iterations():
     assert (warm.iterations == 0).all()
     assert warm.converged.all()
     assert np.allclose(warm.x, cold.x, rtol=RTOL, atol=0)
+
+
+@pytest.mark.parametrize("mode", ["dense", "sparse"])
+@pytest.mark.parametrize("n_seeded", [3, 9])
+def test_partial_zero_iteration_retirement(monkeypatch, mode, n_seeded):
+    # 12 pairs with 3 or 9 seeded: 0.75 and 0.25 of the layout stay
+    # alive, on either side of COMPACT_FRACTION (0.35).
+    graphs = mixed_batch(3)
+    pairs = [
+        (a, b) for i, a in enumerate(graphs) for b in graphs[i:]
+        if a.n_nodes * b.n_nodes >= 2
+    ][:12]
+    system = build_batched_system(pairs, NK, EK, q=0.05, mode=mode)
+    cold = batched_pcg_solve(system, rtol=1e-9)
+    exact = batched_pcg_solve(system, rtol=1e-12)
+    assert exact.converged.all()
+    seeded = np.zeros(system.batch, dtype=bool)
+    seeded[np.random.default_rng(n_seeded).permutation(12)[:n_seeded]] = True
+    in_seeded = system.expand(seeded)
+    x0 = np.where(in_seeded, exact.x, 0.0)
+
+    runs = []
+    # Never compact, always compact, and the default rule.
+    for fraction in (0.0, 1.0, batched_pcg.COMPACT_FRACTION):
+        monkeypatch.setattr(batched_pcg, "COMPACT_FRACTION", fraction)
+        runs.append(batched_pcg_solve(system, rtol=1e-9, x0=x0))
+    warm = runs[0]
+    for other in runs[1:]:
+        assert np.array_equal(other.x, warm.x)
+        assert np.array_equal(other.iterations, warm.iterations)
+        assert np.array_equal(other.converged, warm.converged)
+        assert np.array_equal(other.residual_norms, warm.residual_norms)
+
+    assert (warm.iterations[seeded] == 0).all()
+    assert warm.converged.all()
+    assert np.array_equal(warm.x[in_seeded], x0[in_seeded])
+    # Unseeded pairs follow their cold trajectory byte for byte.
+    assert np.array_equal(warm.x[~in_seeded], cold.x[~in_seeded])
+    assert np.array_equal(warm.iterations[~seeded], cold.iterations[~seeded])
+    assert np.array_equal(
+        warm.residual_norms[~seeded], cold.residual_norms[~seeded]
+    )
 
 
 def test_pcg_x0_warm_start():
