@@ -220,16 +220,15 @@ class StructureCache:
     Values are :class:`~repro.kernels.linsys.StructurePlan` objects and
     the engine's bucketed tile plans (treated opaquely here — anything
     with an ``nbytes`` attribute, or a list of tiles, works).  Keys are
-    content-addressed over the bucket's graph fingerprints plus the
-    assembly configuration (mode, padding) — see
-    :func:`repro.engine.executors.structure_key` — so a hyperparameter
-    change is a guaranteed hit while any graph-content or
-    engine-config change is a guaranteed miss.
+    content-addressed over the bucket's graph fingerprints plus its
+    bucket key — see :func:`repro.engine.executors.structure_key` — so
+    a hyperparameter change is a guaranteed hit while any graph-content
+    or engine-config change is a guaranteed miss.
 
     Eviction is by total plan bytes, not entry count: plans span four
-    orders of magnitude (a dense 8-pair bucket vs. a 2M-nnz block-CSR
-    tile).  Thread-safe: the threads executor fills one engine-owned
-    instance from many workers.
+    orders of magnitude (an 8-pair bucket of small molecules vs. a
+    2M-nnz block-CSR tile).  Thread-safe: the threads executor fills
+    one engine-owned instance from many workers.
     """
 
     def __init__(self, max_bytes: int = 256 << 20) -> None:
@@ -320,7 +319,7 @@ class WarmStartStore:
     vectors are previous sweep points' stacked solutions for the same
     bucket, and adjacent hyperparameters give nearby solutions, which
     is the entire value of the store.  Because the structure key pins
-    the bucket's members, order and padding, one entry covers a whole
+    the bucket's members and their order, one entry covers a whole
     bucket in its exact stacked layout — seeding costs O(1) Python per
     bucket instead of a per-pair loop.  Up to
     ``history`` (default 5) vectors are retained per key, most-recent

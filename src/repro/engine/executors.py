@@ -32,10 +32,6 @@ EXECUTORS = ("serial", "threads", "process_supervised")
 class EngineAborted(RuntimeError):
     """An engine run was cancelled via its abort event (close(), ^C)."""
 
-# One batch-assembly workspace per executor thread (the big stacked
-# buffers are recycled across tiles; see BatchWorkspace).
-_WORKSPACES = threading.local()
-
 
 def default_workers() -> int:
     return max(1, os.cpu_count() or 1)
@@ -91,10 +87,10 @@ class BatchRuntime:
 def structure_key(pair_graphs, bucket: tuple[str, int]) -> str:
     """Content-addressed identity of a bucket's structural plan.
 
-    Covers the assembly config (bucket mode and padding) and every
-    member pair's graph fingerprints *in order* — the stacked layout
-    depends on member order.  Hyperparameters are deliberately absent:
-    a sweep point changes the kernel fingerprint but never this key.
+    Covers the bucket key and every member pair's graph fingerprints
+    *in order* — the stacked layout depends on member order.
+    Hyperparameters are deliberately absent: a sweep point changes the
+    kernel fingerprint but never this key.
     """
     from .fingerprint import graph_fingerprint
 
@@ -110,10 +106,10 @@ def _seed_warm_start(warm_store, key: str, system, rtol: float = 0.0,
     """Residual-minimizing warm start from the bucket's solution history.
 
     Warm vectors are stored *per bucket* in the bucket's stacked layout
-    (keyed by the structure key, which pins members, order and
-    padding), so seeding costs O(1) Python per bucket: fetch the k
-    stacked history vectors, compute their images under S (one stacked
-    matvec each), and minimize ||b − S Σ cₐvₐ||₂ per pair by modified
+    (keyed by the structure key, which pins members and their order),
+    so seeding costs O(1) Python per bucket: fetch the k stacked
+    history vectors, compute their images under S (one SpMM for all
+    k), and minimize ||b − S Σ cₐvₐ||₂ per pair by modified
     Gram–Schmidt (MGS) over the image basis.  MGS stays stable where a
     normal-equations solve does not: adjacent sweep points give nearly
     parallel history vectors.  The seed is never worse than the cold
@@ -145,7 +141,7 @@ def _seed_warm_start(warm_store, key: str, system, rtol: float = 0.0,
         return None
     k = len(vecs)
     b_vec = system.rhs
-    # Images under S: one batched GEMM/SpMM for all k history vectors.
+    # Images under S: one SpMM for all k history vectors.
     V = np.stack(vecs, axis=1)
     Y = system.diag[:, None] * V - system.offdiag.matmat(V)
     vs = [np.ascontiguousarray(V[:, a]) for a in range(k)]
@@ -178,26 +174,6 @@ def _seed_warm_start(warm_store, key: str, system, rtol: float = 0.0,
         if a + 1 < k and (system.pair_dots(r0, r0) <= sq_threshold).all():
             break
     return x0
-
-
-def _thread_workspace(bucket=None):
-    """The calling thread's assembly workspace for ``bucket``.
-
-    Keyed by (thread, bucket shape): each executor thread keeps one
-    grow-only workspace *per bucket shape*, so it reuses the same
-    stacked buffers tile after tile instead of re-growing one shared
-    workspace every time dense and sparse buckets alternate.  Buffer
-    contents are zeroed on checkout, so keying never changes numerics.
-    """
-    from ..kernels.linsys import BatchWorkspace
-
-    table = getattr(_WORKSPACES, "table", None)
-    if table is None:
-        table = _WORKSPACES.table = {}
-    ws = table.get(bucket)
-    if ws is None:
-        ws = table[bucket] = BatchWorkspace()
-    return ws
 
 
 @dataclass
@@ -252,24 +228,17 @@ def plan_bucket(
             runtime.record(plan is not None)
             sp.set("structure_hit", plan is not None)
         if plan is None:
-            plan = build_structure_plan(pair_graphs, mode=task.key[0])
+            plan = build_structure_plan(pair_graphs)
             if cache is not None:
                 cache.put(task.skey, plan)
     task.plan = plan
     return task
 
 
-def fill_bucket(
-    task: BucketTask, kernel, runtime: BatchRuntime | None = None
-) -> BucketTask:
-    """Stage 2: numeric fill into the calling thread's workspace.
-
-    The filled system *aliases* workspace buffers, so it must be solved
-    before the next fill of the same bucket shape on this thread.
-    """
+def fill_bucket(task: BucketTask, kernel) -> BucketTask:
+    """Stage 2: the numeric fill of the bucket's plan."""
     from ..kernels.linsys import fill_batched_system
 
-    cache = runtime.structure_cache if runtime is not None else None
     tracer = get_tracer()
     with tracer.span("tile.fill", mode=task.key[0],
                      n_pairs=len(task.members)):
@@ -278,8 +247,6 @@ def fill_bucket(
             kernel.node_kernel,
             kernel.edge_kernel,
             q=kernel.q,
-            workspace=_thread_workspace(task.key),
-            reuse_offdiag=cache is not None,
         )
     return task
 
@@ -341,7 +308,7 @@ def solve_tile(
     task = bucket_tasks(tile)
     if not task.solo:
         plan_bucket(task, X, Y, runtime)
-        fill_bucket(task, kernel, runtime)
+        fill_bucket(task, kernel)
     return solve_bucket(task, kernel, X, Y, runtime)
 
 

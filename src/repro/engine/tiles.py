@@ -165,11 +165,11 @@ def plan_bucketed_tiles(
 
     With ``merge_small`` (sweep mode — set by the engine when solver
     warm-starting is on), every non-solo pair lands in one shared
-    ``("sparse", BATCH_SPARSE_MAX)`` bucket instead of its shape-pure
-    bucket: block-CSR needs no padding, so mixed sizes stack fine, and
-    with warm-started solves finishing in a few iterations per pair the
-    per-bucket Python constant dominates the old per-iteration
-    argument for shape purity.
+    ``("sparse", BATCH_SPARSE_MAX)`` bucket instead of its size bucket:
+    block-CSR needs no padding, so mixed sizes stack fine, and with
+    warm-started solves finishing in a few iterations per pair the
+    per-bucket Python constant dominates the per-iteration argument
+    for grouping pairs of comparable size.
     """
     from ..kernels.linsys import BATCH_SPARSE_MAX, pair_bucket
 

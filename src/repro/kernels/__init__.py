@@ -25,7 +25,6 @@ from .basekernels import (
 )
 from .linsys import (
     BatchedProductSystem,
-    BatchWorkspace,
     ProductSystem,
     build_batched_system,
     build_product_system,
@@ -34,7 +33,6 @@ from .linsys import (
 from .marginalized import GramResult, MarginalizedGraphKernel, PairResult
 
 __all__ = [
-    "BatchWorkspace",
     "BatchedProductSystem",
     "CompactPolynomial",
     "Constant",

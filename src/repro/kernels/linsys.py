@@ -33,19 +33,19 @@ operator constructions:
 It also provides the **batched** assembly behind the
 ``fused_batched`` engine: :func:`build_batched_system` stacks a whole
 shape bucket of pairs into one :class:`BatchedProductSystem` — batched
-diagonals D× V×⁻¹ over a concatenated product-vector layout, and a
-stacked off-diagonal operator (3-D dense for small padded systems,
-block-CSR for the rest) — so :func:`repro.solvers.batched_pcg.
-batched_pcg_solve` advances every pair in the bucket per CG iteration
-with a handful of NumPy calls instead of a Python round-trip per pair.
+diagonals D× V×⁻¹ over a concatenated product-vector layout, and one
+block-diagonal CSR off-diagonal whose blocks are the pairs' ``fused``
+W matrices — so :func:`repro.solvers.batched_pcg.batched_pcg_solve`
+advances every pair in the bucket per CG iteration with a handful of
+NumPy calls instead of a Python round-trip per pair.
 
 The batched assembly is split into two halves:
 
 * :func:`build_structure_plan` — the **structural plan**: product-vector
-  layout, off-diagonal sparsity pattern (CSR indptr/indices or dense
-  scatter indices), padding, and pre-gathered label/degree operands.
-  Pure topology — it depends on the graphs and the bucket shape only,
-  never on hyperparameters (q, base-kernel parameters, solver settings).
+  layout, the block-CSR sparsity pattern (indptr/indices) and
+  pre-gathered label/degree operands.
+  Pure topology — it depends on the graphs and their order only, never
+  on hyperparameters (q, base-kernel parameters, solver settings).
 * :func:`fill_batched_system` — the **numeric fill**: evaluates the base
   kernels over the plan's pre-gathered operands and writes D× V×⁻¹
   diagonals and edge-weight values into the preallocated pattern.
@@ -383,11 +383,6 @@ def _csr_edge_slots(
 # batched assembly: one linear-algebra object per shape bucket
 # ----------------------------------------------------------------------
 
-#: Padded product-system sizes at or below this solve through the
-#: stacked 3-D dense off-diagonal (batched GEMV); larger buckets use
-#: the block-CSR operator.
-BATCH_DENSE_MAX = 64
-
 #: Product sizes above this stay on the per-pair path ("solo" bucket):
 #: the "oddball shapes fall back to per-pair" rule.  The cap was
 #: measured as a crossover near N ≈ 512 on molecule-like sparsity, at
@@ -405,32 +400,20 @@ BATCH_DENSE_MAX = 64
 #: the bits of every pair it re-routes.
 BATCH_SPARSE_MAX = 512
 
-#: Upper bound on stacked-dense storage (elements).  A bucket whose
-#: B x N x N stack would exceed it falls back to block-CSR regardless
-#: of N (only reachable through very large direct calls — engine tiles
-#: cap the batch size well below this).
-BATCH_DENSE_BUDGET = 1 << 24
-
 
 def pair_bucket(size: int) -> tuple[str, int]:
     """Shape bucket of a product system of ``size`` = n·m entries.
 
     Sizes quantize up to the next power of two, so pairs within a 2x
-    size band share a bucket: small buckets (padded size <=
-    ``BATCH_DENSE_MAX``) are solved with the stacked-dense operator at
-    exactly the bucket's padded size, medium ones with block-CSR
-    (which needs no padding; the quantized size only groups pairs of
-    comparable cost and iteration count), and giant ones (padded size
-    > ``BATCH_SPARSE_MAX``) per-pair.
+    size band share a bucket.  Buckets up to ``BATCH_SPARSE_MAX`` solve
+    as one block-CSR system (``"sparse"``; block-CSR needs no padding,
+    so the quantized size only groups pairs of comparable cost and
+    iteration count), and larger ones per pair (``"solo"``).
     """
     if size < 1:
         raise ValueError("product system size must be positive")
     padded = 1 << max(0, size - 1).bit_length()
-    if padded <= BATCH_DENSE_MAX:
-        return ("dense", padded)
-    if padded <= BATCH_SPARSE_MAX:
-        return ("sparse", padded)
-    return ("solo", padded)
+    return ("sparse" if padded <= BATCH_SPARSE_MAX else "solo", padded)
 
 
 def _concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -443,61 +426,6 @@ def _concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     shift = np.repeat(starts - np.concatenate(([0], np.cumsum(lens)[:-1])), lens)
     return np.arange(total, dtype=np.int64) + shift
-
-
-class BatchWorkspace:
-    """Reusable scratch buffers for batched assembly.
-
-    The stacked operands of a bucket (dense W stack, padded diagonal /
-    rhs / p× vectors) are the assembly's only large allocations; one
-    workspace per executor worker recycles them across tiles instead
-    of paying a fresh ``np.zeros`` (mmap + page-fault for MB-sized
-    stacks) per bucket.  Buffers are grow-only and zeroed on checkout,
-    so results are unaffected.  Not thread-safe: use one workspace per
-    thread (see :func:`repro.engine.executors.solve_tile`).
-    """
-
-    def __init__(self) -> None:
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def zeros(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        buf = self._buffers.get(name)
-        if buf is None or buf.size < n:
-            buf = np.empty(max(n, 1), dtype=np.float64)
-            self._buffers[name] = buf
-        out = buf[:n].reshape(shape)
-        out.fill(0.0)
-        return out
-
-
-class StackedDenseOffdiag:
-    """Off-diagonal operator W as a (B, N, N) dense stack.
-
-    One batched GEMV (``np.matmul``) advances every pair per CG
-    iteration; used for small padded systems where the dense stack
-    fits comfortably and beats sparse indexing overhead.
-    """
-
-    __slots__ = ("W",)
-
-    def __init__(self, W: np.ndarray) -> None:
-        self.W = W
-
-    def matvec(self, p: np.ndarray) -> np.ndarray:
-        B, N, _ = self.W.shape
-        return np.matmul(self.W, p.reshape(B, N, 1)).reshape(-1)
-
-    def matmat(self, P: np.ndarray) -> np.ndarray:
-        """(S, k) block of vectors through W in one batched GEMM."""
-        B, N, _ = self.W.shape
-        k = P.shape[1]
-        return np.matmul(self.W, P.reshape(B, N, k)).reshape(-1, k)
-
-    def take(
-        self, idx: np.ndarray, old_offsets: np.ndarray, new_offsets: np.ndarray
-    ) -> "StackedDenseOffdiag":
-        return StackedDenseOffdiag(np.ascontiguousarray(self.W[idx]))
 
 
 class BlockCSROffdiag:
@@ -555,10 +483,8 @@ class BlockCSROffdiag:
 class BatchedProductSystem:
     """A shape bucket of product systems as stacked operands.
 
-    The B pairs' product vectors are concatenated into one (S,) layout
-    (``offsets`` marks segment starts; dense-mode segments are padded
-    to the bucket size with identity rows: diag 1, rhs/p× 0, W rows 0,
-    which provably never perturbs the unpadded entries).  All
+    The B pairs' product vectors are concatenated into one (S,) layout,
+    S = Σ n·m, with no padding (``offsets`` marks segment starts).  All
     elementwise solver state lives on (S,) arrays; per-pair reductions
     are segment ``reduceat`` calls; per-pair scalars broadcast back
     with ``expand``.  This is what lets the batched PCG advance every
@@ -567,12 +493,12 @@ class BatchedProductSystem:
 
     n: np.ndarray  # (B,) row-graph node counts
     m: np.ndarray  # (B,) column-graph node counts
-    sizes: np.ndarray  # (B,) true product sizes n·m
+    sizes: np.ndarray  # (B,) product sizes n·m
     offsets: np.ndarray  # (B+1,) segment starts in the stacked layout
     diag: np.ndarray  # (S,) system diagonal D× V×⁻¹
     rhs: np.ndarray  # (S,) right-hand side D× q×
     px: np.ndarray  # (S,) starting probabilities
-    offdiag: StackedDenseOffdiag | BlockCSROffdiag
+    offdiag: BlockCSROffdiag
     info: dict = field(default_factory=dict)
 
     @property
@@ -697,28 +623,25 @@ class StructurePlan:
 
     Everything :func:`fill_batched_system` needs to produce a
     :class:`BatchedProductSystem` *except* the base-kernel values and q:
-    the stacked layout, the off-diagonal sparsity pattern (CSR
-    indptr/indices or dense scatter indices), pre-gathered label and
-    degree operands, and edge-weight products (graph content, so
-    hyperparameter-free), all in the natural node order of each pair's
-    graphs.  Plans live in memory only, in the engine's
-    :class:`repro.engine.cache.StructureCache`.  Fills never mutate the
-    pattern arrays; the only writes are the whole-tuple memo swaps
-    (``_vx_memo``/``_ke_memo``), which are atomic and signature-keyed,
-    so one plan safely serves concurrent executor threads.
+    the stacked layout, the block-CSR pattern of the off-diagonal,
+    pre-gathered label and degree operands, and edge-weight products
+    (graph content, so hyperparameter-free), all in the natural node
+    order of each pair's graphs.  Plans live in memory only, in the
+    engine's :class:`repro.engine.cache.StructureCache`.  Fills never
+    mutate the pattern arrays; the only writes are the whole-tuple memo
+    swaps (``_vx_memo``/``_ke_memo``), which are atomic and
+    signature-keyed, so one plan safely serves concurrent executor
+    threads.
     """
 
-    mode: str  # "dense" | "sparse"
-    padded: int
     n: np.ndarray  # (B,) row-graph node counts
     m: np.ndarray  # (B,) column-graph node counts
-    sizes: np.ndarray  # (B,) true product sizes n·m
+    sizes: np.ndarray  # (B,) product sizes n·m
     offsets: np.ndarray  # (B+1,) stacked-layout segment starts
-    true_offsets: np.ndarray  # (B+1,) unpadded segment starts
-    px: np.ndarray  # (S_true,) starting probabilities
-    deg1: np.ndarray  # (S_true,) gathered row-graph degrees (no +q)
-    deg2: np.ndarray  # (S_true,) gathered column-graph degrees
-    node_labels1: dict[str, np.ndarray]  # pre-gathered, (S_true,) each
+    px: np.ndarray  # (S,) starting probabilities
+    deg1: np.ndarray  # (S,) gathered row-graph degrees (no +q)
+    deg2: np.ndarray  # (S,) gathered column-graph degrees
+    node_labels1: dict[str, np.ndarray]  # pre-gathered, (S,) each
     node_labels2: dict[str, np.ndarray]
     sole_node1: np.ndarray | None
     sole_node2: np.ndarray | None
@@ -728,22 +651,18 @@ class StructurePlan:
     sole_edge1: np.ndarray | None
     sole_edge2: np.ndarray | None
     nnz: int  # stored off-diagonal entries (4T)
-    # dense mode
-    scatter: np.ndarray | None = None  # (S_true,) -> padded layout
-    w_scatter: np.ndarray | None = None  # (4T,) flat into B·N·N
-    w_gather: np.ndarray | None = None  # (4T,) -> untiled values
-    # sparse mode
-    indptr: np.ndarray | None = None
-    indices: np.ndarray | None = None
-    data_gather: np.ndarray | None = None  # (nnz,) -> untiled values
-    #: Single-slot memos of the last fill's base-kernel values, keyed
-    #: by the consuming kernel's signature: ``_vx_memo = (sig, vx)``,
-    #: ``_ke_memo = (sig, U, offdiag-or-None)``.  A sweep that varies
-    #: only q re-evaluates neither κv nor κe — and reuses the whole
-    #: assembled off-diagonal operator, since W depends on the edge
-    #: values alone; one that varies a node-kernel parameter still
-    #: reuses the edge side, and vice versa.  *Counted* by ``nbytes``
-    #: so the StructureCache's byte bound sees the memoized operator.
+    indptr: np.ndarray  # (S+1,) block-CSR row pointer
+    indices: np.ndarray  # (nnz,) block-CSR column indices
+    data_gather: np.ndarray  # (nnz,) -> untiled values
+    #: Single-slot memos of the last fill, keyed by the consuming
+    #: kernel's signature: ``_vx_memo = (sig, vx)`` holds the κv values
+    #: and ``_ke_memo = (sig, offdiag)`` the operator built from the κe
+    #: values.  A sweep that varies only q re-evaluates neither κv nor
+    #: κe — and reuses the whole assembled off-diagonal operator, since
+    #: W depends on the edge values alone; one that varies a node-kernel
+    #: parameter still reuses the edge side, and vice versa.  *Counted*
+    #: by ``nbytes`` so the StructureCache's byte bound sees the
+    #: memoized operator.
     _vx_memo: tuple | None = field(default=None, repr=False, compare=False)
     _ke_memo: tuple | None = field(default=None, repr=False, compare=False)
 
@@ -755,11 +674,11 @@ class StructurePlan:
     def nbytes(self) -> int:
         """Total array payload (the StructureCache's eviction currency).
 
-        Includes the transient fill memos — a sweep-managed plan can
-        carry a memoized off-diagonal operator comparable in size to
-        the pattern arrays, and the cache's byte bound must see it
-        (the cache refreshes its size snapshot on every hit, so memo
-        growth after insertion is picked up).
+        Includes the fill memos — a sweep-managed plan carries a
+        memoized off-diagonal operator comparable in size to the
+        pattern arrays, and the cache's byte bound must see it (the
+        cache refreshes its size snapshot on every hit, so memo growth
+        after insertion is picked up).
         """
         total = 0
         for value in vars(self).values():
@@ -771,8 +690,6 @@ class StructurePlan:
                 for item in value:
                     if isinstance(item, np.ndarray):
                         total += item.nbytes
-                    elif isinstance(item, StackedDenseOffdiag):
-                        total += item.W.nbytes
                     elif isinstance(item, BlockCSROffdiag):
                         total += (
                             item.mat.data.nbytes
@@ -782,18 +699,13 @@ class StructurePlan:
         return total
 
 
-def build_structure_plan(
-    pairs: list[tuple[Graph, Graph]],
-    mode: str = "auto",
-) -> StructurePlan:
+def build_structure_plan(pairs: list[tuple[Graph, Graph]]) -> StructurePlan:
     """Build the structural plan for a bucket of graph pairs.
 
-    Pure topology: the result depends on the graphs' content and the
-    bucket shape only — q, base-kernel parameters, and solver settings
-    never enter, which is what makes plans reusable across an entire
+    Pure topology: the result depends on the graphs' content and member
+    order only — q, base-kernel parameters, and solver settings never
+    enter, which is what makes plans reusable across an entire
     hyperparameter sweep.
-
-    ``mode`` is as in :func:`build_batched_system`.
     """
     if not pairs:
         raise ValueError("cannot batch an empty pair list")
@@ -803,19 +715,12 @@ def build_structure_plan(
     n = np.array([g.n_nodes for g in g1s], dtype=np.int64)
     m = np.array([g.n_nodes for g in g2s], dtype=np.int64)
     sizes = n * m
-    bucket_mode, padded = pair_bucket(int(sizes.max()))
-    if mode == "auto":
-        mode = "sparse" if bucket_mode == "solo" else bucket_mode
-    if mode == "dense" and B * padded * padded > BATCH_DENSE_BUDGET:
-        mode = "sparse"
-    if mode not in ("dense", "sparse"):
-        raise ValueError(f"unknown batch mode {mode!r}")
 
     # ---- stacked node-level layout ---------------------------------
-    true_off = np.concatenate(([0], np.cumsum(sizes)))
-    S_true = int(true_off[-1])
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    S = int(offsets[-1])
     seg = np.repeat(np.arange(B), sizes)
-    pos = np.arange(S_true, dtype=np.int64) - np.repeat(true_off[:-1], sizes)
+    pos = np.arange(S, dtype=np.int64) - np.repeat(offsets[:-1], sizes)
     mseg = m[seg]
     i_loc = pos // mseg
     ip_loc = pos - i_loc * mseg
@@ -844,12 +749,6 @@ def build_structure_plan(
     # untiled value grid, so the pattern stores *gather indices into
     # the untiled value vector* instead of values — that is what makes
     # the numeric fill a single gather.
-    if mode == "dense":
-        N = padded
-        offsets = np.arange(B + 1, dtype=np.int64) * N
-    else:
-        N = 0
-        offsets = true_off.astype(np.int64)
     ea1 = [g.edge_arrays() for g in g1s]
     ea2 = [g.edge_arrays() for g in g2s]
     m1s = np.array([len(e.edges) for e in ea1], dtype=np.int64)
@@ -875,7 +774,6 @@ def build_structure_plan(
     wg_parts: list[np.ndarray] = []
     row_parts: list[np.ndarray] = []
     col_parts: list[np.ndarray] = []
-    wscat_parts: list[np.ndarray] = []
     t_off = 0
     for b in range(B):
         e1, e2 = ea1[b], ea2[b]
@@ -889,20 +787,11 @@ def build_structure_plan(
         base = np.arange(m1 * m2, dtype=np.int64).reshape(m1, m2)
         wg_parts.append(np.tile(base, (2, 2)).ravel() + t_off)
         mb = int(m[b])
-        s1, t1 = e1.src, e1.dst
-        s2, t2 = e2.src, e2.dst
-        if mode == "dense":
-            # Flat scatter index b N² + (s1 m + s2) N + (t1 m + t2),
-            # split into a per-edge1 and a per-edge2 factor.
-            f1 = s1 * (mb * N) + t1 * mb + b * N * N
-            f2 = s2 * N + t2
-            wscat_parts.append((f1[:, None] + f2[None, :]).ravel())
-        else:
-            off = int(true_off[b])
-            r1 = s1 * mb + off
-            c1 = t1 * mb + off
-            row_parts.append((r1[:, None] + s2[None, :]).ravel())
-            col_parts.append((c1[:, None] + t2[None, :]).ravel())
+        off = int(offsets[b])
+        r1 = e1.src * mb + off
+        c1 = e1.dst * mb + off
+        row_parts.append((r1[:, None] + e2.src[None, :]).ravel())
+        col_parts.append((c1[:, None] + e2.dst[None, :]).ravel())
         t_off += m1 * m2
     w1cat = _cat([e.weights for e in ea1], np.float64)
     w2cat = _cat([e.weights for e in ea2], np.float64)
@@ -914,14 +803,21 @@ def build_structure_plan(
         [e.labels for e in ea2], EK2
     )
 
-    plan = StructurePlan(
-        mode=mode,
-        padded=int(padded),
+    rows = _cat(row_parts, np.int64)
+    cols = _cat(col_parts, np.int64)
+    wg = _cat(wg_parts, np.int64)
+    # Canonical CSR: entries sorted by (row, col).  (row, col) pairs
+    # are distinct within a bucket (each corresponds to a unique
+    # directed-edge pair), so this reproduces scipy's
+    # coo→csr→sum_duplicates result bitwise — and the sort is paid
+    # once per *structure*, not once per sweep point.
+    order = np.lexsort((cols, rows))
+    counts = np.bincount(rows, minlength=S)
+    return StructurePlan(
         n=n,
         m=m,
         sizes=sizes,
         offsets=offsets,
-        true_offsets=true_off.astype(np.int64),
         px=px,
         deg1=deg1,
         deg2=deg2,
@@ -935,26 +831,10 @@ def build_structure_plan(
         sole_edge1=sole_edge1,
         sole_edge2=sole_edge2,
         nnz=nnz,
+        indptr=np.concatenate(([0], np.cumsum(counts))).astype(np.int32),
+        indices=cols[order].astype(np.int32),
+        data_gather=wg[order],
     )
-    if mode == "dense":
-        plan.scatter = np.repeat(offsets[:-1], sizes) + pos
-        plan.w_scatter = _cat(wscat_parts, np.int64)
-        plan.w_gather = _cat(wg_parts, np.int64)
-    else:
-        rows = _cat(row_parts, np.int64)
-        cols = _cat(col_parts, np.int64)
-        wg = _cat(wg_parts, np.int64)
-        # Canonical CSR: entries sorted by (row, col).  (row, col) pairs
-        # are distinct within a bucket (each corresponds to a unique
-        # directed-edge pair), so this reproduces scipy's
-        # coo→csr→sum_duplicates result bitwise — and the sort is paid
-        # once per *structure*, not once per sweep point.
-        order = np.lexsort((cols, rows))
-        counts = np.bincount(rows, minlength=S_true)
-        plan.indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
-        plan.indices = cols[order].astype(np.int32)
-        plan.data_gather = wg[order]
-    return plan
 
 
 def fill_batched_system(
@@ -962,35 +842,30 @@ def fill_batched_system(
     node_kernel: MicroKernel,
     edge_kernel: MicroKernel,
     q: float = 0.05,
-    workspace: BatchWorkspace | None = None,
-    reuse_offdiag: bool = False,
 ) -> BatchedProductSystem:
     """Numeric fill: evaluate base kernels into a structural plan.
 
     The hyperparameter-dependent half of the assembly: base-kernel
     values over the plan's pre-gathered operands, D× V×⁻¹ diagonals,
     D× q× right-hand sides, and one gather writing the edge values into
-    the preallocated off-diagonal pattern.  No per-pair Python work —
-    the fill is a fixed number of NumPy calls per bucket.
+    the block-CSR pattern.  No per-pair Python work — the fill is a
+    fixed number of NumPy calls per bucket.
 
-    With ``reuse_offdiag`` (set by the engine whenever the plan is
-    structure-cache managed), the assembled off-diagonal operator is
+    The off-diagonal operator owns freshly allocated CSR data, so it is
     memoized on the plan per edge-kernel signature and handed out
-    read-only — a q-only sweep point then rebuilds nothing but the
-    diagonal and right-hand side.  The memoized operator owns its
-    arrays; without the flag the dense stack lives in the (recycled)
-    workspace buffers exactly as before.
+    read-only: a q-only sweep point rebuilds nothing but the diagonal
+    and right-hand side.
     """
     from ..engine.fingerprint import microkernel_signature
 
     q = float(q)
     if not 0.0 < q <= 1.0:
         raise ValueError("stopping probability must be in (0, 1]")
-    S_true = int(plan.true_offsets[-1])
+    S = int(plan.offsets[-1])
     # Base-kernel values are memoized per kernel signature: a q-only
     # sweep point recomputes neither κv nor κe (they depend on labels
     # and kernel parameters only), which leaves the fill as elementwise
-    # diagonal arithmetic plus one gather.
+    # diagonal arithmetic.
     nsig = microkernel_signature(node_kernel)
     memo = plan._vx_memo
     vx_hit = memo is not None and memo[0] == nsig
@@ -999,7 +874,7 @@ def fill_batched_system(
     else:
         vx = _gathered_base_values(
             node_kernel, plan.node_labels1, plan.node_labels2,
-            plan.sole_node1, plan.sole_node2, S_true, "node",
+            plan.sole_node1, plan.sole_node2, S, "node",
         )
         if (vx <= 0).any() or (vx > 1 + 1e-12).any():
             raise ValueError(
@@ -1012,82 +887,36 @@ def fill_batched_system(
     qx = (q / d1) * (q / d2)
     esig = microkernel_signature(edge_kernel)
     memo = plan._ke_memo
-    U = offdiag = None
-    seen = False
-    if memo is not None and memo[0] == esig:
-        U = memo[1]
-        offdiag = memo[2]
-        seen = True
-    if U is None:
+    ke_hit = memo is not None and memo[0] == esig
+    if ke_hit:
+        offdiag = memo[1]
+    else:
         Ke = _gathered_base_values(
             edge_kernel, plan.edge_labels1, plan.edge_labels2,
             plan.sole_edge1, plan.sole_edge2, len(plan.wprod), "edge",
         )
         U = plan.wprod * Ke
-
-    ws = workspace if workspace is not None else BatchWorkspace()
-    persistent = offdiag is not None
-    if plan.mode == "dense":
-        B, N = plan.batch, plan.padded
-        S = B * N
-        diag = ws.zeros("diag", (S,))
-        diag.fill(1.0)
-        rhs = ws.zeros("rhs", (S,))
-        px = ws.zeros("px", (S,))
-        diag[plan.scatter] = dx / vx
-        rhs[plan.scatter] = dx * qx
-        px[plan.scatter] = plan.px
-        if offdiag is None:
-            # The memoized stack must own its storage, but paying a
-            # fresh MB-sized np.zeros on every *first* fill would tax
-            # cold single-shot calls that never refill — so the
-            # persistent copy is built only once the same edge kernel
-            # is seen a second time (i.e. a sweep is actually running).
-            persistent = reuse_offdiag and seen
-            W = (
-                np.zeros((B, N, N)) if persistent
-                else ws.zeros("W_dense", (B, N, N))
-            )
-            W.reshape(-1)[plan.w_scatter] = U[plan.w_gather]
-            offdiag = StackedDenseOffdiag(W)
-    else:
-        diag = dx / vx
-        rhs = dx * qx
-        px = plan.px
-        if offdiag is None:
-            # CSR data is freshly allocated every fill, so the sparse
-            # operator is always safe to memoize.
-            mat = sp.csr_matrix(
-                (U[plan.data_gather], plan.indices, plan.indptr),
-                shape=(S_true, S_true),
-            )
-            offdiag = BlockCSROffdiag(mat)
-            persistent = True
-    plan._ke_memo = (
-        esig, U, offdiag if (reuse_offdiag and persistent) else None
-    )
+        offdiag = BlockCSROffdiag(sp.csr_matrix(
+            (U[plan.data_gather], plan.indices, plan.indptr), shape=(S, S)
+        ))
+        plan._ke_memo = (esig, offdiag)
 
     sp_cur = current_span()
-    sp_cur.set("fill.mode", plan.mode)
     sp_cur.set("fill.batch", plan.batch)
     sp_cur.set("fill.nnz", int(plan.nnz))
     sp_cur.set("fill.vx_memo_hit", bool(vx_hit))
-    sp_cur.set("fill.offdiag_memo_hit", seen)
+    sp_cur.set("fill.offdiag_memo_hit", ke_hit)
 
     return BatchedProductSystem(
         n=plan.n,
         m=plan.m,
         sizes=plan.sizes,
         offsets=plan.offsets,
-        diag=diag,
-        rhs=rhs,
-        px=px,
+        diag=dx / vx,
+        rhs=dx * qx,
+        px=plan.px,
         offdiag=offdiag,
-        info={
-            "mode": plan.mode,
-            "nnz": plan.nnz,
-            "padded": plan.padded,
-        },
+        info={"nnz": plan.nnz},
     )
 
 
@@ -1096,8 +925,6 @@ def build_batched_system(
     node_kernel: MicroKernel,
     edge_kernel: MicroKernel,
     q: float = 0.05,
-    mode: str = "auto",
-    workspace: BatchWorkspace | None = None,
     plan: StructurePlan | None = None,
 ) -> BatchedProductSystem:
     """Assemble a bucket of graph pairs as one stacked linear object.
@@ -1106,28 +933,19 @@ def build_batched_system(
     :func:`fill_batched_system`.  Callers that evaluate the same graph
     set repeatedly (hyperparameter sweeps) should cache the plan — the
     engine does so through :class:`repro.engine.cache.StructureCache` —
-    and call :func:`fill_batched_system` directly.
+    and call :func:`fill_batched_system` directly.  Any pairs assemble,
+    whatever their size: the per-pair fallback for "solo" buckets is
+    the engine's call, not the assembler's.
 
     Parameters
     ----------
-    mode:
-        ``"dense"`` (stacked 3-D off-diagonal, pads each pair to the
-        bucket's quantized size), ``"sparse"`` (block-CSR, no padding),
-        or ``"auto"`` (by :func:`pair_bucket` of the largest pair;
-        "solo" buckets assemble as ``"sparse"`` — the per-pair
-        fallback is the engine's call, not the assembler's).
-    workspace:
-        Optional :class:`BatchWorkspace` recycling the large stacked
-        buffers across calls (one per executor worker).
     plan:
         A previously built (cached) structural plan for exactly these
-        pairs; ``mode`` is ignored when given.
+        pairs.
     """
     tracer = get_tracer()
     if plan is None:
-        with tracer.span("tile.plan", mode=mode, n_pairs=len(pairs)):
-            plan = build_structure_plan(pairs, mode=mode)
-    with tracer.span("tile.fill", mode=plan.mode, n_pairs=plan.batch):
-        return fill_batched_system(
-            plan, node_kernel, edge_kernel, q=q, workspace=workspace
-        )
+        with tracer.span("tile.plan", n_pairs=len(pairs)):
+            plan = build_structure_plan(pairs)
+    with tracer.span("tile.fill", n_pairs=plan.batch):
+        return fill_batched_system(plan, node_kernel, edge_kernel, q=q)

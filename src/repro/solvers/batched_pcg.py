@@ -20,12 +20,13 @@ state vectors and the stacked operator are compacted so the survivors
 keep vectorizing at full density.
 
 Equivalence contract: per-pair and batched solves perform the same
-elementwise operations in the same order; the only divergences are
-reduction order in the per-pair dot products (``reduceat`` vs. BLAS
-``dot``/``nrm2``) and — in the stacked-dense mode — GEMV summation
-order.  Values agree to ~1e-14 relative (the engine promises 1e-10);
-iteration counts can differ by ±1 only when a residual lands within
-one ulp of the threshold.
+elementwise operations in the same order, and each block of the
+block-CSR operator is the pair's own ``fused`` W, so its SpMV rows sum
+in the same order; the only divergence is reduction order in the
+per-pair dot products (``reduceat`` vs. BLAS ``dot``/``nrm2``).  Values
+agree to ~1e-14 relative (the engine promises 1e-10); iteration counts
+can differ by ±1 only when a residual lands within one ulp of the
+threshold.
 """
 
 from __future__ import annotations
@@ -51,9 +52,8 @@ COMPACT_FRACTION = 0.35
 class BatchedSolveResult:
     """Outcome of one bucket solve, aligned with the input pair order.
 
-    ``x`` keeps the stacked layout of the *input* system (including
-    dense-mode padding); slice pair b's solution with
-    ``x[offsets[b] : offsets[b] + sizes[b]]``.
+    ``x`` keeps the stacked layout of the *input* system; slice pair
+    b's solution with ``x[offsets[b] : offsets[b + 1]]``.
     """
 
     x: np.ndarray  # (S,) stacked solutions
@@ -82,7 +82,7 @@ def batched_pcg_solve(
     iterations only when the true residual of its guess meets the
     threshold.  Pairs whose x0 segment is zero follow the cold
     trajectory bitwise — the exact-iteration fallback when no prior
-    solution exists.  Dense-mode padding slots of ``x0`` must be zero.
+    solution exists.
     """
     return _batched_krylov(system, rtol, atol, max_iter, precondition=True,
                            x0=x0)

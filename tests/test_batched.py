@@ -22,12 +22,18 @@ from repro.engine import kernel_fingerprint, plan_bucketed_tiles
 from repro.engine.cache import LRUCache
 from repro.engine.executors import solve_tile
 from repro.engine.tiles import build_pair_jobs
-from repro.graphs.generators import random_labeled_graph
-from repro.kernels.basekernels import synthetic_kernels, unlabeled_kernels
+from repro.graphs.generators import (
+    drugbank_like_molecule,
+    random_labeled_graph,
+)
+from repro.kernels.basekernels import (
+    molecule_kernels,
+    synthetic_kernels,
+    unlabeled_kernels,
+)
 from repro.kernels.linsys import (
-    BATCH_DENSE_MAX,
     BATCH_SPARSE_MAX,
-    BatchWorkspace,
+    assemble_sparse_offdiag,
     build_batched_system,
     build_product_system,
     pair_bucket,
@@ -75,18 +81,17 @@ def mixed_pairs(graphs, seed: int, count: int = 50):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("mode", ["sparse", "dense"])
-def test_batched_pcg_matches_per_pair(seed, mode):
+def test_batched_pcg_matches_per_pair(seed):
     graphs = mixed_batch(seed)
     pairs = mixed_pairs(graphs, seed)
-    system = build_batched_system(pairs, NK, EK, q=0.1, mode=mode)
+    system = build_batched_system(pairs, NK, EK, q=0.1)
     res = batched_pcg_solve(system, rtol=1e-9)
     values = system.kernel_values(res.x)
     for b, (g1, g2) in enumerate(pairs):
         ref_sys = build_product_system(g1, g2, NK, EK, 0.1, engine="fused")
         ref = pcg_solve(ref_sys, rtol=1e-9)
         v_ref = ref_sys.kernel_value(ref.x)
-        assert values[b] == pytest.approx(v_ref, rel=RTOL), (seed, mode, b)
+        assert values[b] == pytest.approx(v_ref, rel=RTOL), (seed, b)
         assert abs(int(res.iterations[b]) - ref.iterations) <= 2, (seed, b)
         assert bool(res.converged[b]) == ref.converged
 
@@ -103,6 +108,48 @@ def test_batched_cg_matches_per_pair(seed):
         ref = cg_solve(ref_sys, rtol=1e-9)
         assert values[b] == pytest.approx(ref_sys.kernel_value(ref.x), rel=RTOL)
         assert abs(int(res.iterations[b]) - ref.iterations) <= 2
+
+
+def _block_contract_pairs(kind: str) -> list:
+    """Pairs of product size 1–512, 1-atom (edgeless) graphs included."""
+    sizes = (1, 1, 2, 3, 4, 6, 8, 11, 16, 22)
+    if kind == "molecule":
+        graphs = [
+            drugbank_like_molecule(n, seed=k) for k, n in enumerate(sizes)
+        ]
+    else:
+        graphs = [
+            random_labeled_graph(n, density=0.4, weighted=k % 2 == 0, seed=k)
+            for k, n in enumerate(sizes)
+        ]
+    return [
+        (a, b) for a in graphs for b in graphs
+        if a.n_nodes * b.n_nodes <= BATCH_SPARSE_MAX
+    ]
+
+
+@pytest.mark.parametrize("kind", ["molecule", "synthetic"])
+def test_block_csr_blocks_are_the_per_pair_operator(kind):
+    """Each block of a bucket's operator is bitwise the pair's ``fused``
+    W: same row pointer, same column indices once the segment offset is
+    taken off, same data bytes."""
+    nk, ek = molecule_kernels() if kind == "molecule" else (NK, EK)
+    buckets: dict = {}
+    for g1, g2 in _block_contract_pairs(kind):
+        key = pair_bucket(g1.n_nodes * g2.n_nodes)
+        buckets.setdefault(key, []).append((g1, g2))
+    # small padded sizes (1–64) and large ones alike
+    assert {key[1] for key in buckets} >= {1, 2, 4, 64, 256, 512}
+    for members in buckets.values():
+        system = build_batched_system(members, nk, ek, q=0.05)
+        mat, off = system.offdiag.mat, system.offsets
+        for b, (g1, g2) in enumerate(members):
+            ref = assemble_sparse_offdiag(g1, g2, ek)
+            ptr = mat.indptr[off[b]:off[b + 1] + 1]
+            assert np.array_equal(np.diff(ptr), np.diff(ref.indptr))
+            cols = mat.indices[ptr[0]:ptr[-1]] - off[b]
+            assert np.array_equal(cols, ref.indices)
+            assert mat.data[ptr[0]:ptr[-1]].tobytes() == ref.data.tobytes()
 
 
 @pytest.mark.parametrize("seed", SEEDS[:2])
@@ -127,26 +174,11 @@ def test_batch_composition_does_not_change_values():
     bucket (dropout, compaction, and stacking are per-pair exact)."""
     graphs = mixed_batch(3)
     pairs = mixed_pairs(graphs, 3, count=24)
-    big = build_batched_system(pairs, NK, EK, q=0.1, mode="sparse")
+    big = build_batched_system(pairs, NK, EK, q=0.1)
     vals_big = big.kernel_values(batched_pcg_solve(big, rtol=1e-9).x)
-    small = build_batched_system(pairs[:5], NK, EK, q=0.1, mode="sparse")
+    small = build_batched_system(pairs[:5], NK, EK, q=0.1)
     vals_small = small.kernel_values(batched_pcg_solve(small, rtol=1e-9).x)
     np.testing.assert_array_equal(vals_big[:5], vals_small)
-
-
-def test_workspace_reuse_is_value_clean():
-    """Reused assembly buffers must not leak state between buckets."""
-    ws = BatchWorkspace()
-    graphs = mixed_batch(4)
-    pairs_a = mixed_pairs(graphs, 4, count=20)
-    pairs_b = mixed_pairs(graphs, 5, count=8)
-    ref = build_batched_system(pairs_b, NK, EK, q=0.1, mode="dense")
-    ref_vals = ref.kernel_values(batched_pcg_solve(ref, rtol=1e-9).x)
-    # big bucket first, then a smaller one in the same (dirty) workspace
-    build_batched_system(pairs_a, NK, EK, q=0.1, mode="dense", workspace=ws)
-    sys_b = build_batched_system(pairs_b, NK, EK, q=0.1, mode="dense", workspace=ws)
-    vals = sys_b.kernel_values(batched_pcg_solve(sys_b, rtol=1e-9).x)
-    np.testing.assert_allclose(vals, ref_vals, rtol=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -155,9 +187,10 @@ def test_workspace_reuse_is_value_clean():
 
 
 def test_pair_bucket_tiers():
-    assert pair_bucket(1) == ("dense", 1)
-    assert pair_bucket(BATCH_DENSE_MAX) == ("dense", BATCH_DENSE_MAX)
-    assert pair_bucket(BATCH_DENSE_MAX + 1) == ("sparse", 2 * BATCH_DENSE_MAX)
+    assert pair_bucket(1) == ("sparse", 1)
+    assert pair_bucket(3) == ("sparse", 4)
+    assert pair_bucket(64) == ("sparse", 64)
+    assert pair_bucket(65) == ("sparse", 128)
     assert pair_bucket(BATCH_SPARSE_MAX) == ("sparse", BATCH_SPARSE_MAX)
     assert pair_bucket(BATCH_SPARSE_MAX + 1)[0] == "solo"
     with pytest.raises(ValueError):

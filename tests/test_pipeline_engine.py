@@ -24,7 +24,6 @@ import pytest
 from repro.engine import GramEngine, build_pair_jobs, plan_bucketed_tiles
 from repro.engine.block_store import GramBlockStore
 from repro.engine.executors import (
-    _thread_workspace,
     bucket_tasks,
     fill_bucket,
     plan_bucket,
@@ -39,8 +38,8 @@ NK, EK = synthetic_kernels()
 
 
 def make_graphs(n, seed0=100):
-    # Mixed sizes so bucketing produces several shape buckets (dense,
-    # sparse, and solo tails) — every executor must handle all three.
+    # Mixed sizes so bucketing produces several shape buckets (and
+    # singleton tails) — every executor must handle them all.
     return [
         random_labeled_graph(4 + (k % 4), density=0.6, weighted=True,
                              seed=seed0 + k)
@@ -314,18 +313,11 @@ class TestProgressEvents:
 
 
 # ---------------------------------------------------------------------------
-# stage split + workspace keying
+# stage split
 # ---------------------------------------------------------------------------
 
 
 class TestStageSplit:
-    def test_workspace_keyed_by_bucket(self):
-        ws_a = _thread_workspace(("dense", 30))
-        ws_b = _thread_workspace(("dense", 40))
-        ws_c = _thread_workspace(("sparse", 30))
-        assert ws_a is not ws_b and ws_a is not ws_c
-        assert _thread_workspace(("dense", 30)) is ws_a
-
     def test_stage_functions_compose_to_solve(self):
         kernel = make_kernel()
         X = GRAPHS[:6]

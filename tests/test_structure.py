@@ -50,7 +50,7 @@ SEEDS = [0, 3, 7]
 
 
 def mixed_batch(seed: int, n_graphs: int = 12) -> list:
-    """Seeded mixed-size graphs spanning dense and block-CSR buckets."""
+    """Seeded mixed-size graphs spanning product sizes 1–256."""
     rng = random.Random(seed)
     out = [random_labeled_graph(1, density=0.5, seed=rng.randrange(2**31))]
     for _ in range(n_graphs - 1):
@@ -76,20 +76,18 @@ def make_engine(graphs_kernel_q=0.05, rtol=1e-11, **engine_kw):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("mode", ["dense", "sparse"])
-def test_fill_from_plan_is_bitwise_identical(seed, mode):
+def test_fill_from_plan_is_bitwise_identical(seed):
     graphs = mixed_batch(seed)
-    lo, hi = (2, 64) if mode == "dense" else (65, 512)
     pairs = [
         (a, b)
         for i, a in enumerate(graphs)
         for b in graphs[i:]
-        if lo <= a.n_nodes * b.n_nodes <= hi
+        if 2 <= a.n_nodes * b.n_nodes <= 512
     ]
-    if not pairs:
-        pytest.skip("no pairs in this bucket for this seed")
-    direct = build_batched_system(pairs, NK, EK, q=0.05, mode=mode)
-    plan = build_structure_plan(pairs, mode=mode)
+    sizes = [a.n_nodes * b.n_nodes for a, b in pairs]
+    assert min(sizes) <= 64 < max(sizes)
+    direct = build_batched_system(pairs, NK, EK, q=0.05)
+    plan = build_structure_plan(pairs)
     for _ in range(2):  # second fill exercises the base-kernel memos
         filled = fill_batched_system(plan, NK, EK, q=0.05)
         assert np.array_equal(filled.diag, direct.diag)
@@ -104,11 +102,11 @@ def test_fill_from_plan_is_bitwise_identical(seed, mode):
 def test_plan_memos_from_another_point_fill_like_a_fresh_plan():
     graphs = mixed_batch(1)
     pairs = [(graphs[2], graphs[3]), (graphs[4], graphs[5])]
-    plan = build_structure_plan(pairs, mode="sparse")
-    fill_batched_system(plan, NK, EK, q=0.05, reuse_offdiag=True)
-    assert plan._vx_memo is not None and plan._ke_memo[2] is not None
-    fresh = build_structure_plan(pairs, mode="sparse")
-    a = fill_batched_system(plan, NK, EK, q=0.07, reuse_offdiag=True)
+    plan = build_structure_plan(pairs)
+    fill_batched_system(plan, NK, EK, q=0.05)
+    assert plan._vx_memo is not None and plan._ke_memo is not None
+    fresh = build_structure_plan(pairs)
+    a = fill_batched_system(plan, NK, EK, q=0.07)
     b = fill_batched_system(fresh, NK, EK, q=0.07)
     assert np.array_equal(a.diag, b.diag)
     v = np.random.default_rng(1).standard_normal(a.total)
@@ -117,33 +115,25 @@ def test_plan_memos_from_another_point_fill_like_a_fresh_plan():
 
 def test_plan_nbytes_counts_arrays_and_memos():
     graphs = mixed_batch(2)
-    plan = build_structure_plan([(graphs[3], graphs[4])], mode="sparse")
+    plan = build_structure_plan([(graphs[3], graphs[4])])
     assert plan.nbytes > 0
     assert plan.nbytes >= plan.wprod.nbytes + plan.px.nbytes
-    # Fill memos must enter the eviction currency.  Sparse plans
-    # memoize the CSR operator on the first sweep-managed fill...
+    # Fill memos must enter the eviction currency: the first fill
+    # memoizes the CSR operator, and a q-only refill hands it out again.
     before = plan.nbytes
-    fill_batched_system(plan, NK, EK, q=0.05, reuse_offdiag=True)
-    assert plan._ke_memo[2] is not None
+    first = fill_batched_system(plan, NK, EK, q=0.05)
+    assert plan._ke_memo[1] is first.offdiag
     assert plan.nbytes > before
-    # ...dense plans only from the second fill (the first goes through
-    # the recycled workspace to keep cold single-shot calls fast).
-    dense = build_structure_plan([(graphs[1], graphs[2])], mode="dense")
-    fill_batched_system(dense, NK, EK, q=0.05, reuse_offdiag=True)
-    assert dense._ke_memo[2] is None
-    after_first = dense.nbytes
-    fill_batched_system(dense, NK, EK, q=0.06, reuse_offdiag=True)
-    assert dense._ke_memo[2] is not None
-    assert dense.nbytes > after_first
+    assert fill_batched_system(plan, NK, EK, q=0.06).offdiag is first.offdiag
 
 
 def test_structure_cache_refreshes_sizes_on_hit():
     graphs = mixed_batch(2)
-    plan = build_structure_plan([(graphs[3], graphs[4])], mode="sparse")
+    plan = build_structure_plan([(graphs[3], graphs[4])])
     cache = StructureCache()
     cache.put("k", plan)
     counted = cache.nbytes
-    fill_batched_system(plan, NK, EK, q=0.05, reuse_offdiag=True)
+    fill_batched_system(plan, NK, EK, q=0.05)
     assert cache.get("k") is plan
     assert cache.nbytes > counted  # memo growth picked up on the hit
 
@@ -461,9 +451,8 @@ def test_batched_solver_exact_x0_retires_at_zero_iterations():
     assert np.allclose(warm.x, cold.x, rtol=RTOL, atol=0)
 
 
-@pytest.mark.parametrize("mode", ["dense", "sparse"])
 @pytest.mark.parametrize("n_seeded", [3, 9])
-def test_partial_zero_iteration_retirement(monkeypatch, mode, n_seeded):
+def test_partial_zero_iteration_retirement(monkeypatch, n_seeded):
     # 12 pairs with 3 or 9 seeded: 0.75 and 0.25 of the layout stay
     # alive, on either side of COMPACT_FRACTION (0.35).
     graphs = mixed_batch(3)
@@ -471,7 +460,7 @@ def test_partial_zero_iteration_retirement(monkeypatch, mode, n_seeded):
         (a, b) for i, a in enumerate(graphs) for b in graphs[i:]
         if a.n_nodes * b.n_nodes >= 2
     ][:12]
-    system = build_batched_system(pairs, NK, EK, q=0.05, mode=mode)
+    system = build_batched_system(pairs, NK, EK, q=0.05)
     cold = batched_pcg_solve(system, rtol=1e-9)
     exact = batched_pcg_solve(system, rtol=1e-12)
     assert exact.converged.all()
