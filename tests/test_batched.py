@@ -81,17 +81,24 @@ def mixed_pairs(graphs, seed: int, count: int = 50):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_batched_pcg_matches_per_pair(seed):
+@pytest.mark.parametrize(
+    "ref_engine", ["fused", "dense"], ids=["sparse", "dense"]
+)
+def test_batched_pcg_matches_per_pair(seed, ref_engine):
+    """Against per-pair references whose W is the ``fused`` CSR or the
+    explicit dense matrix (the ground truth)."""
     graphs = mixed_batch(seed)
     pairs = mixed_pairs(graphs, seed)
     system = build_batched_system(pairs, NK, EK, q=0.1)
     res = batched_pcg_solve(system, rtol=1e-9)
     values = system.kernel_values(res.x)
     for b, (g1, g2) in enumerate(pairs):
-        ref_sys = build_product_system(g1, g2, NK, EK, 0.1, engine="fused")
+        ref_sys = build_product_system(g1, g2, NK, EK, 0.1, engine=ref_engine)
         ref = pcg_solve(ref_sys, rtol=1e-9)
         v_ref = ref_sys.kernel_value(ref.x)
-        assert values[b] == pytest.approx(v_ref, rel=RTOL), (seed, b)
+        assert values[b] == pytest.approx(v_ref, rel=RTOL), (
+            seed, ref_engine, b
+        )
         assert abs(int(res.iterations[b]) - ref.iterations) <= 2, (seed, b)
         assert bool(res.converged[b]) == ref.converged
 
