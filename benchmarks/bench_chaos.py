@@ -63,7 +63,7 @@ def make_engine(**kw):
                                   solver="pcg")
     kw.setdefault("executor", "process_supervised")
     kw.setdefault("max_workers", WORKERS)
-    kw.setdefault("tile_pairs", TILE_PAIRS)
+    kw.setdefault("batch_pairs", TILE_PAIRS)
     kw.setdefault("cache", False)
     return GramEngine(mgk, **kw)
 

@@ -110,7 +110,7 @@ def cmd_gram(args: argparse.Namespace) -> int:
     if args.progress:
         def progress(ev):
             # Structure-cache traffic is reported alongside — never
-            # folded into — the solve/cache counts: a bucket served
+            # folded into — the solve/cache counts: a tile served
             # from the structure cache is still numerically solved, so
             # pairs_done/solves must not undercount it.
             struct = ""
@@ -147,7 +147,6 @@ def cmd_gram(args: argparse.Namespace) -> int:
         mgk,
         executor=executor,
         max_workers=args.workers,
-        tile_pairs=args.tile_pairs,
         batch_pairs=args.batch_pairs,
         structure_cache=False if args.no_structure_cache else None,
         warm_start=args.warm_start,
@@ -773,12 +772,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tile execution backend")
     m.add_argument("--workers", type=int, default=None,
                    help="pool size for the parallel executors")
-    m.add_argument("--tile-pairs", type=int, default=None,
-                   help="pairs per tile (default: cost-balanced; "
-                        "per-pair path only)")
     m.add_argument("--batch-pairs", type=int, default=None, metavar="N",
-                   help="pairs per shape-bucketed batched tile "
-                        "(default: auto; 0 forces the per-pair path)")
+                   help="at most N pairs per tile, on top of the tile "
+                        "planner's entry cap (default: no pair cap; "
+                        "--engine fused selects the per-pair path)")
     m.add_argument("--no-structure-cache", action="store_true",
                    help="disable the structural-plan cache (assembly "
                         "topology is then rebuilt on every call)")

@@ -7,8 +7,9 @@ numerical one.  This package is the single entry point for it:
 
 * :mod:`repro.engine.core`        — :class:`GramEngine` driver
   (``gram`` / ``diag`` / ``extend``);
-* :mod:`repro.engine.tiles`       — cost-balanced decomposition of the
-  pair space, priced by the scheduler's cycle model;
+* :mod:`repro.engine.tiles`       — the one tile planner: pairs priced
+  by stored off-diagonal entries, cut at one entry cap, largest first,
+  the same for every executor, worker count and hyperparameter;
 * :mod:`repro.engine.executors`   — task bodies and the serial /
   threads backends;
 * :mod:`repro.engine.supervisor`  — the process backend: a
@@ -44,19 +45,12 @@ from .fingerprint import graph_fingerprint, kernel_fingerprint, pair_key
 from .offload import AsyncOffloader
 from .progress import Diagnostics, ProgressEvent
 from .supervisor import SupervisedPool, SupervisorStats
-from .tiles import (
-    DEFAULT_BATCH_PAIRS,
-    Tile,
-    build_pair_jobs,
-    plan_bucketed_tiles,
-    plan_tiles,
-)
+from .tiles import TILE_NNZ, Tile, plan_bucketed_tiles
 
 __all__ = [
     "AsyncOffloader",
     "CachedPair",
     "CacheStats",
-    "DEFAULT_BATCH_PAIRS",
     "Diagnostics",
     "EngineAborted",
     "GramBlockStore",
@@ -66,12 +60,11 @@ __all__ = [
     "StructureCache",
     "SupervisedPool",
     "SupervisorStats",
+    "TILE_NNZ",
     "Tile",
     "WarmStartStore",
-    "build_pair_jobs",
     "graph_fingerprint",
     "kernel_fingerprint",
     "pair_key",
     "plan_bucketed_tiles",
-    "plan_tiles",
 ]

@@ -13,8 +13,8 @@ under a spill directory.
 Two further stores back the structure-reuse assembly pipeline:
 
 * :class:`StructureCache` — a bytes-bounded in-memory LRU of
-  :class:`~repro.kernels.linsys.StructurePlan` objects and bucketed
-  tile plans, keyed by graph-content hashes and assembly config.
+  :class:`~repro.kernels.linsys.StructurePlan` objects and tile plans,
+  keyed by graph-content hashes and assembly config.
   Hyperparameter sweeps hit it because hyperparameters never enter the
   key.  Plans never leave the process: a cold plan is rebuilt.
 * :class:`WarmStartStore` — a bytes-bounded in-memory LRU of per-pair
@@ -218,16 +218,16 @@ class StructureCache:
     """Bytes-bounded in-memory LRU of structural assembly plans.
 
     Values are :class:`~repro.kernels.linsys.StructurePlan` objects and
-    the engine's bucketed tile plans (treated opaquely here — anything
-    with an ``nbytes`` attribute, or a list of tiles, works).  Keys are
-    content-addressed over the bucket's graph fingerprints plus its
-    bucket key — see :func:`repro.engine.executors.structure_key` — so
-    a hyperparameter change is a guaranteed hit while any graph-content
+    the engine's tile plans (treated opaquely here — anything with an
+    ``nbytes`` attribute, or a list of tiles, works).  Keys are
+    content-addressed over the tile's graph fingerprints in member
+    order — see :func:`repro.engine.executors.structure_key` — so a
+    hyperparameter change is a guaranteed hit while any graph-content
     or engine-config change is a guaranteed miss.
 
     Eviction is by total plan bytes, not entry count: plans span four
-    orders of magnitude (an 8-pair bucket of small molecules vs. a
-    2M-nnz block-CSR tile).  Thread-safe: the threads executor fills
+    orders of magnitude (a 2-pair tile of small molecules vs. a
+    2^18-entry block-CSR tile).  Thread-safe: the threads executor fills
     one engine-owned instance from many workers.
     """
 
@@ -255,7 +255,7 @@ class StructureCache:
         if nbytes is not None:
             return int(nbytes)
         if isinstance(plan, list):
-            # Bucketed tile plans: a list of Tile objects whose payload
+            # Tile plans: a list of Tile objects whose payload
             # is the (i, j) pair tuples.  Rough Python-object costing —
             # a tuple of two ints plus its list slot is ~120 bytes —
             # keeps multi-MB plans visible to the byte bound.

@@ -1,12 +1,12 @@
 """The Gram-matrix computation engine (dataset-scale entry point).
 
 :class:`GramEngine` turns "a million linear systems" into a managed
-workload: it decomposes the pair space into cost-balanced tiles
-(:mod:`~repro.engine.tiles`), executes them on a pluggable backend
-(:mod:`~repro.engine.executors`), serves repeated and overlapping
-requests from a content-addressed cache (:mod:`~repro.engine.cache` /
-:mod:`~repro.engine.fingerprint`), and streams progress events
-(:mod:`~repro.engine.progress`).
+workload: it cuts the pair space into cost-capped tiles, the same for
+every executor (:mod:`~repro.engine.tiles`), executes them on a
+pluggable backend (:mod:`~repro.engine.executors`), serves repeated
+and overlapping requests from a content-addressed cache
+(:mod:`~repro.engine.cache` / :mod:`~repro.engine.fingerprint`), and
+streams progress events (:mod:`~repro.engine.progress`).
 
 Every call runs the same named stages over plain arrays: *resolve*
 (fingerprint the graphs, dedup positions by content, one value-cache
@@ -57,9 +57,9 @@ from ..obs.trace import get_tracer
 from .block_store import GramBlockStore
 from .cache import CachedPair, LRUCache, StructureCache, WarmStartStore
 from .executors import (
-    BATCHED_SOLVERS,
     EXECUTORS,
     BatchRuntime,
+    batches,
     default_workers,
     run_tiles,
 )
@@ -76,13 +76,7 @@ from .progress import (
     ProgressEvent,
     iteration_histogram,
 )
-from .tiles import (
-    DEFAULT_BATCH_PAIRS,
-    MERGED_BATCH_PAIRS,
-    build_pair_jobs,
-    plan_bucketed_tiles,
-    plan_tiles,
-)
+from .tiles import plan_bucketed_tiles
 
 #: Result matrices above this many bytes are allocated as on-disk
 #: memmaps when a spill directory is configured (out-of-core Gram).
@@ -211,18 +205,15 @@ class GramEngine:
     max_workers:
         Pool size for the parallel executors (default: CPU count); at
         least 1.
-    tile_pairs / n_tiles:
-        Workload parameterization: fix the pair count per tile, or the
-        tile count (default: cost-balanced packing into 4 tiles per
-        worker); each at least 1.  Ignored on the batched path, which
-        plans shape-bucketed tiles instead (see ``batch_pairs``).
     batch_pairs:
-        Batched-solver control.  ``None`` (default): solve through the
-        batched pair pipeline whenever the kernel's engine is
-        ``"fused_batched"`` and its solver is batchable, with
-        :data:`~repro.engine.tiles.DEFAULT_BATCH_PAIRS` pairs per
-        bucket tile.  An integer sets the pairs-per-tile cap; ``0``
-        disables batching and forces the per-pair path.
+        Pairs-per-tile cap, at least 1, on top of the planner's entry
+        cap (:data:`~repro.engine.tiles.TILE_NNZ`); ``None`` (default)
+        caps tiles by entries alone.  Every executor solves the tiles
+        of :func:`~repro.engine.tiles.plan_bucketed_tiles`, whatever
+        the worker count and hyperparameters.  Whether a tile's pairs
+        are solved as one batched system or one by one is the kernel's
+        choice: ``engine="fused_batched"`` (the default) batches every
+        non-solo tile, ``engine="fused"`` solves per pair.
     cache:
         The in-memory pair-value cache: an
         :class:`~repro.engine.cache.LRUCache` (share one between
@@ -301,8 +292,6 @@ class GramEngine:
         kernel,
         executor: str = "serial",
         max_workers: int | None = None,
-        tile_pairs: int | None = None,
-        n_tiles: int | None = None,
         batch_pairs: int | None = None,
         cache=None,
         structure_cache=None,
@@ -322,12 +311,8 @@ class GramEngine:
             )
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1 (None: CPU count)")
-        if tile_pairs is not None and tile_pairs < 1:
-            raise ValueError("tile_pairs must be positive")
-        if n_tiles is not None and n_tiles < 1:
-            raise ValueError("n_tiles must be positive")
-        if batch_pairs is not None and batch_pairs < 0:
-            raise ValueError("batch_pairs must be >= 0 (0 disables batching)")
+        if batch_pairs is not None and batch_pairs < 1:
+            raise ValueError("batch_pairs must be positive (None: no cap)")
         if spill_bytes < 1:
             raise ValueError("spill_bytes must be positive")
         if max_tile_retries < 0:
@@ -350,8 +335,6 @@ class GramEngine:
         self.kernel = kernel
         self.executor = executor
         self.max_workers = max_workers
-        self.tile_pairs = tile_pairs
-        self.n_tiles = n_tiles
         self.batch_pairs = batch_pairs
         if cache is False:
             self.cache = None
@@ -411,19 +394,15 @@ class GramEngine:
 
     # ------------------------------------------------------------------
 
-    def _tiles_key(self, fx, fy, reps, merge_small: bool) -> str:
-        """Structure-cache key for a bucketed tile plan.
+    def _tiles_key(self, fx, fy, reps) -> str:
+        """Structure-cache key for a tile plan.
 
-        Covers the planning config (batch cap, merge mode) and every
-        solved position with its graph content — positions matter
-        because tiles carry (i, j) indices — and deliberately nothing
-        hyperparameter-dependent.
+        Covers the pair cap and every solved position with its graph
+        content — positions matter because tiles carry (i, j) indices —
+        and deliberately nothing hyperparameter-dependent.
         """
-        default_pairs = (
-            MERGED_BATCH_PAIRS if merge_small else DEFAULT_BATCH_PAIRS
-        )
         h = hashlib.sha1()
-        parts = [f"tiles-v1|{self.batch_pairs or default_pairs}|{merge_small}"]
+        parts = [f"tiles-v2|{self.batch_pairs}"]
         for i, j in reps:
             parts.append(f"{i},{j},{fx[i]},{fy[j]}")
             # Flush in bounded chunks: one joined string over a
@@ -445,7 +424,7 @@ class GramEngine:
         exactly the blocks whose tile inputs are unchanged.
         """
         h = hashlib.sha1()
-        h.update(f"block-v1|{kfp}".encode())
+        h.update(f"block-v2|{kfp}".encode())
         for i, j in pairs:
             h.update(f"|{i},{j},{fx[i]},{fy[j]}".encode())
         return h.hexdigest()
@@ -518,23 +497,9 @@ class GramEngine:
 
     @property
     def batched(self) -> bool:
-        """Whether pair solves go through the batched pipeline.
-
-        Explicit per-pair workload parameterization (``tile_pairs`` /
-        ``n_tiles``) opts out of batching — those callers asked for a
-        specific classic tile plan — unless ``batch_pairs`` is also set
-        explicitly, which wins.
-        """
-        if self.batch_pairs == 0:
-            return False
-        if self.batch_pairs is None and (
-            self.tile_pairs is not None or self.n_tiles is not None
-        ):
-            return False
-        return (
-            getattr(self.kernel, "engine", None) == "fused_batched"
-            and getattr(self.kernel, "solver", None) in BATCHED_SOLVERS
-        )
+        """Whether non-solo pairs go through the batched pipeline: the
+        kernel's choice (:func:`~repro.engine.executors.batches`)."""
+        return batches(self.kernel)
 
     # ------------------------------------------------------------------
     # the shared pair-solving pipeline
@@ -628,65 +593,38 @@ class GramEngine:
         return call
 
     def _plan(self, X, Y, call: _Call) -> None:
-        """Stage 2: tile the pairs resolve left missing."""
+        """Stage 2: tile the pairs resolve left missing.
+
+        The plan depends on neither the worker count nor the
+        hyperparameters, so every executor solves the same tiles (and
+        returns the same bits), and the plan is served from the
+        structure cache across sweep points.
+
+        One rule for the task bodies' runtime: serial and threads tiles
+        carry the engine's structure cache and warm store, and
+        supervised workers get none.  They are spawned per call, so
+        warm history would always be empty there and cached plans would
+        never be re-read.  The runtime still counts this process's
+        tile-plan lookups below.
+        """
         reps = call.reps
-        if not self.batched:
-            with get_tracer().span(
-                "engine.plan_tiles", n_pairs=len(reps), batched=False
-            ):
-                jobs = build_pair_jobs(X, Y, reps, q=self.kernel.q)
-                call.tiles = plan_tiles(
-                    jobs,
-                    n_tiles=self.n_tiles,
-                    tile_pairs=self.tile_pairs,
-                    workers=self.workers,
-                )
-            return
-        # Shape-bucketed tiles for the batched solver.  The plan is
-        # independent of the worker count, so every executor assembles
-        # identical buckets and returns identical bits.  It is also
-        # independent of hyperparameters (within-bucket ordering is by
-        # nnz), so the whole tile plan — including the cost-model pass
-        # behind it — is served from the structure cache across sweep
-        # points.  Sweep mode (warm-starting on): merge all non-solo
-        # pairs into large block-CSR tiles — with seeded pairs finishing
-        # in a few iterations, bucket count beats per-iteration shape
-        # purity.
-        # Cold single-shot calls keep shape-pure buckets.
-        #
-        # One rule for the task bodies' runtime: serial and threads
-        # tiles carry the engine's structure cache and warm store, and
-        # supervised workers get none.  They are spawned per call, so
-        # warm history would always be empty there (making merged
-        # tiling a pure pessimization) and cached plans would never be
-        # re-read.  The runtime still counts this process's tile-plan
-        # lookups below.
         local = self.executor != "process_supervised"
         call.runtime = BatchRuntime(
             structure_cache=self.structure_cache if local else None,
             warm_store=self.warm_store if local else None,
-        )
-        merge_small = call.runtime.warm_store is not None
-        default_pairs = (
-            MERGED_BATCH_PAIRS if merge_small else DEFAULT_BATCH_PAIRS
         )
         tiles = None
         tkey = None
         if not reps:
             tiles = []
         elif self.structure_cache is not None:
-            tkey = self._tiles_key(call.fx, call.fy, reps, merge_small)
+            tkey = self._tiles_key(call.fx, call.fy, reps)
             tiles = self.structure_cache.get(tkey)
             call.runtime.record(tiles is not None)
         if tiles is None:
-            with get_tracer().span(
-                "engine.plan_tiles", n_pairs=len(reps), batched=True
-            ):
-                jobs = build_pair_jobs(X, Y, reps, q=self.kernel.q)
+            with get_tracer().span("engine.plan_tiles", n_pairs=len(reps)):
                 tiles = plan_bucketed_tiles(
-                    jobs, X, Y,
-                    batch_pairs=self.batch_pairs or default_pairs,
-                    merge_small=merge_small,
+                    X, Y, reps, batch_pairs=self.batch_pairs
                 )
             if tkey is not None:
                 self.structure_cache.put(tkey, tiles)
@@ -856,7 +794,7 @@ class GramEngine:
                 # resolved position that was neither a solve nor a
                 # quarantined NaN placeholder (cache hits,
                 # content-duplicate fills, and block-store recoveries).
-                # A bucket served from the *structure* cache is still
+                # A tile served from the *structure* cache is still
                 # numerically solved, so its pairs count as solves here
                 # — never as cache hits — and the structure reuse is
                 # reported separately.

@@ -52,6 +52,19 @@ def solve_pairs(kernel, X, Y, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
 BATCHED_SOLVERS = ("pcg", "cg")
 
 
+def batches(kernel) -> bool:
+    """Whether ``kernel``'s non-solo pairs go through the batched body.
+
+    The kernel alone decides: ``engine="fused_batched"`` with a solver
+    the batched path vectorizes.  ``engine="fused"`` selects the
+    per-pair body for every pair.
+    """
+    return (
+        getattr(kernel, "engine", None) == "fused_batched"
+        and getattr(kernel, "solver", None) in BATCHED_SOLVERS
+    )
+
+
 @dataclass
 class BatchRuntime:
     """Structure-reuse context threaded into the batched task body.
@@ -84,17 +97,17 @@ class BatchRuntime:
                 self.call_misses += 1
 
 
-def structure_key(pair_graphs, bucket: tuple[str, int]) -> str:
+def structure_key(pair_graphs) -> str:
     """Content-addressed identity of a bucket's structural plan.
 
-    Covers the bucket key and every member pair's graph fingerprints
-    *in order* — the stacked layout depends on member order.
-    Hyperparameters are deliberately absent: a sweep point changes the
-    kernel fingerprint but never this key.
+    Covers every member pair's graph fingerprints *in order* — the
+    stacked layout depends on member order.  Hyperparameters are
+    deliberately absent: a sweep point changes the kernel fingerprint
+    but never this key.
     """
     from .fingerprint import graph_fingerprint
 
-    parts = [f"plan-v1|{bucket[0]}|{bucket[1]}"]
+    parts = ["plan-v2"]
     for a, b in pair_graphs:
         parts.append(graph_fingerprint(a))
         parts.append(graph_fingerprint(b))
@@ -178,13 +191,12 @@ def _seed_warm_start(warm_store, key: str, system, rtol: float = 0.0,
 
 @dataclass
 class BucketTask:
-    """A tile's shape bucket, threaded through plan → fill → solve.
+    """A tile's pairs, threaded through plan → fill → solve.
 
     ``solo`` tasks skip the plan/fill stages entirely (the per-pair
     fallback is the whole body).
     """
 
-    key: tuple[str, int]
     members: list
     solo: bool = False
     skey: str | None = None
@@ -193,19 +205,14 @@ class BucketTask:
 
 
 def bucket_tasks(tile: Tile) -> BucketTask:
-    """The stage task of a tile planned for the batched solver.
+    """The stage task of a tile: its pairs in planned order.
 
-    :func:`~repro.engine.tiles.plan_bucketed_tiles` already grouped the
-    tile's pairs into one bucket (``tile.bucket``), so the task takes
-    that bucket and the pairs in planned order.
+    Solo tiles (product systems above
+    :data:`~repro.kernels.linsys.BATCH_SPARSE_MAX`, compute-bound
+    giants) keep the per-pair body; every other tile, a one-pair tile
+    included, stacks into one block-CSR system.
     """
-    return BucketTask(
-        key=tile.bucket,
-        members=tile.pairs,
-        # Nothing to amortize (singleton) or compute-bound giants: the
-        # per-pair path is as fast or faster.
-        solo=len(tile.pairs) < 2 or tile.bucket[0] == "solo",
-    )
+    return BucketTask(members=tile.pairs, solo=tile.solo)
 
 
 def plan_bucket(
@@ -218,10 +225,9 @@ def plan_bucket(
     warm = runtime.warm_store if runtime is not None else None
     pair_graphs = [(X[i], Y[j]) for i, j in task.members]
     if cache is not None or warm is not None:
-        task.skey = structure_key(pair_graphs, task.key)
+        task.skey = structure_key(pair_graphs)
     tracer = get_tracer()
-    with tracer.span("tile.plan", mode=task.key[0],
-                     n_pairs=len(task.members)) as sp:
+    with tracer.span("tile.plan", n_pairs=len(task.members)) as sp:
         plan = None
         if cache is not None:
             plan = cache.get(task.skey)
@@ -240,8 +246,7 @@ def fill_bucket(task: BucketTask, kernel) -> BucketTask:
     from ..kernels.linsys import fill_batched_system
 
     tracer = get_tracer()
-    with tracer.span("tile.fill", mode=task.key[0],
-                     n_pairs=len(task.members)):
+    with tracer.span("tile.fill", n_pairs=len(task.members)):
         task.system = fill_batched_system(
             task.plan,
             kernel.node_kernel,
@@ -269,7 +274,7 @@ def solve_bucket(
         kwargs["max_iter"] = kernel.max_iter
     warm = runtime.warm_store if runtime is not None else None
     system = task.system
-    with tracer.span("tile.solve", mode=task.key[0],
+    with tracer.span("tile.solve", mode="batched",
                      n_pairs=len(task.members)) as sp:
         x0 = None
         if warm is not None:
@@ -289,12 +294,12 @@ def solve_tile(
 ) -> np.ndarray:
     """The task body every backend runs: one tile's pairs as block rows.
 
-    A tile planned for the batched solver (``tile.bucket`` set by
-    :func:`~repro.engine.tiles.plan_bucketed_tiles`) is assembled into
-    one :class:`~repro.kernels.linsys.BatchedProductSystem`, and the
-    batched PCG/CG advances all of its pairs per iteration.  Other
-    tiles, solo and singleton buckets, and solvers the batched path
-    does not vectorize run the per-pair loop.
+    When the kernel batches (:func:`batches`), a non-solo tile is
+    assembled into one
+    :class:`~repro.kernels.linsys.BatchedProductSystem`, and the
+    batched PCG/CG advances all of its pairs per iteration.  Solo
+    tiles, and every tile of a kernel that does not batch, run the
+    per-pair loop.
 
     With a :class:`BatchRuntime`, the bucket's structural plan is
     served from the structure cache (topology skipped entirely on a
@@ -303,7 +308,7 @@ def solve_tile(
     The per-pair fallbacks bypass both by design: they are per-pair
     and compute-bound.
     """
-    if tile.bucket is None or kernel.solver not in BATCHED_SOLVERS:
+    if not batches(kernel):
         return solve_pairs(kernel, X, Y, tile.pairs)
     task = bucket_tasks(tile)
     if not task.solo:
@@ -328,11 +333,11 @@ def run_tiles(
     ``"process_supervised"`` through
     :class:`~repro.engine.supervisor.SupervisedPool` itself.  Tiles
     should arrive largest-first (see
-    :func:`~repro.engine.tiles.plan_tiles`); with the thread pool that
-    ordering makes the natural work-queue dispatch approximate LPT
-    scheduling.  Every tile runs :func:`solve_tile`, which picks the
-    batched or per-pair body from the tile itself — the backends are
-    oblivious to the difference.  ``runtime`` carries the structure
+    :func:`~repro.engine.tiles.plan_bucketed_tiles`); with the thread
+    pool that ordering makes the natural work-queue dispatch
+    approximate LPT scheduling.  Every tile runs :func:`solve_tile`, which picks the
+    batched or per-pair body from the kernel and the tile's class — the
+    backends are oblivious to the difference.  ``runtime`` carries the structure
     cache and warm store, shared with the caller.
 
     ``abort`` (a :class:`threading.Event`) cancels the run between

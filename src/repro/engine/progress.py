@@ -23,7 +23,7 @@ ProgressCallback = Callable[["ProgressEvent"], None]
 class ProgressEvent:
     """Snapshot of a running Gram computation after one tile.
 
-    ``pairs_done``/``solves`` count numeric work: a bucket whose
+    ``pairs_done``/``solves`` count numeric work: a tile whose
     *structure* was served from the structure cache is still solved, so
     its pairs appear under ``solves`` (never under ``cache_hits``) —
     structure reuse is surfaced separately via ``structure_hits`` /

@@ -405,10 +405,12 @@ def pair_bucket(size: int) -> tuple[str, int]:
     """Shape bucket of a product system of ``size`` = n·m entries.
 
     Sizes quantize up to the next power of two, so pairs within a 2x
-    size band share a bucket.  Buckets up to ``BATCH_SPARSE_MAX`` solve
-    as one block-CSR system (``"sparse"``; block-CSR needs no padding,
-    so the quantized size only groups pairs of comparable cost and
-    iteration count), and larger ones per pair (``"solo"``).
+    size band share a bucket.  Buckets up to ``BATCH_SPARSE_MAX`` are
+    batchable (``"sparse"``) and larger ones are solved per pair
+    (``"solo"``).  The engine's tile planner
+    (:func:`~repro.engine.tiles.plan_bucketed_tiles`) uses only that
+    split: block-CSR needs no padding, and a pair's result does not
+    depend on the other pairs of its system.
     """
     if size < 1:
         raise ValueError("product system size must be positive")

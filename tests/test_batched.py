@@ -21,7 +21,6 @@ from repro import GramEngine, MarginalizedGraphKernel
 from repro.engine import kernel_fingerprint, plan_bucketed_tiles
 from repro.engine.cache import LRUCache
 from repro.engine.executors import solve_tile
-from repro.engine.tiles import build_pair_jobs
 from repro.graphs.generators import (
     drugbank_like_molecule,
     random_labeled_graph,
@@ -205,50 +204,64 @@ def test_pair_bucket_tiers():
 
 
 def test_plan_bucketed_tiles_cover_and_pure():
-    graphs = mixed_batch(7, n_graphs=10)
-    positions = [(i, j) for i in range(10) for j in range(i, 10)]
-    jobs = build_pair_jobs(graphs, graphs, positions, q=0.1)
-    tiles = plan_bucketed_tiles(jobs, graphs, graphs, batch_pairs=8)
+    # a 60-node graph makes its pairs with the larger graphs solo
+    graphs = mixed_batch(7, n_graphs=10) + [
+        random_labeled_graph(60, density=0.1, seed=7)
+    ]
+    positions = [(i, j) for i in range(11) for j in range(i, 11)]
+    tiles = plan_bucketed_tiles(graphs, graphs, positions, batch_pairs=8)
     seen = sorted(p for t in tiles for p in t.pairs)
     assert seen == sorted(positions)  # exact cover
+    assert {t.solo for t in tiles} == {True, False}
     for t in tiles:
         assert len(t) <= 8
-        keys = {
-            pair_bucket(graphs[i].n_nodes * graphs[j].n_nodes)
+        solo = {
+            pair_bucket(graphs[i].n_nodes * graphs[j].n_nodes)[0] == "solo"
             for i, j in t.pairs
         }
-        assert keys == {t.bucket}  # bucket-pure tiles
+        assert solo == {t.solo}  # solo and batchable pairs kept apart
     # deterministic: same inputs, same plan (workers never enter)
-    again = plan_bucketed_tiles(jobs, graphs, graphs, batch_pairs=8)
+    again = plan_bucketed_tiles(graphs, graphs, positions, batch_pairs=8)
     assert [t.pairs for t in again] == [t.pairs for t in tiles]
 
 
 def _planned_rows(mgk, graphs, pairs, **plan_kw):
     """Every planned tile's block rows from the task body, stacked."""
-    jobs = build_pair_jobs(graphs, graphs, pairs, q=mgk.q)
-    tiles = plan_bucketed_tiles(jobs, graphs, graphs, **plan_kw)
+    tiles = plan_bucketed_tiles(graphs, graphs, pairs, **plan_kw)
     return tiles, np.vstack(
         [solve_tile(mgk, graphs, graphs, tile) for tile in tiles]
     )
 
 
-def test_solo_and_singleton_fall_back_per_pair():
-    """Giant pairs and singleton buckets run through kernel.pair."""
+def test_solo_falls_back_per_pair_and_singletons_batch():
+    """Giant pairs run through kernel.pair; a one-pair batchable tile
+    runs the batched body, bit for bit as inside a larger tile."""
     big = random_labeled_graph(140, density=0.05, seed=1)  # N = 19600 > solo cap
-    small = mixed_batch(2, n_graphs=4)
+    small = [
+        random_labeled_graph(n, density=0.4, weighted=True, seed=n)
+        for n in (4, 5, 6, 7)
+    ]
     graphs = small + [big]
     mgk = MarginalizedGraphKernel(NK, EK, q=0.2)
     pairs = [(i, j) for i in range(len(graphs)) for j in range(i, len(graphs))]
-    tiles, rows = _planned_rows(mgk, graphs, pairs)
-    assert any(t.bucket[0] == "solo" for t in tiles)
-    assert any(len(t) == 1 and t.bucket[0] != "solo" for t in tiles)
+    # 10 batchable pairs: three 3-pair tiles and a singleton, the 4-node
+    # self-pair, whose value kernel.pair does not reproduce bit for bit
+    tiles, rows = _planned_rows(mgk, graphs, pairs, batch_pairs=3)
+    assert any(t.solo for t in tiles)
+    assert any(len(t) == 1 and not t.solo for t in tiles)
     assert sorted(map(tuple, rows[:, :2].astype(int).tolist())) == pairs
-    ref = {
-        (i, j): mgk.pair(graphs[i], graphs[j]).value for i, j in pairs
-    }
-    for i, j, value, iters, converged, resnorm in rows:
-        assert value == pytest.approx(ref[(int(i), int(j))], rel=RTOL)
-        assert converged == 1.0
+    _, whole = _planned_rows(mgk, graphs, pairs)
+    one_tile = {(int(r[0]), int(r[1])): r for r in whole}
+    solo = {p for t in tiles if t.solo for p in t.pairs}
+    for row in rows:
+        i, j = int(row[0]), int(row[1])
+        ref = mgk.pair(graphs[i], graphs[j])
+        if (i, j) in solo:
+            assert row[2] == ref.value and row[3] == ref.iterations
+        else:
+            assert row.tobytes() == one_tile[(i, j)].tobytes()
+        assert row[2] == pytest.approx(ref.value, rel=RTOL)
+        assert row[4] == 1.0
 
 
 def test_unbatchable_solver_falls_back():
@@ -291,13 +304,17 @@ def test_engine_threads_matches_serial_bitwise():
     np.testing.assert_array_equal(a.iterations, b.iterations)
 
 
-def test_batch_pairs_zero_disables_batching():
+def test_fused_engine_selects_the_per_pair_path():
+    """The kernel alone picks the body: ``engine="fused"`` solves every
+    pair through kernel.pair, whatever the tile plan."""
     graphs = mixed_batch(12, n_graphs=6)
-    mgk = MarginalizedGraphKernel(NK, EK, q=0.2)
-    eng = GramEngine(mgk, batch_pairs=0, cache=False)
+    fused = MarginalizedGraphKernel(NK, EK, q=0.2, engine="fused")
+    assert GramEngine(MarginalizedGraphKernel(NK, EK, q=0.2)).batched
+    eng = GramEngine(fused, batch_pairs=4, cache=False)
     assert not eng.batched
-    ref = _gram("fused", graphs, cache=False)
-    np.testing.assert_array_equal(eng.gram(graphs).matrix, ref.matrix)
+    K = eng.gram(graphs).matrix
+    ref = np.array([[fused.pair(a, b).value for b in graphs] for a in graphs])
+    np.testing.assert_array_equal(np.triu(K), np.triu(ref))
 
 
 def test_fused_and_batched_share_cache_entries():

@@ -46,8 +46,7 @@ from repro.engine import (
     GramBlockStore,
     LRUCache,
     SupervisedPool,
-    build_pair_jobs,
-    plan_tiles,
+    plan_bucketed_tiles,
 )
 from repro.graphs.generators import random_labeled_graph
 from repro.kernels.basekernels import synthetic_kernels
@@ -80,7 +79,7 @@ def _no_leaked_plan():
 def supervised_engine(**kw):
     kw.setdefault("executor", "process_supervised")
     kw.setdefault("max_workers", 2)
-    kw.setdefault("tile_pairs", 8)
+    kw.setdefault("batch_pairs", 8)
     kw.setdefault("cache", False)
     return GramEngine(make_kernel(), **kw)
 
@@ -305,7 +304,7 @@ class TestSupervisedExecution:
         return res
 
     def test_fault_free_matches_serial_executor(self, baseline):
-        eng = GramEngine(make_kernel(), executor="serial", tile_pairs=8,
+        eng = GramEngine(make_kernel(), executor="serial", batch_pairs=8,
                          cache=False)
         res = eng.gram(GRAPHS)
         assert np.array_equal(baseline.matrix, res.matrix)
@@ -399,8 +398,7 @@ class TestSupervisedExecution:
         kern = make_kernel()
         n = len(GRAPHS)
         pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        jobs = build_pair_jobs(GRAPHS, GRAPHS, pairs, q=0.2)
-        tiles = plan_tiles(jobs, tile_pairs=8)
+        tiles = plan_bucketed_tiles(GRAPHS, GRAPHS, pairs, batch_pairs=8)
         with pytest.raises(ValueError):
             SupervisedPool(kern, GRAPHS, GRAPHS, tiles, max_tile_retries=-1)
         with pytest.raises(ValueError):
@@ -455,12 +453,12 @@ class TestShardedExecution:
         assert sum(solved) == 55 and all(s > 0 for s in solved)
         # unsharded merge pass: everything comes from blocks
         eng = GramEngine(make_kernel(), executor="serial", cache=False,
-                         spill_dir=spill, tile_pairs=8)
+                         spill_dir=spill, batch_pairs=8)
         res = eng.gram(GRAPHS)
         eng.close()
         d = res.info["diagnostics"]
         assert d.solves == 0 and d.blocks_served > 0
-        ref = GramEngine(make_kernel(), executor="serial", tile_pairs=8,
+        ref = GramEngine(make_kernel(), executor="serial", batch_pairs=8,
                          cache=False).gram(GRAPHS)
         assert np.array_equal(res.matrix, ref.matrix)
 
@@ -519,14 +517,14 @@ class TestAbortOnClose:
     def test_close_aborts_supervised_run(self):
         # hang every attempt forever: without abort this never ends
         eng = supervised_engine(
-            tile_pairs=4, chaos="hang:p=1.0,attempts=99,s=60,seed=1"
+            batch_pairs=4, chaos="hang:p=1.0,attempts=99,s=60,seed=1"
         )
         caught = self._run_and_close(eng)
         assert caught, "gram() should raise EngineAborted on close()"
 
     def test_close_aborts_threaded_run(self):
         eng = GramEngine(make_kernel(), executor="threads", max_workers=2,
-                         tile_pairs=2, cache=False)
+                         batch_pairs=2, cache=False)
         caught = self._run_and_close(eng)
         # a fast run may legitimately finish before close() lands; what
         # must never happen is a hang or a non-EngineAborted error

@@ -22,12 +22,12 @@ from hypothesis import strategies as st
 
 from repro import GramEngine, MarginalizedGraphKernel
 from repro.engine import (
+    TILE_NNZ,
     CachedPair,
     LRUCache,
-    build_pair_jobs,
     graph_fingerprint,
     kernel_fingerprint,
-    plan_tiles,
+    plan_bucketed_tiles,
 )
 from repro.graphs.generators import random_labeled_graph
 from repro.kernels.basekernels import synthetic_kernels
@@ -261,30 +261,105 @@ class TestExtend:
 
 
 class TestTiling:
-    def test_tiles_cover_pairs_exactly_once(self, graphs):
-        pairs = [(i, j) for i in range(8) for j in range(i, 8)]
-        jobs = build_pair_jobs(graphs, graphs, pairs, q=0.2)
-        tiles = plan_tiles(jobs, workers=3)
-        seen = [p for t in tiles for p in t.pairs]
-        assert sorted(seen) == sorted(pairs)
-        # largest-first dispatch order (LPT under a dynamic queue)
-        cycles = [t.cycles for t in tiles]
-        assert cycles == sorted(cycles, reverse=True)
+    """The one planner: a cover of the pair set, solo and batchable
+    pairs apart, within both caps, largest first and deterministic."""
+
+    @staticmethod
+    def mixed_graphs():
+        # 1-node and 2-node graphs (the cheapest pairs), 6-node graphs
+        # (batchable), and two 30-node graphs whose pairs with each
+        # other exceed BATCH_SPARSE_MAX (solo).
+        return (
+            [random_labeled_graph(n, density=0.5, seed=n) for n in (1, 2)]
+            + make_graphs(6)
+            + [random_labeled_graph(30, density=0.2, seed=s)
+               for s in (1, 2)]
+        )
+
+    def test_tiles_cover_pairs_exactly_once(self):
+        gs = self.mixed_graphs()
+        pairs = [(i, j) for i in range(len(gs)) for j in range(i, len(gs))]
+        for batch_pairs in (1, 3, None):
+            tiles = plan_bucketed_tiles(gs, gs, pairs, batch_pairs)
+            seen = [p for t in tiles for p in t.pairs]
+            assert sorted(seen) == sorted(pairs)
+            assert len(seen) == len(set(seen))
+            # largest-first dispatch order (LPT under a dynamic queue)
+            nnz = [t.nnz for t in tiles]
+            assert nnz == sorted(nnz, reverse=True)
+            assert [t.index for t in tiles] == list(range(len(tiles)))
 
     def test_tile_pairs_chunking(self, graphs):
         pairs = [(i, j) for i in range(8) for j in range(i, 8)]
-        jobs = build_pair_jobs(graphs, graphs, pairs, q=0.2)
-        tiles = plan_tiles(jobs, tile_pairs=10)
+        tiles = plan_bucketed_tiles(graphs, graphs, pairs, batch_pairs=10)
         assert sorted(len(t) for t in tiles) == [6, 10, 10, 10]
 
+    def test_tiles_stay_within_both_caps(self):
+        # Drug-like molecules up to 120 atoms: the big pairs' entries
+        # add up past TILE_NNZ, so the entry cap cuts tiles too.
+        from repro.graphs.generators import drugbank_like_molecule
+        from repro.kernels.linsys import BATCH_SPARSE_MAX
+
+        gs = [drugbank_like_molecule(n, seed=n) for n in
+              (1, 3, 5, 8, 12, 20, 30, 45, 60, 80, 100, 120)]
+        pairs = [(i, j) for i in range(len(gs)) for j in range(i, len(gs))]
+        nnz = {(i, j): 4 * max(1, gs[i].n_edges) * max(1, gs[j].n_edges)
+               for i, j in pairs}
+        solo = {(i, j): gs[i].n_nodes * gs[j].n_nodes > BATCH_SPARSE_MAX
+                for i, j in pairs}
+        assert sum(nnz.values()) > 2 * TILE_NNZ
+        for batch_pairs in (5, None):
+            tiles = plan_bucketed_tiles(gs, gs, pairs, batch_pairs)
+            for t in tiles:
+                assert t.nnz == sum(nnz[p] for p in t.pairs)
+                assert batch_pairs is None or len(t) <= batch_pairs
+                assert t.nnz <= TILE_NNZ or len(t) == 1
+            # The reference: the plain greedy loop over each class in
+            # (-nnz, i, j) order, tiles then stably sorted largest first.
+            ref = []
+            for cls in (False, True):
+                chunk, total = [], 0
+                for p in sorted((p for p in pairs if solo[p] == cls),
+                                key=lambda p: (-nnz[p], p)):
+                    if chunk and (total + nnz[p] > TILE_NNZ
+                                  or len(chunk) == (batch_pairs or 0)):
+                        ref.append((chunk, total, cls))
+                        chunk, total = [], 0
+                    chunk.append(p)
+                    total += nnz[p]
+                if chunk:
+                    ref.append((chunk, total, cls))
+            ref.sort(key=lambda t: -t[1])
+            assert [(t.pairs, t.nnz, t.solo) for t in tiles] == ref
+
+    def test_single_pair_over_the_entry_cap_gets_its_own_tile(self):
+        giant = random_labeled_graph(400, density=0.02, seed=3)
+        small = make_graphs(3)
+        gs = [giant] + small
+        pairs = [(i, j) for i in range(4) for j in range(i, 4)]
+        assert 4 * giant.n_edges ** 2 > TILE_NNZ
+        tiles = plan_bucketed_tiles(gs, gs, pairs)
+        assert tiles[0].pairs == [(0, 0)] and tiles[0].nnz > TILE_NNZ
+        assert all(t.nnz <= TILE_NNZ for t in tiles[1:])
+
+    def test_plan_is_deterministic_and_ignores_pair_order(self):
+        gs = self.mixed_graphs()
+        pairs = [(i, j) for i in range(len(gs)) for j in range(i, len(gs))]
+        plan = plan_bucketed_tiles(gs, gs, pairs, batch_pairs=3)
+        again = plan_bucketed_tiles(gs, gs, pairs, batch_pairs=3)
+        shuffled = plan_bucketed_tiles(gs, gs, pairs[::-1], batch_pairs=3)
+        for other in (again, shuffled):
+            assert [(t.pairs, t.nnz, t.solo) for t in other] == [
+                (t.pairs, t.nnz, t.solo) for t in plan
+            ]
+
     @pytest.mark.parametrize("kwargs", [
-        {"n_tiles": 0},
-        {"n_tiles": -3},
-        {"tile_pairs": 0},
+        {"batch_pairs": 0},
+        {"batch_pairs": -3},
         {"max_workers": 0},
         {"executor": "threads", "max_workers": -1},
         {"executor": "process_supervised", "max_workers": -1},
-    ], ids=["n_tiles=0", "n_tiles<0", "tile_pairs=0", "max_workers=0",
+    ], ids=["batch_pairs=0", "batch_pairs<0", "max_workers=0",
             "threads-max_workers<0", "supervised-max_workers<0"])
     def test_bad_tiling_and_worker_args_rejected_at_construction(
         self, graphs, kwargs
@@ -292,10 +367,9 @@ class TestTiling:
         name = next(k for k in kwargs if k != "executor")
         with pytest.raises(ValueError, match=name):
             GramEngine(make_kernel(), **kwargs)
-        if name != "max_workers":
-            jobs = build_pair_jobs(graphs, graphs, [(0, 1)], q=0.2)
+        if name == "batch_pairs":
             with pytest.raises(ValueError, match=name):
-                plan_tiles(jobs, **kwargs)
+                plan_bucketed_tiles(graphs, graphs, [(0, 1)], **kwargs)
 
 
 class TestFingerprints:
@@ -326,7 +400,8 @@ class TestFingerprints:
 class TestDiagnostics:
     def test_progress_events_stream(self, graphs):
         events = []
-        eng = GramEngine(make_kernel(), progress=events.append, n_tiles=4)
+        eng = GramEngine(make_kernel(), progress=events.append,
+                         batch_pairs=9)
         eng.gram(graphs)
         assert events[-1].phase == "done"
         assert events[-1].pairs_done == events[-1].pairs_total == 36

@@ -21,7 +21,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.engine import GramEngine, build_pair_jobs, plan_bucketed_tiles
+from repro.engine import GramEngine, plan_bucketed_tiles
 from repro.engine.block_store import GramBlockStore
 from repro.engine.executors import (
     bucket_tasks,
@@ -47,15 +47,13 @@ def make_graphs(n, seed0=100):
     ]
 
 
-def make_kernel(q=0.2, solver="pcg"):
-    return MarginalizedGraphKernel(
-        NK, EK, q=q, engine="fused_batched", solver=solver
-    )
+def make_kernel(q=0.2, solver="pcg", engine="fused_batched"):
+    return MarginalizedGraphKernel(NK, EK, q=q, engine=engine, solver=solver)
 
 
-def make_engine(**kw):
+def make_engine(engine="fused_batched", **kw):
     kw.setdefault("batch_pairs", 16)  # force a multi-tile plan
-    return GramEngine(make_kernel(), **kw)
+    return GramEngine(make_kernel(engine=engine), **kw)
 
 
 GRAPHS = make_graphs(18)
@@ -86,6 +84,34 @@ class TestPipelineBitwise:
     def test_executors_and_cache_modes(self, barrier_result, executor, cache):
         eng = make_engine(executor=executor, cache=cache, max_workers=2)
         assert_bitwise(eng.gram(GRAPHS), barrier_result)
+
+    @pytest.fixture(scope="class")
+    def mixed(self):
+        """Graphs whose pairs are solo (24/26 x 24/26 nodes) or
+        batchable, and the serial run with no pair cap, the reference.
+        The 33 batchable pairs leave a one-pair tile under caps of 2
+        and 8: the 4-node self-pair, whose value kernel.pair does not
+        reproduce bit for bit."""
+        graphs = [
+            random_labeled_graph(n, density=0.4, weighted=True, seed=n)
+            for n in (4, 5, 6, 7, 8, 9, 24, 26)
+        ]
+        return graphs, make_engine(batch_pairs=None, cache=False).gram(graphs)
+
+    @pytest.mark.parametrize("executor", ["serial", "process_supervised"])
+    @pytest.mark.parametrize("batch_pairs", [2, 8, None])
+    def test_values_do_not_depend_on_tiling(self, mixed, executor,
+                                            batch_pairs):
+        graphs, ref = mixed
+        pairs = [(i, j) for i in range(8) for j in range(i, 8)]
+        tiles = plan_bucketed_tiles(graphs, graphs, pairs, batch_pairs)
+        assert any(t.solo for t in tiles)
+        assert batch_pairs is None or any(
+            len(t) == 1 and not t.solo for t in tiles
+        )
+        eng = make_engine(batch_pairs=batch_pairs, executor=executor,
+                          max_workers=2, cache=False)
+        assert_bitwise(eng.gram(graphs), ref)
 
     def test_warm_start_threads_matches_warm_serial(self):
         # Warm-started values are tolerance-equal to cold ones, but the
@@ -196,6 +222,23 @@ class TestEngineSpill:
         assert d2.solves == 0
         assert d2.blocks_served == d1.tiles
         assert_bitwise(r2, barrier_result)
+
+        # Across executors: blocks a two-worker supervised run spilled
+        # serve a fresh serial engine whole, because the tile plan does
+        # not depend on the worker count.
+        for engine in ("fused", "fused_batched"):
+            spill = str(tmp_path / f"cross-{engine}")
+            with make_engine(engine, spill_dir=spill,
+                             executor="process_supervised",
+                             max_workers=2) as e3:
+                r3 = e3.gram(GRAPHS)
+            with make_engine(engine, spill_dir=spill, cache=False) as e4:
+                r4 = e4.gram(GRAPHS)
+            d3, d4 = r3.info["diagnostics"], r4.info["diagnostics"]
+            assert d3.blocks_written == d3.tiles > 1, engine
+            assert d4.solves == 0, engine
+            assert d4.blocks_served == d4.tiles == d3.tiles, engine
+            assert_bitwise(r4, r3)
 
     def test_partial_spill_crash_recovery(self, tmp_path, barrier_result):
         e1 = make_engine(spill_dir=str(tmp_path))
@@ -322,13 +365,11 @@ class TestStageSplit:
         kernel = make_kernel()
         X = GRAPHS[:6]
         reps = [(i, j) for i in range(6) for j in range(i, 6)]
-        tiles = plan_bucketed_tiles(
-            build_pair_jobs(X, X, reps, q=kernel.q), X, X
-        )
+        tiles = plan_bucketed_tiles(X, X, reps, batch_pairs=4)
         direct = {}
         for tile in tiles:
             t = bucket_tasks(tile)
-            assert t.key == tile.bucket and t.members == tile.pairs
+            assert t.solo == tile.solo and t.members == tile.pairs
             if not t.solo:
                 plan_bucket(t, X, X)
                 fill_bucket(t, kernel)

@@ -245,12 +245,11 @@ def test_warm_start_without_history_is_exact_cold_fallback():
     plain = make_engine(structure_cache=False).gram(graphs)
     res = make_engine(warm_start=True).gram(graphs)
     # No prior solutions anywhere: every pair runs its exact cold
-    # iteration.  Sweep mode merges buckets into block-CSR systems, so
-    # the comparison with the shape-pure plain path is within the
-    # engine's equivalence budget; determinism of the fallback itself
-    # is bitwise (two fresh warm engines take identical trajectories,
-    # and the solver-level zero-x0 test pins the exact-fallback path).
-    assert np.allclose(res.matrix, plain.matrix, rtol=RTOL, atol=0)
+    # iteration over the same tiles as the plain path, so the warm
+    # engine's first call is bitwise the cold Gram (and two fresh warm
+    # engines take identical trajectories).
+    assert np.array_equal(res.matrix, plain.matrix)
+    assert np.array_equal(res.iterations, plain.iterations)
     assert res.converged == plain.converged
     repeat = make_engine(warm_start=True).gram(graphs)
     assert np.array_equal(res.matrix, repeat.matrix)
@@ -296,9 +295,8 @@ def test_sole_label_kernels_through_plan_fill():
 
 def test_supervised_executor_ignores_warm_start():
     # Process workers are rebuilt per call, so warm history can never
-    # accumulate; the engine must keep the PR-4 tiling (merged sweep
-    # tiles would be a pure pessimization) and produce bitwise the
-    # same result with or without the flag.
+    # accumulate; the engine must produce bitwise the same result with
+    # or without the flag.
     graphs = mixed_batch(6, n_graphs=8)
     plain = make_engine(
         executor="process_supervised", max_workers=2, structure_cache=False
@@ -366,14 +364,14 @@ def test_engine_config_change_misses_structure_cache():
     cache = StructureCache()
     make_engine(structure_cache=cache).gram(graphs)
     built = cache.stats.puts
-    # Same graphs, same hyperparameters — but warm-starting turns on the
-    # merged sweep tiling, which changes the tile plan and the buckets'
-    # members, so neither may be served from the shape-pure entries.
-    make_engine(structure_cache=cache, warm_start=True).gram(graphs)
+    # Same graphs, same hyperparameters — but a pair cap re-cuts the
+    # tiles, which changes the tile plan and the tiles' members, so
+    # neither may be served from the uncapped entries.
+    make_engine(structure_cache=cache, batch_pairs=4).gram(graphs)
     assert cache.stats.puts > built
-    merged = cache.stats.puts
-    make_engine(structure_cache=cache, warm_start=True).gram(graphs)
-    assert cache.stats.puts == merged
+    capped = cache.stats.puts
+    make_engine(structure_cache=cache, batch_pairs=4).gram(graphs)
+    assert cache.stats.puts == capped
 
 
 # ----------------------------------------------------------------------
