@@ -135,9 +135,11 @@ class _Call:
     def set_missing(self, missing: np.ndarray) -> None:
         """Record the unique pairs left to tile as ``reps`` (their first
         positions), and index those positions for :meth:`unique_of`."""
-        self.reps = list(zip(self.rep_i[missing].tolist(),
-                             self.rep_j[missing].tolist()))
-        lin = self.rep_i[missing] * self.n_cols + self.rep_j[missing]
+        self.missing_i = self.rep_i[missing]
+        self.missing_j = self.rep_j[missing]
+        self.reps = list(zip(self.missing_i.tolist(),
+                             self.missing_j.tolist()))
+        lin = self.missing_i * self.n_cols + self.missing_j
         order = np.argsort(lin)
         self._lin, self._unique = lin[order], missing[order]
         self.pairs_done = len(self.pi) - int(self.counts[missing].sum())
@@ -394,24 +396,24 @@ class GramEngine:
 
     # ------------------------------------------------------------------
 
-    def _tiles_key(self, fx, fy, reps) -> str:
+    def _tiles_key(self, fx, fy, i, j) -> str:
         """Structure-cache key for a tile plan.
 
-        Covers the pair cap and every solved position with its graph
-        content — positions matter because tiles carry (i, j) indices —
-        and deliberately nothing hyperparameter-dependent.
+        Covers the pair cap, the solved positions ``(i[k], j[k])`` and
+        the graph content of every row and column — positions matter
+        because tiles carry (i, j) indices — and deliberately nothing
+        hyperparameter-dependent.  The position arrays are hashed as
+        bytes, so a sweep point costs one pass over them.
         """
-        h = hashlib.sha1()
-        parts = [f"tiles-v2|{self.batch_pairs}"]
-        for i, j in reps:
-            parts.append(f"{i},{j},{fx[i]},{fy[j]}")
-            # Flush in bounded chunks: one joined string over a
-            # million-pair Gram would be a ~100 MB transient.
-            if len(parts) >= 65536:
-                h.update(";".join(parts).encode())
-                h.update(b";")
-                parts = []
-        h.update(";".join(parts).encode())
+        h = hashlib.sha1(
+            f"tiles-v3|{self.batch_pairs}|{len(i)}|{len(fx)}|{len(fy)}|"
+            .encode()
+        )
+        h.update(np.ascontiguousarray(i, dtype=np.int64))
+        h.update(np.ascontiguousarray(j, dtype=np.int64))
+        h.update("|".join(fx).encode())
+        h.update(b";")
+        h.update("|".join(fy).encode())
         return h.hexdigest()
 
     @staticmethod
@@ -618,7 +620,9 @@ class GramEngine:
         if not reps:
             tiles = []
         elif self.structure_cache is not None:
-            tkey = self._tiles_key(call.fx, call.fy, reps)
+            tkey = self._tiles_key(
+                call.fx, call.fy, call.missing_i, call.missing_j
+            )
             tiles = self.structure_cache.get(tkey)
             call.runtime.record(tiles is not None)
         if tiles is None:

@@ -114,34 +114,48 @@ def structure_key(pair_graphs) -> str:
     return hashlib.sha1("|".join(parts).encode()).hexdigest()
 
 
-def _seed_warm_start(warm_store, key: str, system, rtol: float = 0.0,
-                     atol: float = 0.0):
+def _seed_warm_start(warm_store, key: str, system):
     """Residual-minimizing warm start from the bucket's solution history.
 
     Warm vectors are stored *per bucket* in the bucket's stacked layout
     (keyed by the structure key, which pins members and their order),
     so seeding costs O(1) Python per bucket: fetch the k stacked
-    history vectors, compute their images under S (one SpMM for all
-    k), and minimize ||b − S Σ cₐvₐ||₂ per pair by modified
-    Gram–Schmidt (MGS) over the image basis.  MGS stays stable where a
-    normal-equations solve does not: adjacent sweep points give nearly
-    parallel history vectors.  The seed is never worse than the cold
-    start (c = 0 lies in the subspace) and tracks a sweep's solution
-    manifold to k-th order — which matters because CG converges
-    exponentially: a seed must be *accurate*, not merely nearby, to
-    cut iterations.
+    history vectors V, compute their images S V (one SpMM over the
+    C-contiguous (S, k) stack), and minimize ||b − S V c||₂ per pair.
+    The seed is never worse than the cold start (c = 0 lies in the
+    subspace) and tracks a sweep's solution manifold to k-th order —
+    which matters because CG converges exponentially: a seed must be
+    *accurate*, not merely nearby, to cut iterations.
+
+    Algorithm: modified Gram–Schmidt (MGS) over the images alone, with
+    b carried along as the last column (MGS on [S V | b]).  MGS stays
+    stable where a normal-equations solve does not: adjacent sweep
+    points give nearly parallel history vectors.  The history vectors
+    themselves never enter the loop: each pair's triangular
+    combination (orthogonalized image qₐ = Σ_c T[c, a] S v_c) is
+    tracked on (k, k, B) arrays, so x0 = Σ_c w_c v_c, with w_c =
+    Σₐ T[c, a] coefₐ, is formed once at the end as k axpys over the
+    stored vectors.  The qₐ are not normalized; projections divide by
+    ||qₐ||² instead, which saves two passes per direction.
 
     Drop rule: a direction whose orthogonalized image falls to 1e-12 of
-    the pair's first is dropped.  The deep directions are the ones that
-    carry a seed below the solver's threshold.  On a 16-point q sweep
-    over 96 small-molecule fragments, a bucket's five history images
-    have singular values near 1, 2.3e-3, 1.4e-5, 4.6e-8 and 8.9e-11,
-    and per pair the orthogonalized images fall to medians of 3e-4,
-    3e-7, 3e-10 and 3e-11 of the first, so a 1e-8 rule kept three of
-    five.  Near 1e-16 the survivors are rounding noise and the residual
-    that MGS tracks drifts from the true one, so the seed returns no
-    residual: the solver forms b − S x0 itself and retires a pair at
-    iteration zero only on that.
+    the pair's largest earlier one is dropped (the first is kept unless
+    it is zero).  The deep directions are the ones that carry a seed
+    below the solver's threshold.  On a 16-point q sweep over 96
+    small-molecule fragments, a bucket's five history images have
+    singular values near 1, 2.3e-3, 1.4e-5, 4.6e-8 and 8.9e-11, and per
+    pair the orthogonalized images fall to medians of 3e-4, 3e-7, 3e-10
+    and 3e-11 of the first, so a 1e-8 rule kept three of five.  Near
+    1e-16 the survivors are rounding noise and the residual that MGS
+    tracks drifts from the true one, so the seed returns no residual:
+    the solver forms b − S x0 itself and retires a pair at iteration
+    zero only on that.
+
+    There is no early exit once every pair's tracked residual meets
+    the solver's threshold.  Checking costs two passes per direction,
+    and on the 16-point sweep above it never fired, in any of the 30
+    seed calls per sweep at solver rtol 1e-11, 1e-9 or 1e-6: in every
+    bucket some pair stays above the threshold until the last direction.
 
     Returns the stacked ``x0``, or None on a history miss (the exact
     cold fallback).
@@ -152,40 +166,37 @@ def _seed_warm_start(warm_store, key: str, system, rtol: float = 0.0,
     vecs = [v for v in vecs if v.shape[0] == system.total]
     if not vecs:
         return None
-    k = len(vecs)
-    b_vec = system.rhs
-    # Images under S: one SpMM for all k history vectors.
-    V = np.stack(vecs, axis=1)
-    Y = system.diag[:, None] * V - system.offdiag.matmat(V)
-    vs = [np.ascontiguousarray(V[:, a]) for a in range(k)]
-    ys = [np.ascontiguousarray(Y[:, a]) for a in range(k)]
-    # Deeper history directions stop paying once every pair's seed
-    # residual is below the solver's own stopping threshold.
-    sq_threshold = np.maximum(rtol * system.pair_norms(b_vec), atol) ** 2
-
-    x0 = np.zeros(system.total)
-    r0 = b_vec.copy()
-    ref = None
+    k, B = len(vecs), system.batch
+    # Images S vₐ = D vₐ − W vₐ as the rows of Q, orthogonalized in
+    # place; W V is one SpMM, each column bitwise its SpMV.
+    WV = system.offdiag.matmat(np.stack(vecs, axis=1))
+    Q = np.empty((k, system.total))
+    for a, v in enumerate(vecs):
+        np.multiply(system.diag, v, out=Q[a])
+    Q -= WV.T
+    T = np.zeros((k, k, B))  # Q[a] = Σ_c T[c, a] S v_c, per pair
+    inv_sq = np.zeros((k, B))  # 1/||Q[a]||², 0 for a dropped direction
+    w = np.zeros((k, B))  # x0 = Σ_c w[c] v_c, per pair
+    r = system.rhs.copy()
+    ref = np.zeros(B)
     for a in range(k):
+        q = Q[a]
+        T[a, a] = 1.0
         for c in range(a):
-            proj = system.expand(system.pair_dots(ys[a], ys[c]))
-            ys[a] -= proj * ys[c]
-            vs[a] -= proj * vs[c]
-        norm = system.pair_norms(ys[a])
-        if ref is None:
-            ref = norm
-        keep = norm > 1e-12 * ref
-        inv = np.divide(
-            1.0, norm, out=np.zeros_like(norm), where=keep & (norm > 0)
-        )
-        scale = system.expand(inv)
-        ys[a] *= scale
-        vs[a] *= scale
-        coef = system.expand(system.pair_dots(ys[a], r0))
-        x0 += coef * vs[a]
-        r0 -= coef * ys[a]
-        if a + 1 < k and (system.pair_dots(r0, r0) <= sq_threshold).all():
-            break
+            proj = system.pair_dots(q, Q[c]) * inv_sq[c]
+            q -= system.expand(proj) * Q[c]
+            T[: c + 1, a] -= proj * T[: c + 1, c]
+        sq = system.pair_dots(q, q)
+        norm = np.sqrt(sq)
+        ref = np.maximum(ref, norm)
+        keep = (norm > 1e-12 * ref) & (sq > 0)
+        np.divide(1.0, sq, out=inv_sq[a], where=keep)
+        coef = system.pair_dots(q, r) * inv_sq[a]
+        r -= system.expand(coef) * q
+        w[: a + 1] += coef * T[: a + 1, a]
+    x0 = system.expand(w[0]) * vecs[0]
+    for c in range(1, k):
+        x0 += system.expand(w[c]) * vecs[c]
     return x0
 
 
@@ -212,19 +223,23 @@ def bucket_tasks(tile: Tile) -> BucketTask:
     giants) keep the per-pair body; every other tile, a one-pair tile
     included, stacks into one block-CSR system.
     """
-    return BucketTask(members=tile.pairs, solo=tile.solo)
+    return BucketTask(members=tile.pairs, solo=tile.solo, skey=tile.skey)
 
 
 def plan_bucket(
     task: BucketTask, X, Y, runtime: BatchRuntime | None = None
 ) -> BucketTask:
-    """Stage 1: the bucket's structural plan (cache-served or built)."""
+    """Stage 1: the bucket's structural plan (cache-served or built).
+
+    The structure key is hashed only when the task does not carry one
+    from its tile (see :attr:`Tile.skey`).
+    """
     from ..kernels.linsys import build_structure_plan
 
     cache = runtime.structure_cache if runtime is not None else None
     warm = runtime.warm_store if runtime is not None else None
     pair_graphs = [(X[i], Y[j]) for i, j in task.members]
-    if cache is not None or warm is not None:
+    if task.skey is None and (cache is not None or warm is not None):
         task.skey = structure_key(pair_graphs)
     tracer = get_tracer()
     with tracer.span("tile.plan", n_pairs=len(task.members)) as sp:
@@ -278,7 +293,7 @@ def solve_bucket(
                      n_pairs=len(task.members)) as sp:
         x0 = None
         if warm is not None:
-            x0 = _seed_warm_start(warm, task.skey, system, rtol=kernel.rtol)
+            x0 = _seed_warm_start(warm, task.skey, system)
             sp.set("warm_seeded", x0 is not None)
         res = solve(system, x0=x0, **kwargs)
         if warm is not None:
@@ -313,6 +328,9 @@ def solve_tile(
     task = bucket_tasks(tile)
     if not task.solo:
         plan_bucket(task, X, Y, runtime)
+        # The tile plan is keyed by the content at its positions, so
+        # the key holds wherever the structure cache serves this tile.
+        tile.skey = task.skey
         fill_bucket(task, kernel)
     return solve_bucket(task, kernel, X, Y, runtime)
 

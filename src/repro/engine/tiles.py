@@ -41,13 +41,17 @@ class Tile:
     :data:`~repro.kernels.linsys.BATCH_SPARSE_MAX` and are solved one
     pair at a time; the others stack into one block-CSR system when the
     kernel batches.  ``nnz`` is the tile's cost: its pairs' stored
-    off-diagonal entries.
+    off-diagonal entries.  ``skey`` memoizes the tile's structure key
+    (:func:`~repro.engine.executors.structure_key`) once a batched body
+    has hashed its members, so a tile plan served from the structure
+    cache hashes no member again.
     """
 
     index: int
     pairs: list[tuple[int, int]] = field(default_factory=list)
     nnz: int = 0
     solo: bool = False
+    skey: str | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.pairs)

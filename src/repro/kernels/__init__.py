@@ -28,7 +28,6 @@ from .linsys import (
     ProductSystem,
     build_batched_system,
     build_product_system,
-    pair_bucket,
 )
 from .marginalized import GramResult, MarginalizedGraphKernel, PairResult
 
@@ -48,5 +47,4 @@ __all__ = [
     "TensorProduct",
     "build_batched_system",
     "build_product_system",
-    "pair_bucket",
 ]

@@ -401,23 +401,6 @@ def _csr_edge_slots(
 BATCH_SPARSE_MAX = 512
 
 
-def pair_bucket(size: int) -> tuple[str, int]:
-    """Shape bucket of a product system of ``size`` = n·m entries.
-
-    Sizes quantize up to the next power of two, so pairs within a 2x
-    size band share a bucket.  Buckets up to ``BATCH_SPARSE_MAX`` are
-    batchable (``"sparse"``) and larger ones are solved per pair
-    (``"solo"``).  The engine's tile planner
-    (:func:`~repro.engine.tiles.plan_bucketed_tiles`) uses only that
-    split: block-CSR needs no padding, and a pair's result does not
-    depend on the other pairs of its system.
-    """
-    if size < 1:
-        raise ValueError("product system size must be positive")
-    padded = 1 << max(0, size - 1).bit_length()
-    return ("sparse" if padded <= BATCH_SPARSE_MAX else "solo", padded)
-
-
 def _concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     """Vectorized ``concatenate([arange(a, b) for a, b in zip(...)])``."""
     starts = np.asarray(starts, dtype=np.int64)

@@ -35,7 +35,6 @@ from repro.kernels.linsys import (
     assemble_sparse_offdiag,
     build_batched_system,
     build_product_system,
-    pair_bucket,
 )
 from repro.solvers.batched_pcg import batched_cg_solve, batched_pcg_solve
 from repro.solvers.cg import cg_solve
@@ -140,13 +139,14 @@ def test_block_csr_blocks_are_the_per_pair_operator(kind):
     W: same row pointer, same column indices once the segment offset is
     taken off, same data bytes."""
     nk, ek = molecule_kernels() if kind == "molecule" else (NK, EK)
-    buckets: dict = {}
-    for g1, g2 in _block_contract_pairs(kind):
-        key = pair_bucket(g1.n_nodes * g2.n_nodes)
-        buckets.setdefault(key, []).append((g1, g2))
-    # small padded sizes (1–64) and large ones alike
-    assert {key[1] for key in buckets} >= {1, 2, 4, 64, 256, 512}
-    for members in buckets.values():
+    pairs = _block_contract_pairs(kind)
+    sizes = [g1.n_nodes * g2.n_nodes for g1, g2 in pairs]
+    # small product sizes and ones near the batchable cap alike
+    assert min(sizes) == 1 and max(sizes) > BATCH_SPARSE_MAX // 2
+    # every batchable pair in one system, as the planner stacks them,
+    # and the edgeless 1-node pairs alone (a system with an empty W)
+    edgeless = [p for p, size in zip(pairs, sizes) if size == 1]
+    for members in (pairs, edgeless):
         system = build_batched_system(members, nk, ek, q=0.05)
         mat, off = system.offdiag.mat, system.offsets
         for b, (g1, g2) in enumerate(members):
@@ -192,17 +192,6 @@ def test_batch_composition_does_not_change_values():
 # ----------------------------------------------------------------------
 
 
-def test_pair_bucket_tiers():
-    assert pair_bucket(1) == ("sparse", 1)
-    assert pair_bucket(3) == ("sparse", 4)
-    assert pair_bucket(64) == ("sparse", 64)
-    assert pair_bucket(65) == ("sparse", 128)
-    assert pair_bucket(BATCH_SPARSE_MAX) == ("sparse", BATCH_SPARSE_MAX)
-    assert pair_bucket(BATCH_SPARSE_MAX + 1)[0] == "solo"
-    with pytest.raises(ValueError):
-        pair_bucket(0)
-
-
 def test_plan_bucketed_tiles_cover_and_pure():
     # a 60-node graph makes its pairs with the larger graphs solo
     graphs = mixed_batch(7, n_graphs=10) + [
@@ -216,7 +205,7 @@ def test_plan_bucketed_tiles_cover_and_pure():
     for t in tiles:
         assert len(t) <= 8
         solo = {
-            pair_bucket(graphs[i].n_nodes * graphs[j].n_nodes)[0] == "solo"
+            graphs[i].n_nodes * graphs[j].n_nodes > BATCH_SPARSE_MAX
             for i, j in t.pairs
         }
         assert solo == {t.solo}  # solo and batchable pairs kept apart

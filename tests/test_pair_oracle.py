@@ -17,11 +17,11 @@ from repro.graphs.graph import Graph
 from repro.kernels import MarginalizedGraphKernel
 from repro.kernels.basekernels import molecule_kernels, synthetic_kernels
 from repro.kernels.linsys import (
+    BATCH_SPARSE_MAX,
     CSROffdiag,
     assemble_sparse_offdiag,
     build_product_system,
     edge_kernel_values,
-    pair_bucket,
 )
 from repro.solvers.cg import cg_solve
 from repro.solvers.pcg import pcg_solve
@@ -182,7 +182,7 @@ QS = [1e-4, 0.05, 1.0]
 def test_druglike_cases_are_solo_sized():
     for name in ("druglike-26x31", "druglike-64x17", "druglike-40x40"):
         g1, g2, _ = CASES[name]()
-        assert pair_bucket(g1.n_nodes * g2.n_nodes)[0] == "solo", name
+        assert g1.n_nodes * g2.n_nodes > BATCH_SPARSE_MAX, name
 
 
 # ----------------------------------------------------------------------

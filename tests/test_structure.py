@@ -20,12 +20,16 @@ The structure cache's contract is layered (ISSUE 5):
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro import GramEngine, MarginalizedGraphKernel
+from repro.engine import executors
 from repro.engine.cache import StructureCache, WarmStartStore
+from repro.engine.executors import _seed_warm_start, structure_key
 from repro.graphs.generators import random_labeled_graph
 from repro.kernels.basekernels import (
     KroneckerDelta,
@@ -33,6 +37,7 @@ from repro.kernels.basekernels import (
     synthetic_kernels,
 )
 from repro.kernels.linsys import (
+    BATCH_SPARSE_MAX,
     build_batched_system,
     build_structure_plan,
     fill_batched_system,
@@ -67,6 +72,23 @@ def mixed_batch(seed: int, n_graphs: int = 12) -> list:
                 seed=rng.randrange(2**31),
             )
         )
+    return out
+
+
+def with_extra_edge(graphs: list, k: int) -> list:
+    """A copy of ``graphs`` whose ``k``-th graph gains one edge (graphs
+    are immutable by convention — content changes arrive as new
+    objects)."""
+    g = graphs[k]
+    A = g.adjacency.copy()
+    zeros = np.argwhere(np.triu(A == 0, k=1))
+    if len(zeros):
+        i, j = zeros[0]
+        A[i, j] = A[j, i] = 1.0
+    out = list(graphs)
+    out[k] = type(g)(
+        A, dict(g.node_labels), dict(g.edge_labels), g.coords, g.name
+    )
     return out
 
 
@@ -341,22 +363,79 @@ def test_mutated_graph_content_misses_structure_cache():
     cache = StructureCache()
     make_engine(structure_cache=cache).gram(graphs)
     hits0, misses0 = cache.stats.hits, cache.stats.misses
-
-    # Rebuild one graph with one extra edge (graphs are immutable by
-    # convention — content changes arrive as new objects).
-    g = graphs[3]
-    A = g.adjacency.copy()
-    zeros = np.argwhere(np.triu(A == 0, k=1))
-    if len(zeros):
-        i, j = zeros[0]
-        A[i, j] = A[j, i] = 1.0
-    mutated = list(graphs)
-    mutated[3] = type(g)(
-        A, dict(g.node_labels), dict(g.edge_labels), g.coords, g.name
-    )
+    mutated = with_extra_edge(graphs, 3)
     make_engine(structure_cache=cache).gram(mutated)
     assert cache.stats.misses > misses0
     del hits0
+
+
+def test_warm_points_reuse_tile_structure_keys(monkeypatch):
+    graphs = mixed_batch(8)
+    calls = []
+
+    def counting(pair_graphs):
+        calls.append(len(pair_graphs))
+        return structure_key(pair_graphs)
+
+    monkeypatch.setattr(executors, "structure_key", counting)
+    cache, warm = StructureCache(), WarmStartStore()
+
+    def point(gs, q):
+        return make_engine(
+            graphs_kernel_q=q, structure_cache=cache, warm_start=warm
+        ).gram(gs)
+
+    point(graphs, 0.05)
+    first = len(calls)
+    assert first > 0
+    # A later sweep point is served the tile plan, and with it every
+    # tile's structure key: no member is hashed again.
+    point(graphs, 0.055)
+    assert len(calls) == first
+
+    # A content change at a solved position misses the tile plan, so
+    # the new tiles hash their members and agree with a fresh engine.
+    mutated = with_extra_edge(graphs, 3)
+    assert mutated[3].n_edges == graphs[3].n_edges + 1
+    misses = cache.stats.misses
+    res = point(mutated, 0.06)
+    assert cache.stats.misses > misses
+    assert len(calls) > first
+    fresh = make_engine(graphs_kernel_q=0.06, warm_start=True).gram(mutated)
+    assert np.allclose(res.matrix, fresh.matrix, rtol=RTOL, atol=0)
+
+
+def test_concurrent_calls_share_cached_tiles_and_keys():
+    # Calls on several threads share one structure cache, so a call can
+    # be served tiles whose structure keys another call is still
+    # writing.  Every result must stay bitwise the uncached one.
+    graphs = mixed_batch(11)
+    ref = make_engine(structure_cache=False, batch_pairs=8).gram(graphs)
+    cache = StructureCache()
+    results, errors = [], []
+
+    def call():
+        try:
+            eng = make_engine(structure_cache=cache, batch_pairs=8)
+            results.append(eng.gram(graphs).matrix)
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and len(results) == 6
+    for matrix in results:
+        assert np.array_equal(matrix, ref.matrix)
+    assert cache.stats.hits > 0
 
 
 def test_engine_config_change_misses_structure_cache():
@@ -497,6 +576,55 @@ def test_partial_zero_iteration_retirement(monkeypatch, band, n_seeded):
     assert np.array_equal(
         warm.residual_norms[~seeded], cold.residual_norms[~seeded]
     )
+
+
+def _image_lstsq_residuals(system, vecs) -> np.ndarray:
+    """Per pair, min over c of ||b − S V c|| on that pair's rows."""
+    V = np.stack(vecs, axis=1)
+    Y = system.diag[:, None] * V - system.offdiag.matmat(V)
+    out = np.empty(system.batch)
+    for p in range(system.batch):
+        rows = slice(system.offsets[p], system.offsets[p + 1])
+        c, *_ = np.linalg.lstsq(Y[rows], system.rhs[rows], rcond=None)
+        out[p] = np.linalg.norm(system.rhs[rows] - Y[rows] @ c)
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_warm_seed_matches_least_squares_reference(seed, k):
+    graphs = mixed_batch(seed)
+    pairs = [
+        (a, b) for i, a in enumerate(graphs) for b in graphs[i:]
+        if a.n_nodes * b.n_nodes <= BATCH_SPARSE_MAX
+    ]
+    plan = build_structure_plan(pairs)
+    system = fill_batched_system(plan, NK, EK, q=0.05)
+    # Solutions at nearby q, plus an exact duplicate and a zero vector:
+    # the zero one first, where a drop rule measured against the first
+    # image alone would keep rounding noise.
+    sols = [
+        batched_pcg_solve(
+            fill_batched_system(plan, NK, EK, q=q), rtol=1e-11
+        ).x
+        for q in np.geomspace(0.052, 0.06, k)
+    ]
+    history = [np.zeros(system.total)] + sols + [sols[0].copy()]
+    store = WarmStartStore(history=len(history))
+    for v in reversed(history):
+        store.put("bucket", v)
+
+    x0 = _seed_warm_start(store, "bucket", system)
+    assert np.isfinite(x0).all()
+    r = system.rhs - (system.diag * x0 - system.matvec_offdiag(x0))
+    bnorm = system.pair_norms(system.rhs)
+    ref = _image_lstsq_residuals(system, history)
+    assert (np.abs(system.pair_norms(r) - ref) <= 1e-12 * bnorm).all()
+
+    wrong = WarmStartStore()
+    wrong.put("bucket", np.ones(system.total + 1))
+    wrong.put("bucket", np.ones(system.total - 1))
+    assert _seed_warm_start(wrong, "bucket", system) is None
 
 
 def test_pcg_x0_warm_start():
