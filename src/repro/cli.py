@@ -6,10 +6,11 @@ Batch entry points for the common workflows:
   JSON-lines file;
 * ``gram`` — compute the (normalized) Gram matrix of a dataset through
   the :mod:`repro.engine` subsystem and save it as ``.npy``, printing
-  solver statistics; supports parallel executors (``--executor``),
-  persistent per-tile result blocks that a rerun is served from
-  (``--spill-dir``, alias ``--cache-dir``), and incremental extension
-  of a previously saved matrix (``--extend``);
+  solver statistics; runs tiles serially or on the supervised process
+  pool (``--executor``, ``--supervised``), persists per-tile result
+  blocks that a rerun is served from (``--spill-dir``, alias
+  ``--cache-dir``), and extends a previously saved matrix
+  incrementally (``--extend``);
 * ``reorder`` — report non-empty-octile counts of a dataset under the
   available orderings (a Fig. 7 row for your own data);
 * ``profile`` — run one graph pair through the virtual-GPU engine and
@@ -42,6 +43,8 @@ import argparse
 import sys
 
 import numpy as np
+
+from .engine.executors import EXECUTORS
 
 
 def _kernels_for(scheme: str):
@@ -767,11 +770,10 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--engine", default="fused_batched",
                    choices=["fused_batched", "fused", "dense", "vgpu"])
     m.add_argument("--normalize", action="store_true")
-    m.add_argument("--executor", default="serial",
-                   choices=["serial", "threads", "process_supervised"],
+    m.add_argument("--executor", default="serial", choices=EXECUTORS,
                    help="tile execution backend")
     m.add_argument("--workers", type=int, default=None,
-                   help="pool size for the parallel executors")
+                   help="worker count of the process_supervised pool")
     m.add_argument("--batch-pairs", type=int, default=None, metavar="N",
                    help="at most N pairs per tile, on top of the tile "
                         "planner's entry cap (default: no pair cap; "
@@ -845,8 +847,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.set_defaults(func=cmd_profile)
 
     def add_engine_opts(sp):
-        sp.add_argument("--executor", default="serial",
-                        choices=["serial", "threads", "process_supervised"])
+        sp.add_argument("--executor", default="serial", choices=EXECUTORS)
         sp.add_argument("--workers", type=int, default=None)
         sp.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="the engine's spill dir: per-tile result "
@@ -908,8 +909,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--serve-workers", type=int, default=1, metavar="N",
                    help="run N worker processes behind a health-aware "
                         "router on --port (1 = single in-process server; "
-                        "distinct from --workers, the engine thread/"
-                        "process pool inside each worker)")
+                        "distinct from --workers, the engine's "
+                        "supervised process pool inside each worker)")
     s.add_argument("--mmap", action="store_true",
                    help="memory-map model/index arrays read-only so "
                         "worker processes share one physical copy")

@@ -10,8 +10,8 @@ numerical one.  This package is the single entry point for it:
 * :mod:`repro.engine.tiles`       — the one tile planner: pairs priced
   by stored off-diagonal entries, cut at one entry cap, largest first,
   the same for every executor, worker count and hyperparameter;
-* :mod:`repro.engine.executors`   — task bodies and the serial /
-  threads backends;
+* :mod:`repro.engine.executors`   — the tile task body, which the
+  serial executor runs on the calling thread;
 * :mod:`repro.engine.supervisor`  — the process backend: a
   fault-tolerant supervised worker pool (retry, respawn, deadlines,
   poison-tile quarantine);

@@ -5,8 +5,9 @@ fingerprint.pair_key`) to one :class:`CachedPair` — the kernel value
 plus the solver diagnostics the Gram drivers report.
 :class:`LRUCache` holds them in memory behind a small interface
 (``get`` / ``put`` / ``__len__`` / ``clear``) plus a
-:class:`CacheStats` counter block, and is safe to share between the
-threads executor's workers.  Values persist across processes only as
+:class:`CacheStats` counter block, and is safe to share between
+threads: the serving layer runs engine calls on worker threads.
+Values persist across processes only as
 per-tile blocks of :class:`~repro.engine.block_store.GramBlockStore`
 under a spill directory.
 
@@ -227,8 +228,8 @@ class StructureCache:
 
     Eviction is by total plan bytes, not entry count: plans span four
     orders of magnitude (a 2-pair tile of small molecules vs. a
-    2^18-entry block-CSR tile).  Thread-safe: the threads executor fills
-    one engine-owned instance from many workers.
+    2^18-entry block-CSR tile).  Thread-safe: the serving layer's
+    worker threads fill one engine-owned instance concurrently.
     """
 
     def __init__(self, max_bytes: int = 256 << 20) -> None:

@@ -59,9 +59,10 @@ from .cache import CachedPair, LRUCache, StructureCache, WarmStartStore
 from .executors import (
     EXECUTORS,
     BatchRuntime,
+    EngineAborted,
     batches,
     default_workers,
-    run_tiles,
+    solve_tile,
 )
 from .supervisor import (
     DEFAULT_MAX_TILE_RETRIES,
@@ -201,12 +202,12 @@ class GramEngine:
         every call, so mutating the kernel transparently invalidates
         prior cache entries.
     executor:
-        ``"serial"`` (default), ``"threads"``, or
-        ``"process_supervised"`` (the fault-tolerant process pool of
-        :mod:`repro.engine.supervisor`).
+        ``"serial"`` (default: tiles run one after another on the
+        calling thread) or ``"process_supervised"`` (the fault-tolerant
+        process pool of :mod:`repro.engine.supervisor`).
     max_workers:
-        Pool size for the parallel executors (default: CPU count); at
-        least 1.
+        Worker count of the ``"process_supervised"`` pool (default: CPU
+        count); at least 1.  Ignored by ``"serial"``.
     batch_pairs:
         Pairs-per-tile cap, at least 1, on top of the planner's entry
         cap (:data:`~repro.engine.tiles.TILE_NNZ`); ``None`` (default)
@@ -240,9 +241,9 @@ class GramEngine:
         for a private store, a shared instance for cross-engine sweeps,
         ``False`` (default) off.  Pairs without a stored solution run
         the exact cold iteration; warm-started values agree with cold
-        ones within the solver tolerance (not bitwise).  Serial/threads
-        only: the supervised executor's workers are rebuilt per call,
-        so history can never accumulate there and the option is ignored.
+        ones within the solver tolerance (not bitwise).  Serial only:
+        the supervised executor's workers are rebuilt per call, so
+        history can never accumulate there and the option is ignored.
     spill_dir:
         Root directory for out-of-core state, and the engine's only
         persistent value tier.  Enables (a) a
@@ -390,8 +391,9 @@ class GramEngine:
         # /similarity calls) concurrently.
         self._counter_lock = Lock()
         # Abort events of in-flight compute calls; close() sets them so
-        # supervised/pooled runs cancel promptly (terminating worker
-        # processes) instead of grinding on after a ^C or shutdown.
+        # runs cancel promptly (serial ones at the next tile, supervised
+        # ones by terminating their workers) instead of grinding on after
+        # a ^C or shutdown.
         self._active_aborts: set[Event] = set()
 
     # ------------------------------------------------------------------
@@ -468,8 +470,9 @@ class GramEngine:
     def close(self) -> None:
         """Abort in-flight runs, flush spill writes, stop the offloader.
 
-        Any compute call currently running (supervised pool, process
-        pool) sees its abort event, terminates its workers, and raises
+        Any compute call currently running sees its abort event, stops
+        before its next tile (a supervised call also terminates its
+        workers), and raises
         :class:`~repro.engine.executors.EngineAborted` to its caller.
         Safe to call anytime (the engine keeps working afterwards,
         falling back to synchronous spills).
@@ -602,12 +605,11 @@ class GramEngine:
         returns the same bits), and the plan is served from the
         structure cache across sweep points.
 
-        One rule for the task bodies' runtime: serial and threads tiles
-        carry the engine's structure cache and warm store, and
-        supervised workers get none.  They are spawned per call, so
-        warm history would always be empty there and cached plans would
-        never be re-read.  The runtime still counts this process's
-        tile-plan lookups below.
+        One rule for the task bodies' runtime: serial tiles carry the
+        engine's structure cache and warm store, and supervised workers
+        get none.  They are spawned per call, so warm history would
+        always be empty there and cached plans would never be re-read.
+        The runtime still counts this process's tile-plan lookups below.
         """
         reps = call.reps
         local = self.executor != "process_supervised"
@@ -673,7 +675,12 @@ class GramEngine:
 
     def _execute(self, X, Y, call: _Call, todo: list):
         """Stage 4: run the tiles, absorbing and spilling their rows;
-        returns the supervisor's stats (None off the process pool)."""
+        returns the supervisor's stats (None off the process pool).
+
+        Serial tiles run here, in plan order, as the same ``(tile, rows,
+        quarantined)`` stream that :meth:`SupervisedPool.run` yields;
+        the abort event is checked between tiles.
+        """
         abort = Event()
         with self._counter_lock:
             self._active_aborts.add(abort)
@@ -690,16 +697,16 @@ class GramEngine:
             )
             runner = supervisor.run()
         else:
-            runner = run_tiles(
-                self.executor, self.kernel, X, Y, todo, self.max_workers,
-                runtime=call.runtime, abort=abort,
-            )
+            def serial():
+                for tile in todo:
+                    if abort.is_set():
+                        raise EngineAborted("engine run aborted")
+                    rows = solve_tile(self.kernel, X, Y, tile, call.runtime)
+                    yield tile, rows, False
+
+            runner = serial()
         try:
-            for item in runner:
-                if supervisor is not None:
-                    tile, rows, quarantined = item
-                else:
-                    (tile, rows), quarantined = item, False
+            for tile, rows, quarantined in runner:
                 call.absorb(rows, solved=not quarantined,
                             quarantined=quarantined, cache=self.cache)
                 if self.block_store is not None and not quarantined:

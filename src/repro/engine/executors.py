@@ -1,24 +1,22 @@
-"""Tile executors: the task body and the serial and thread backends.
+"""The tile task body, shared by both executors.
 
-Every backend runs the same task body, :func:`solve_tile`, which solves
-one planned tile and returns its pairs as ``(k, 6)`` block rows
-(:data:`~repro.engine.block_store.BLOCK_COLUMNS`), and streams
-completed tiles back to the engine in completion order (the
-dynamic-work-queue behavior whose makespan the scheduler subsystem
-models).  The process backend,
-:class:`~repro.engine.supervisor.SupervisedPool`, runs the same task
-body in worker processes that receive the dataset once, at spawn.
+Every tile runs :func:`solve_tile`, which solves one planned tile and
+returns its pairs as ``(k, 6)`` block rows
+(:data:`~repro.engine.block_store.BLOCK_COLUMNS`).  The ``"serial"``
+executor runs it on the engine's own thread, tile after tile in plan
+order (largest first).  The process backend,
+:class:`~repro.engine.supervisor.SupervisedPool`, runs it in worker
+processes that receive the dataset once, at spawn, and streams
+completed tiles back in completion order (the dynamic-work-queue
+behavior whose makespan the scheduler subsystem models).
 """
 
 from __future__ import annotations
 
-import contextvars
 import hashlib
 import os
-import threading
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +24,7 @@ from ..obs.trace import get_tracer
 from .block_store import BLOCK_COLUMNS, block_rows
 from .tiles import Tile
 
-EXECUTORS = ("serial", "threads", "process_supervised")
+EXECUTORS = ("serial", "process_supervised")
 
 
 class EngineAborted(RuntimeError):
@@ -74,27 +72,24 @@ class BatchRuntime:
     field) builds every plan and solves every bucket cold, which is
     what supervised workers do.
 
-    The runtime is created fresh per engine call and accumulates that
-    call's structure hits/misses (:meth:`record`) — the shared cache's
-    global counters cannot attribute traffic per call when the serving
-    layer drives one engine from several threads concurrently.
+    The runtime is created fresh per engine call, whose in-process
+    tiles all run on the calling thread, and accumulates that call's
+    structure hits/misses (:meth:`record`) — the shared cache's global
+    counters cannot attribute traffic per call when the serving layer
+    drives one engine from several threads concurrently.
     """
 
     structure_cache: object | None = None
     warm_store: object | None = None
     call_hits: int = 0
     call_misses: int = 0
-    _stats_lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
 
     def record(self, hit: bool) -> None:
         """Count one structure-cache lookup of this engine call."""
-        with self._stats_lock:
-            if hit:
-                self.call_hits += 1
-            else:
-                self.call_misses += 1
+        if hit:
+            self.call_hits += 1
+        else:
+            self.call_misses += 1
 
 
 def structure_key(pair_graphs) -> str:
@@ -200,206 +195,70 @@ def _seed_warm_start(warm_store, key: str, system):
     return x0
 
 
-@dataclass
-class BucketTask:
-    """A tile's pairs, threaded through plan → fill → solve.
+def solve_tile(
+    kernel, X, Y, tile: Tile, runtime: BatchRuntime | None = None,
+) -> np.ndarray:
+    """The task body every executor runs: one tile's pairs as block rows.
 
-    ``solo`` tasks skip the plan/fill stages entirely (the per-pair
-    fallback is the whole body).
-    """
-
-    members: list
-    solo: bool = False
-    skey: str | None = None
-    plan: object | None = None
-    system: object | None = None
-
-
-def bucket_tasks(tile: Tile) -> BucketTask:
-    """The stage task of a tile: its pairs in planned order.
-
+    When the kernel batches (:func:`batches`), a non-solo tile is
+    planned, filled into one
+    :class:`~repro.kernels.linsys.BatchedProductSystem` and solved by
+    the batched PCG/CG, which advances all of its pairs per iteration.
     Solo tiles (product systems above
     :data:`~repro.kernels.linsys.BATCH_SPARSE_MAX`, compute-bound
-    giants) keep the per-pair body; every other tile, a one-pair tile
-    included, stacks into one block-CSR system.
+    giants), and every tile of a kernel that does not batch, run the
+    per-pair loop.
+
+    With a :class:`BatchRuntime`, the tile's structural plan is served
+    from the structure cache (topology skipped entirely on a hit — only
+    the numeric fill and the solve run), and the batched solver is
+    warm-started from the warm store's previous solutions.  The
+    per-pair loop bypasses both by design: it is compute-bound.
     """
-    return BucketTask(members=tile.pairs, solo=tile.solo, skey=tile.skey)
-
-
-def plan_bucket(
-    task: BucketTask, X, Y, runtime: BatchRuntime | None = None
-) -> BucketTask:
-    """Stage 1: the bucket's structural plan (cache-served or built).
-
-    The structure key is hashed only when the task does not carry one
-    from its tile (see :attr:`Tile.skey`).
-    """
-    from ..kernels.linsys import build_structure_plan
+    if not batches(kernel):
+        return solve_pairs(kernel, X, Y, tile.pairs)
+    tracer = get_tracer()
+    pairs = tile.pairs
+    if tile.solo:
+        with tracer.span("tile.solve", mode="solo", n_pairs=len(pairs)):
+            return solve_pairs(kernel, X, Y, pairs)
+    from ..kernels.linsys import build_structure_plan, fill_batched_system
+    from ..solvers.batched_pcg import batched_cg_solve, batched_pcg_solve
 
     cache = runtime.structure_cache if runtime is not None else None
     warm = runtime.warm_store if runtime is not None else None
-    pair_graphs = [(X[i], Y[j]) for i, j in task.members]
-    if task.skey is None and (cache is not None or warm is not None):
-        task.skey = structure_key(pair_graphs)
-    tracer = get_tracer()
-    with tracer.span("tile.plan", n_pairs=len(task.members)) as sp:
+    pair_graphs = [(X[i], Y[j]) for i, j in pairs]
+    if tile.skey is None and (cache is not None or warm is not None):
+        # The tile plan is keyed by the content at its positions, so
+        # the key holds wherever the structure cache serves this tile.
+        tile.skey = structure_key(pair_graphs)
+    with tracer.span("tile.plan", n_pairs=len(pairs)) as sp:
         plan = None
         if cache is not None:
-            plan = cache.get(task.skey)
+            plan = cache.get(tile.skey)
             runtime.record(plan is not None)
             sp.set("structure_hit", plan is not None)
         if plan is None:
             plan = build_structure_plan(pair_graphs)
             if cache is not None:
-                cache.put(task.skey, plan)
-    task.plan = plan
-    return task
-
-
-def fill_bucket(task: BucketTask, kernel) -> BucketTask:
-    """Stage 2: the numeric fill of the bucket's plan."""
-    from ..kernels.linsys import fill_batched_system
-
-    tracer = get_tracer()
-    with tracer.span("tile.fill", n_pairs=len(task.members)):
-        task.system = fill_batched_system(
-            task.plan,
-            kernel.node_kernel,
-            kernel.edge_kernel,
-            q=kernel.q,
+                cache.put(tile.skey, plan)
+    with tracer.span("tile.fill", n_pairs=len(pairs)):
+        system = fill_batched_system(
+            plan, kernel.node_kernel, kernel.edge_kernel, q=kernel.q
         )
-    return task
-
-
-def solve_bucket(
-    task: BucketTask, kernel, X, Y,
-    runtime: BatchRuntime | None = None,
-) -> np.ndarray:
-    """Stage 3: the batched solve (or the per-pair solo fallback)."""
-    from ..solvers.batched_pcg import batched_cg_solve, batched_pcg_solve
-
-    tracer = get_tracer()
-    if task.solo:
-        with tracer.span("tile.solve", mode="solo",
-                         n_pairs=len(task.members)):
-            return solve_pairs(kernel, X, Y, task.members)
     solve = batched_pcg_solve if kernel.solver == "pcg" else batched_cg_solve
     kwargs = {"rtol": kernel.rtol}
     if kernel.max_iter is not None:
         kwargs["max_iter"] = kernel.max_iter
-    warm = runtime.warm_store if runtime is not None else None
-    system = task.system
-    with tracer.span("tile.solve", mode="batched",
-                     n_pairs=len(task.members)) as sp:
+    with tracer.span("tile.solve", mode="batched", n_pairs=len(pairs)) as sp:
         x0 = None
         if warm is not None:
-            x0 = _seed_warm_start(warm, task.skey, system)
+            x0 = _seed_warm_start(warm, tile.skey, system)
             sp.set("warm_seeded", x0 is not None)
         res = solve(system, x0=x0, **kwargs)
         if warm is not None:
             # res.x is freshly allocated per solve — safe to retain.
-            warm.put(task.skey, res.x)
+            warm.put(tile.skey, res.x)
         sp.set("iterations", int(res.iterations.sum()))
-    return block_rows(task.members, system.kernel_values(res.x),
-                      res.iterations, res.converged, res.residual_norms)
-
-
-def solve_tile(
-    kernel, X, Y, tile: Tile, runtime: BatchRuntime | None = None,
-) -> np.ndarray:
-    """The task body every backend runs: one tile's pairs as block rows.
-
-    When the kernel batches (:func:`batches`), a non-solo tile is
-    assembled into one
-    :class:`~repro.kernels.linsys.BatchedProductSystem`, and the
-    batched PCG/CG advances all of its pairs per iteration.  Solo
-    tiles, and every tile of a kernel that does not batch, run the
-    per-pair loop.
-
-    With a :class:`BatchRuntime`, the bucket's structural plan is
-    served from the structure cache (topology skipped entirely on a
-    hit — only the numeric fill and the solve run), and the batched
-    solver is warm-started from the warm store's previous solutions.
-    The per-pair fallbacks bypass both by design: they are per-pair
-    and compute-bound.
-    """
-    if not batches(kernel):
-        return solve_pairs(kernel, X, Y, tile.pairs)
-    task = bucket_tasks(tile)
-    if not task.solo:
-        plan_bucket(task, X, Y, runtime)
-        # The tile plan is keyed by the content at its positions, so
-        # the key holds wherever the structure cache serves this tile.
-        tile.skey = task.skey
-        fill_bucket(task, kernel)
-    return solve_bucket(task, kernel, X, Y, runtime)
-
-
-def run_tiles(
-    executor: str,
-    kernel,
-    X,
-    Y,
-    tiles: Sequence[Tile],
-    max_workers: int | None = None,
-    runtime: BatchRuntime | None = None,
-    abort=None,
-) -> Iterator[tuple[Tile, np.ndarray]]:
-    """Execute tiles on the chosen backend, yielding in completion order.
-
-    ``executor`` is ``"serial"`` or ``"threads"``; the engine runs
-    ``"process_supervised"`` through
-    :class:`~repro.engine.supervisor.SupervisedPool` itself.  Tiles
-    should arrive largest-first (see
-    :func:`~repro.engine.tiles.plan_bucketed_tiles`); with the thread
-    pool that ordering makes the natural work-queue dispatch
-    approximate LPT scheduling.  Every tile runs :func:`solve_tile`, which picks the
-    batched or per-pair body from the kernel and the tile's class — the
-    backends are oblivious to the difference.  ``runtime`` carries the structure
-    cache and warm store, shared with the caller.
-
-    ``abort`` (a :class:`threading.Event`) cancels the run between
-    tiles: the generator raises :class:`EngineAborted` after cancelling
-    queued work, so a ^C or ``GramEngine.close()`` never leaves the
-    pool grinding through a dead computation.
-    """
-    if executor not in ("serial", "threads"):
-        raise ValueError(
-            f"run_tiles runs serial or threads tiles, not {executor!r}"
-        )
-    if executor == "serial" or len(tiles) <= 1 or (max_workers or 2) == 1:
-        for tile in tiles:
-            if abort is not None and abort.is_set():
-                raise EngineAborted("engine run aborted")
-            yield tile, solve_tile(kernel, X, Y, tile, runtime)
-        return
-
-    workers = max_workers or default_workers()
-    pool = ThreadPoolExecutor(max_workers=workers)
-    # Each task runs under a copy of the caller's context, so the
-    # tracer's current-span contextvar propagates into the pool and
-    # tile spans keep their engine-call parent.  copy_context() is
-    # a few hundred nanoseconds per tile — noise next to a solve.
-    try:
-        futures = {
-            pool.submit(contextvars.copy_context().run,
-                        solve_tile, kernel, X, Y, tile, runtime): tile
-            for tile in tiles
-        }
-        pending = set(futures)
-        while pending:
-            if abort is not None and abort.is_set():
-                raise EngineAborted("engine run aborted")
-            done, pending = wait(
-                pending, timeout=0.1 if abort is not None else None,
-                return_when=FIRST_COMPLETED,
-            )
-            for fut in done:
-                yield futures[fut], fut.result()
-        pool.shutdown(wait=True)
-    except BaseException:
-        # Abort / ^C / consumer close: drop queued work instead of
-        # letting shutdown block on doomed tiles.  Threads cannot be
-        # killed, so running tasks are left to finish detached.
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
+    return block_rows(pairs, system.kernel_values(res.x), res.iterations,
+                      res.converged, res.residual_norms)

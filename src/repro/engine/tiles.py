@@ -6,8 +6,8 @@ spans 1-551 atoms, so pair costs span five orders of magnitude).  The
 paper balances such jobs with one cost-ordered dynamic queue (Section
 V-B): here every pair is priced by its stored off-diagonal entries, the
 pairs are cut into tiles of bounded total cost, and tiles are
-dispatched largest-first, so the executors' work queues approximate
-LPT list scheduling.
+dispatched largest-first, so the supervised pool's work queue
+approximates LPT list scheduling.
 
 The plan depends on the pair set and the graphs' sizes alone — never on
 the executor's worker count or the kernel's hyperparameters — so every

@@ -615,8 +615,9 @@ class StructurePlan:
     engine's :class:`repro.engine.cache.StructureCache`.  Fills never
     mutate the pattern arrays; the only writes are the whole-tuple memo
     swaps (``_vx_memo``/``_ke_memo``), which are atomic and
-    signature-keyed, so one plan safely serves concurrent executor
-    threads.
+    signature-keyed, so one plan safely serves engine calls on
+    concurrent threads (the serving layer's worker threads share one
+    structure cache).
     """
 
     n: np.ndarray  # (B,) row-graph node counts

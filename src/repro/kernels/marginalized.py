@@ -37,8 +37,8 @@ Solvers: ``pcg`` (Algorithm 1, default), ``cg``, ``fixed_point``,
 
 Dataset-scale calls (``__call__``, :meth:`MarginalizedGraphKernel.diag`)
 delegate to :class:`repro.engine.GramEngine`, which tiles the pair
-space, runs serial, thread or supervised-process executors, and serves
-repeats from a content-addressed kernel cache.
+space, runs the tiles serially or on a supervised process pool, and
+serves repeats from a content-addressed kernel cache.
 """
 
 from __future__ import annotations

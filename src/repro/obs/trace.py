@@ -7,7 +7,7 @@ tracer.span("fill"):`` inside ``with tracer.span("tile"):`` records the
 parent link without any plumbing — including across ``await`` points
 (asyncio tasks inherit the context) and into worker threads *when the
 submitting code copies its context* (see
-:func:`contextvars.copy_context`; the engine's thread executor does).
+:func:`contextvars.copy_context`).
 
 Tracing is **off by default** and the disabled path is near-zero-cost:
 ``tracer.span(...)`` returns a cached no-op singleton after one
@@ -18,8 +18,8 @@ Process boundaries: span *ids* embed the pid and never collide, but
 spans recorded inside process-pool workers live in that worker's
 tracer and are not shipped back to the parent — the engine's
 ``process_supervised`` executor therefore traces only the
-orchestration layer (tile dispatch, scatter), while ``serial`` and
-``threads`` trace the full plan/fill/solve lifecycle.
+orchestration layer (tile dispatch, scatter), while ``serial`` traces
+the full plan/fill/solve lifecycle.
 
 Module-level configuration (one tracer per process):
 

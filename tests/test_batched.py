@@ -284,15 +284,6 @@ def test_engine_gram_matches_fused(seed):
     assert np.abs(batched.iterations - serial.iterations).max() <= 2
 
 
-def test_engine_threads_matches_serial_bitwise():
-    graphs = mixed_batch(11)
-    a = _gram("fused_batched", graphs, cache=False)
-    b = _gram("fused_batched", graphs, cache=False, executor="threads",
-              max_workers=4)
-    np.testing.assert_array_equal(a.matrix, b.matrix)
-    np.testing.assert_array_equal(a.iterations, b.iterations)
-
-
 def test_fused_engine_selects_the_per_pair_path():
     """The kernel alone picks the body: ``engine="fused"`` solves every
     pair through kernel.pair, whatever the tile plan."""

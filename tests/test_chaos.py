@@ -414,9 +414,11 @@ class TestSupervisedExecution:
             GramEngine(kern, tile_timeout_s=0)
         with pytest.raises(ValueError):
             GramEngine(kern, retry_backoff_s=-1)
-        removed = "process"  # the plain pool is gone, with no alias
-        with pytest.raises(ValueError, match="unknown executor"):
-            GramEngine(kern, executor=removed)
+        # the plain process pool and the thread pool are gone, with no
+        # alias
+        for removed in ("process", "threads"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                GramEngine(kern, executor=removed)
         with pytest.raises(ValueError):
             GramEngine(kern, shard=(2, 2), spill_dir="/tmp/x")
         with pytest.raises(ValueError):
@@ -522,13 +524,22 @@ class TestAbortOnClose:
         caught = self._run_and_close(eng)
         assert caught, "gram() should raise EngineAborted on close()"
 
-    def test_close_aborts_threaded_run(self):
-        eng = GramEngine(make_kernel(), executor="threads", max_workers=2,
-                         batch_pairs=2, cache=False)
-        caught = self._run_and_close(eng)
-        # a fast run may legitimately finish before close() lands; what
-        # must never happen is a hang or a non-EngineAborted error
-        assert all(isinstance(e, EngineAborted) for e in caught)
+    def test_close_from_progress_aborts_serial_run(self):
+        # close() lands from the engine's own progress callback after
+        # the first tile; the serial run checks its abort event before
+        # the next one, so it cannot finish first.
+        tiles_done = []
+
+        def progress(event):
+            if event.phase == "tile":
+                tiles_done.append(event.tiles_done)
+                eng.close()
+
+        eng = GramEngine(make_kernel(), batch_pairs=2, cache=False,
+                         progress=progress)
+        with pytest.raises(EngineAborted):
+            eng.gram(GRAPHS)
+        assert tiles_done == [1]
 
     def test_close_is_idempotent_and_reusable_for_new_engines(self):
         eng = supervised_engine()

@@ -50,6 +50,15 @@ class TestGram:
             main(["gram", str(dataset_path), str(tmp_path / "K.npy"),
                   "--kernels", "quantum"])
 
+    def test_removed_executor_is_an_invalid_choice(self, dataset_path,
+                                                   tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gram", str(dataset_path), str(tmp_path / "K.npy"),
+                  "--executor", "threads"])
+        assert exc.value.code == 2  # argparse's usage error
+        assert "invalid choice: 'threads'" in capsys.readouterr().err
+        assert not (tmp_path / "K.npy").exists()
+
     def test_cache_dir_rerun_is_served_from_blocks(self, dataset_path,
                                                    tmp_path):
         import json

@@ -70,9 +70,7 @@ def K_naive(graphs):
 
 
 class TestExecutorEquivalence:
-    @pytest.mark.parametrize(
-        "executor", ["serial", "threads", "process_supervised"]
-    )
+    @pytest.mark.parametrize("executor", ["serial", "process_supervised"])
     def test_symmetric_matches_naive(self, graphs, K_naive, executor):
         eng = GramEngine(make_kernel(), executor=executor, max_workers=2)
         res = eng.gram(graphs)
@@ -80,9 +78,7 @@ class TestExecutorEquivalence:
         assert res.converged
         assert np.allclose(res.matrix, res.matrix.T)
 
-    @pytest.mark.parametrize(
-        "executor", ["serial", "threads", "process_supervised"]
-    )
+    @pytest.mark.parametrize("executor", ["serial", "process_supervised"])
     def test_rectangular_matches_naive(self, graphs, executor):
         mgk = make_kernel()
         eng = GramEngine(mgk, executor=executor, max_workers=2)
@@ -357,10 +353,9 @@ class TestTiling:
         {"batch_pairs": 0},
         {"batch_pairs": -3},
         {"max_workers": 0},
-        {"executor": "threads", "max_workers": -1},
         {"executor": "process_supervised", "max_workers": -1},
     ], ids=["batch_pairs=0", "batch_pairs<0", "max_workers=0",
-            "threads-max_workers<0", "supervised-max_workers<0"])
+            "supervised-max_workers<0"])
     def test_bad_tiling_and_worker_args_rejected_at_construction(
         self, graphs, kwargs
     ):

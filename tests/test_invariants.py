@@ -90,15 +90,16 @@ class TestGramInvariants:
         assert (d > 0).all(), f"seed {seed}: non-positive self-similarity"
 
     def test_executor_equivalence(self, seed):
-        """Serial and threaded executors must agree bit-for-bit: tiling
-        changes scheduling, never values."""
+        """Serial and supervised-process executors must agree
+        bit-for-bit: where a tile runs changes scheduling, never
+        values."""
         graphs = random_graph_batch(seed)
         K_serial = _engine(cache=False).gram(graphs).matrix
-        K_threads = _engine(
-            cache=False, executor="threads", max_workers=4
+        K_supervised = _engine(
+            cache=False, executor="process_supervised", max_workers=2
         ).gram(graphs).matrix
-        assert np.allclose(K_serial, K_threads, rtol=0, atol=0), (
-            f"seed {seed}: threads executor diverges from serial"
+        assert np.allclose(K_serial, K_supervised, rtol=0, atol=0), (
+            f"seed {seed}: supervised executor diverges from serial"
         )
 
     def test_block_consistent_with_gram(self, seed):

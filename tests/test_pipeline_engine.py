@@ -2,10 +2,9 @@
 
 The load-bearing properties:
 
-* every executor (serial, threads, supervised processes) runs the same
-  plan → fill → solve stage functions over the same bucket tasks, so
-  the batched Gram is **bitwise identical** across executors and
-  caching modes;
+* both executors (serial, supervised processes) run the same task
+  body, ``solve_tile``, over the same tiles, so the batched Gram is
+  **bitwise identical** across executors and caching modes;
 * the block store round-trips block rows exactly, detects corruption
   and torn writes (reads them as absent), and the engine's rerun path
   recomputes exactly the missing tiles;
@@ -23,12 +22,6 @@ import pytest
 
 from repro.engine import GramEngine, plan_bucketed_tiles
 from repro.engine.block_store import GramBlockStore
-from repro.engine.executors import (
-    bucket_tasks,
-    fill_bucket,
-    plan_bucket,
-    solve_bucket,
-)
 from repro.engine.offload import AsyncOffloader
 from repro.graphs.generators import random_labeled_graph
 from repro.kernels.basekernels import synthetic_kernels
@@ -77,9 +70,7 @@ def assert_bitwise(res, ref):
 
 
 class TestPipelineBitwise:
-    @pytest.mark.parametrize(
-        "executor", ["serial", "threads", "process_supervised"]
-    )
+    @pytest.mark.parametrize("executor", ["serial", "process_supervised"])
     @pytest.mark.parametrize("cache", [None, False])
     def test_executors_and_cache_modes(self, barrier_result, executor, cache):
         eng = make_engine(executor=executor, cache=cache, max_workers=2)
@@ -112,19 +103,6 @@ class TestPipelineBitwise:
         eng = make_engine(batch_pairs=batch_pairs, executor=executor,
                           max_workers=2, cache=False)
         assert_bitwise(eng.gram(graphs), ref)
-
-    def test_warm_start_threads_matches_warm_serial(self):
-        # Warm-started values are tolerance-equal to cold ones, but the
-        # threads executor must reproduce the *warm serial* run bit for
-        # bit: each bucket seeds from its own history whatever order
-        # the tiles complete in.
-        kw = dict(warm_start=True)
-        a = make_engine(**kw)
-        b = make_engine(executor="threads", max_workers=2, **kw)
-        for _ in range(2):  # second sweep actually consumes histories
-            ra = a.gram(GRAPHS)
-            rb = b.gram(GRAPHS)
-        assert_bitwise(rb, ra)
 
     def test_structure_cached_second_call_bitwise(self, barrier_result):
         eng = make_engine()
@@ -254,7 +232,7 @@ class TestEngineSpill:
             fh.write(b"\xff")
 
         e2 = make_engine(spill_dir=str(tmp_path), cache=False,
-                         executor="threads", max_workers=2)
+                         executor="process_supervised", max_workers=2)
         r2 = e2.gram(GRAPHS)
         d2 = r2.info["diagnostics"]
         e2.close()
@@ -342,7 +320,7 @@ class TestAsyncOffloader:
 
 
 class TestProgressEvents:
-    @pytest.mark.parametrize("executor", ["threads", "process_supervised"])
+    @pytest.mark.parametrize("executor", ["serial", "process_supervised"])
     def test_engine_events_ordered_and_monotone(self, executor):
         events = []
         eng = make_engine(executor=executor, max_workers=2,
@@ -353,31 +331,3 @@ class TestProgressEvents:
             values = [getattr(e, name) for e in events]
             assert values == sorted(values), name
         assert events[-1].pairs_done == events[-1].pairs_total
-
-
-# ---------------------------------------------------------------------------
-# stage split
-# ---------------------------------------------------------------------------
-
-
-class TestStageSplit:
-    def test_stage_functions_compose_to_solve(self):
-        kernel = make_kernel()
-        X = GRAPHS[:6]
-        reps = [(i, j) for i in range(6) for j in range(i, 6)]
-        tiles = plan_bucketed_tiles(X, X, reps, batch_pairs=4)
-        direct = {}
-        for tile in tiles:
-            t = bucket_tasks(tile)
-            assert t.solo == tile.solo and t.members == tile.pairs
-            if not t.solo:
-                plan_bucket(t, X, X)
-                fill_bucket(t, kernel)
-            rows = solve_bucket(t, kernel, X, X)
-            assert np.array_equal(rows[:, :2], tile.pairs)
-            for i, j, value, *_ in rows:
-                direct[(int(i), int(j))] = value
-        assert sorted(direct) == reps
-        ref = make_engine(cache=False, batch_pairs=None).gram(X)
-        for (i, j), v in direct.items():
-            assert v == ref.matrix[i, j]

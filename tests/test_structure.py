@@ -330,15 +330,6 @@ def test_supervised_executor_ignores_warm_start():
     assert np.array_equal(warm.iterations, plain.iterations)
 
 
-def test_threads_executor_with_structure_reuse_matches_serial():
-    graphs = mixed_batch(6)
-    serial = make_engine(warm_start=True).gram(graphs)
-    threaded = make_engine(
-        executor="threads", max_workers=2, warm_start=True
-    ).gram(graphs)
-    assert np.allclose(threaded.matrix, serial.matrix, rtol=RTOL, atol=0)
-
-
 # ----------------------------------------------------------------------
 # cache invalidation semantics
 # ----------------------------------------------------------------------
