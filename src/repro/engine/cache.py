@@ -18,9 +18,9 @@ Two further stores back the structure-reuse assembly pipeline:
   keyed by graph-content hashes and assembly config.
   Hyperparameter sweeps hit it because hyperparameters never enter the
   key.  Plans never leave the process: a cold plan is rebuilt.
-* :class:`WarmStartStore` — a bytes-bounded in-memory LRU of per-pair
-  solution vectors keyed by graph content only, seeding the batched
-  solver at the next sweep point.
+* :class:`WarmStartStore` — a bytes-bounded in-memory LRU of per-tile
+  solution vectors and their operator images, keyed by graph content
+  only, seeding the batched solver at the next sweep point.
 
 The engine's one on-disk format, the result blocks of
 :mod:`~repro.engine.block_store`, is written by :func:`write_verified`
@@ -257,11 +257,12 @@ class StructureCache:
             return int(nbytes)
         if isinstance(plan, list):
             # Tile plans: a list of Tile objects whose payload
-            # is the (i, j) pair tuples.  Rough Python-object costing —
-            # a tuple of two ints plus its list slot is ~120 bytes —
-            # keeps multi-MB plans visible to the byte bound.
+            # is the (i, j) pair tuples and their (k, 2) int64 array.
+            # Rough Python-object costing — a tuple of two ints plus
+            # its list slot is ~120 bytes — keeps multi-MB plans
+            # visible to the byte bound.
             return 64 + sum(
-                96 + 120 * len(getattr(t, "pairs", ())) for t in plan
+                96 + 136 * len(getattr(t, "pairs", ())) for t in plan
             )
         return 0
 
@@ -312,6 +313,29 @@ class StructureCache:
             self._bytes = 0
 
 
+class WarmHistory(tuple):
+    """One key's stored solutions, most-recent first, with their images.
+
+    A tuple of the solution vectors, so callers that store vectors only
+    read it as before.  ``images[a]`` is ``(tag, W·x)`` for vector a —
+    its image under the operator named by ``tag`` — or None until a
+    seed computes it.  Only :meth:`WarmStartStore.attach` writes the
+    list, under the store's lock.
+    """
+
+    def __new__(cls, vecs=(), images=None):
+        history = super().__new__(cls, vecs)
+        history.images = [None] * len(history) if images is None else images
+        return history
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the vectors and of the images attached so far."""
+        return sum(v.nbytes for v in self) + sum(
+            img[1].nbytes for img in self.images if img is not None
+        )
+
+
 class WarmStartStore:
     """Bytes-bounded LRU of solution vectors for solver warm-starting.
 
@@ -327,7 +351,16 @@ class WarmStartStore:
     first; the seeding layer projects onto their span, which tracks the
     solution manifold far better than a single copied vector (CG
     converges exponentially, so the seed must be *accurate*, not merely
-    close, to save iterations).  Thread-safe.
+    close, to save iterations).
+
+    Each vector may carry its operator image W·x (:class:`WarmHistory`),
+    which the seed attaches once and reuses at later points: W depends
+    on the plan and the edge kernel only, never on q, so on a q sweep
+    each point images just its newest vector.  An image is tagged with
+    the operator it was computed for; the key pins the plan, so the
+    edge-kernel signature of the fill is the tag.  Images count toward
+    ``nbytes`` and the byte bound.  Thread-safe: the serving layer's
+    threads share one store.
     """
 
     def __init__(self, max_bytes: int = 64 << 20, history: int = 5) -> None:
@@ -338,7 +371,7 @@ class WarmStartStore:
         self.max_bytes = max_bytes
         self.history = history
         self.stats = CacheStats()
-        self._data: OrderedDict[str, tuple[np.ndarray, ...]] = OrderedDict()
+        self._data: OrderedDict[str, WarmHistory] = OrderedDict()
         self._bytes = 0
         self._lock = Lock()
 
@@ -346,14 +379,14 @@ class WarmStartStore:
     def nbytes(self) -> int:
         return self._bytes
 
-    def get(self, key: str) -> tuple[np.ndarray, ...] | None:
-        """Stored solutions for a pair, most-recent first (None: miss)."""
+    def get(self, key: str) -> WarmHistory | None:
+        """Stored solutions for a bucket, most-recent first (None: miss)."""
         with self._lock:
-            vecs = self._data.get(key)
-            if vecs is not None:
+            history = self._data.get(key)
+            if history is not None:
                 self._data.move_to_end(key)
                 self.stats.hits += 1
-                return vecs
+                return history
             self.stats.misses += 1
             return None
 
@@ -361,19 +394,43 @@ class WarmStartStore:
         """Enforce the byte bound (caller holds the lock)."""
         while self._bytes > self.max_bytes and len(self._data) > 1:
             _, evicted = self._data.popitem(last=False)
-            self._bytes -= sum(v.nbytes for v in evicted)
+            self._bytes -= evicted.nbytes
             self.stats.evictions += 1
 
     def put(self, key: str, x: np.ndarray) -> None:
-        """Push a pair's newest solution, keeping ``history`` vectors."""
+        """Push a bucket's newest solution, keeping ``history`` vectors
+        (and the images of the ones kept)."""
         x = np.asarray(x, dtype=np.float64)
+        keep = self.history - 1
         with self._lock:
-            old = self._data.pop(key, ())
-            self._bytes -= sum(v.nbytes for v in old)
-            vecs = (x,) + old[: self.history - 1]
-            self._data[key] = vecs
-            self._bytes += sum(v.nbytes for v in vecs)
+            old = self._data.pop(key, WarmHistory())
+            self._bytes -= old.nbytes
+            history = WarmHistory(
+                (x,) + old[:keep], [None] + old.images[:keep]
+            )
+            self._data[key] = history
+            self._bytes += history.nbytes
             self.stats.puts += 1
+            self._evict_locked()
+
+    def attach(self, key: str, history: WarmHistory, tag: str,
+               images: dict[int, np.ndarray]) -> None:
+        """Record images W·x of ``history``'s vectors, tagged ``tag``.
+
+        ``images`` maps positions in ``history`` to their images.  A
+        history that a later :meth:`put` has replaced, or that was
+        evicted, takes nothing: the images are a cache, and the next
+        seed computes what is missing.
+        """
+        with self._lock:
+            if self._data.get(key) is not history:
+                return
+            for a, image in images.items():
+                old = history.images[a]
+                if old is not None:
+                    self._bytes -= old[1].nbytes
+                history.images[a] = (tag, image)
+                self._bytes += image.nbytes
             self._evict_locked()
 
     def __len__(self) -> int:

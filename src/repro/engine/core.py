@@ -134,12 +134,11 @@ class _Call:
         self.quarantined_pos = self.pending_pos = 0
 
     def set_missing(self, missing: np.ndarray) -> None:
-        """Record the unique pairs left to tile as ``reps`` (their first
-        positions), and index those positions for :meth:`unique_of`."""
+        """Record the unique pairs left to tile by their first positions
+        ``(missing_i[k], missing_j[k])``, and index those positions for
+        :meth:`unique_of`."""
         self.missing_i = self.rep_i[missing]
         self.missing_j = self.rep_j[missing]
-        self.reps = list(zip(self.missing_i.tolist(),
-                             self.missing_j.tolist()))
         lin = self.missing_i * self.n_cols + self.missing_j
         order = np.argsort(lin)
         self._lin, self._unique = lin[order], missing[order]
@@ -611,7 +610,7 @@ class GramEngine:
         always be empty there and cached plans would never be re-read.
         The runtime still counts this process's tile-plan lookups below.
         """
-        reps = call.reps
+        n_missing = len(call.missing_i)
         local = self.executor != "process_supervised"
         call.runtime = BatchRuntime(
             structure_cache=self.structure_cache if local else None,
@@ -619,7 +618,7 @@ class GramEngine:
         )
         tiles = None
         tkey = None
-        if not reps:
+        if not n_missing:
             tiles = []
         elif self.structure_cache is not None:
             tkey = self._tiles_key(
@@ -628,9 +627,10 @@ class GramEngine:
             tiles = self.structure_cache.get(tkey)
             call.runtime.record(tiles is not None)
         if tiles is None:
-            with get_tracer().span("engine.plan_tiles", n_pairs=len(reps)):
+            with get_tracer().span("engine.plan_tiles", n_pairs=n_missing):
                 tiles = plan_bucketed_tiles(
-                    X, Y, reps, batch_pairs=self.batch_pairs
+                    X, Y, np.stack((call.missing_i, call.missing_j), axis=1),
+                    batch_pairs=self.batch_pairs,
                 )
             if tkey is not None:
                 self.structure_cache.put(tkey, tiles)
@@ -664,7 +664,7 @@ class GramEngine:
             elif self.shard is not None and (
                 int(bkey[:8], 16) % self.shard[1] != self.shard[0]
             ):
-                u = call.unique_of(*np.transpose(tile.pairs))
+                u = call.unique_of(tile.ij[:, 0], tile.ij[:, 1])
                 call.placeholder[u] = True
                 call.pending_pos += int(call.counts[u].sum())
                 self._emit_tile(call)

@@ -115,12 +115,20 @@ def _seed_warm_start(warm_store, key: str, system):
     Warm vectors are stored *per bucket* in the bucket's stacked layout
     (keyed by the structure key, which pins members and their order),
     so seeding costs O(1) Python per bucket: fetch the k stacked
-    history vectors V, compute their images S V (one SpMM over the
-    C-contiguous (S, k) stack), and minimize ||b − S V c||₂ per pair.
-    The seed is never worse than the cold start (c = 0 lies in the
-    subspace) and tracks a sweep's solution manifold to k-th order —
-    which matters because CG converges exponentially: a seed must be
-    *accurate*, not merely nearby, to cut iterations.
+    history vectors V with their images S V, and minimize ||b − S V c||₂
+    per pair.  The seed is never worse than the cold start (c = 0 lies
+    in the subspace) and tracks a sweep's solution manifold to k-th
+    order — which matters because CG converges exponentially: a seed
+    must be *accurate*, not merely nearby, to cut iterations.
+
+    Images: S vₐ = D vₐ − W vₐ.  The store keeps each vector's W vₐ,
+    tagged with the operator's edge-kernel signature (the key pins the
+    plan, so the signature pins W).  A seed computes only the images
+    it lacks, one SpMV each, and attaches them: on a q sweep that is
+    the newest vector's alone, since W does not change with q; after
+    an edge-kernel change, all of them.  A store filled by ``put``
+    alone computes every image on first use.  The rows S vₐ are then
+    formed with two contiguous passes each.
 
     Algorithm: modified Gram–Schmidt (MGS) over the images alone, with
     b carried along as the last column (MGS on [S V | b]).  MGS stays
@@ -155,20 +163,31 @@ def _seed_warm_start(warm_store, key: str, system):
     Returns the stacked ``x0``, or None on a history miss (the exact
     cold fallback).
     """
-    vecs = warm_store.get(key)
-    if not vecs:
+    history = warm_store.get(key)
+    if not history:
         return None
-    vecs = [v for v in vecs if v.shape[0] == system.total]
-    if not vecs:
+    use = [a for a, v in enumerate(history) if v.shape[0] == system.total]
+    if not use:
         return None
+    tag = system.offdiag.signature
+    vecs, images, new = [], [], {}
+    for a in use:
+        v, stored = history[a], history.images[a]
+        if stored is not None and stored[0] == tag:
+            image = stored[1]
+        else:
+            image = new[a] = system.matvec_offdiag(v)
+        vecs.append(v)
+        images.append(image)
+    if new:
+        warm_store.attach(key, history, tag, new)
     k, B = len(vecs), system.batch
     # Images S vₐ = D vₐ − W vₐ as the rows of Q, orthogonalized in
-    # place; W V is one SpMM, each column bitwise its SpMV.
-    WV = system.offdiag.matmat(np.stack(vecs, axis=1))
+    # place.
     Q = np.empty((k, system.total))
-    for a, v in enumerate(vecs):
-        np.multiply(system.diag, v, out=Q[a])
-    Q -= WV.T
+    for a in range(k):
+        np.multiply(system.diag, vecs[a], out=Q[a])
+        Q[a] -= images[a]
     T = np.zeros((k, k, B))  # Q[a] = Σ_c T[c, a] S v_c, per pair
     inv_sq = np.zeros((k, B))  # 1/||Q[a]||², 0 for a dropped direction
     w = np.zeros((k, B))  # x0 = Σ_c w[c] v_c, per pair
@@ -227,11 +246,14 @@ def solve_tile(
 
     cache = runtime.structure_cache if runtime is not None else None
     warm = runtime.warm_store if runtime is not None else None
-    pair_graphs = [(X[i], Y[j]) for i, j in pairs]
+
+    def pair_graphs():
+        return [(X[i], Y[j]) for i, j in pairs]
+
     if tile.skey is None and (cache is not None or warm is not None):
         # The tile plan is keyed by the content at its positions, so
         # the key holds wherever the structure cache serves this tile.
-        tile.skey = structure_key(pair_graphs)
+        tile.skey = structure_key(pair_graphs())
     with tracer.span("tile.plan", n_pairs=len(pairs)) as sp:
         plan = None
         if cache is not None:
@@ -239,7 +261,7 @@ def solve_tile(
             runtime.record(plan is not None)
             sp.set("structure_hit", plan is not None)
         if plan is None:
-            plan = build_structure_plan(pair_graphs)
+            plan = build_structure_plan(pair_graphs())
             if cache is not None:
                 cache.put(tile.skey, plan)
     with tracer.span("tile.fill", n_pairs=len(pairs)):
@@ -260,5 +282,5 @@ def solve_tile(
             # res.x is freshly allocated per solve — safe to retain.
             warm.put(tile.skey, res.x)
         sp.set("iterations", int(res.iterations.sum()))
-    return block_rows(pairs, system.kernel_values(res.x), res.iterations,
+    return block_rows(tile.ij, system.kernel_values(res.x), res.iterations,
                       res.converged, res.residual_norms)

@@ -373,7 +373,7 @@ class SupervisedPool:
                             failures=failures[task_id],
                         ):
                             pass
-                    rows = block_rows(tile.pairs, np.nan, 0, False, np.inf)
+                    rows = block_rows(tile.ij, np.nan, 0, False, np.inf)
                     finished_now.append((tile, rows, True))
 
                 # 5. Dispatch ready tiles (backoff-gated) to idle slots.

@@ -44,7 +44,9 @@ class Tile:
     off-diagonal entries.  ``skey`` memoizes the tile's structure key
     (:func:`~repro.engine.executors.structure_key`) once a batched body
     has hashed its members, so a tile plan served from the structure
-    cache hashes no member again.
+    cache hashes no member again.  ``ij`` holds the same positions as
+    ``pairs`` as one ``(k, 2)`` int64 array, made once per plan, which
+    block rows are packed from at every sweep point.
     """
 
     index: int
@@ -52,6 +54,11 @@ class Tile:
     nnz: int = 0
     solo: bool = False
     skey: str | None = field(default=None, compare=False, repr=False)
+    ij: np.ndarray | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.ij is None:
+            self.ij = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -111,6 +118,7 @@ def plan_bucketed_tiles(
                 pairs=list(map(tuple, ij[start:stop].tolist())),
                 nnz=int(cum[stop] - cum[start]),
                 solo=bool(solo[start]),
+                ij=ij[start:stop],
             ))
             start = stop
     tiles.sort(key=lambda t: -t.nnz)

@@ -421,47 +421,24 @@ class BlockCSROffdiag:
     C-speed SpMV per CG iteration covers all of them with zero padding
     or fill-in waste.  Each block is bitwise identical to the per-pair
     ``fused`` operator (same canonical CSR ordering), which is what
-    keeps batched and serial kernel values in lockstep.
+    keeps batched and serial kernel values in lockstep.  Block b owns
+    rows and columns ``offsets[b]:offsets[b + 1]`` and one contiguous
+    run of entries, so the batched solver drops retired blocks by
+    slicing the raw ``indptr``/``indices``/``data`` arrays.
+
+    ``signature`` is the edge-kernel signature whose values filled W.
+    With the structural plan it pins the operator: the warm store tags
+    the images W·x it keeps with it.
     """
 
-    __slots__ = ("mat",)
+    __slots__ = ("mat", "signature")
 
-    def __init__(self, mat: sp.csr_matrix) -> None:
+    def __init__(self, mat: sp.csr_matrix, signature: str) -> None:
         self.mat = mat
+        self.signature = signature
 
     def matvec(self, p: np.ndarray) -> np.ndarray:
         return self.mat @ p
-
-    def matmat(self, P: np.ndarray) -> np.ndarray:
-        """(S, k) block of vectors through W in one SpMM."""
-        return self.mat @ P
-
-    def take(
-        self, idx: np.ndarray, old_offsets: np.ndarray, new_offsets: np.ndarray
-    ) -> "BlockCSROffdiag":
-        """Keep only the blocks in ``idx`` (converged pairs drop out).
-
-        Row ranges are sliced straight out of the CSR arrays and column
-        indices shifted to the compacted layout — no sort, no COO round
-        trip.
-        """
-        mat = self.mat
-        idx = np.asarray(idx, dtype=np.int64)
-        rows = _concat_ranges(old_offsets[idx], old_offsets[idx + 1])
-        starts = mat.indptr[rows].astype(np.int64)
-        stops = mat.indptr[rows + 1].astype(np.int64)
-        nnz_idx = _concat_ranges(starts, stops)
-        new_indptr = np.concatenate(([0], np.cumsum(stops - starts)))
-        pair_nnz = (
-            mat.indptr[old_offsets[idx + 1]] - mat.indptr[old_offsets[idx]]
-        ).astype(np.int64)
-        shift = np.repeat(old_offsets[idx] - new_offsets[:-1], pair_nnz)
-        S_new = int(new_offsets[-1])
-        new = sp.csr_matrix(
-            (mat.data[nnz_idx], mat.indices[nnz_idx] - shift, new_indptr),
-            shape=(S_new, S_new),
-        )
-        return BlockCSROffdiag(new)
 
 
 @dataclass
@@ -515,24 +492,6 @@ class BatchedProductSystem:
     def kernel_values(self, x: np.ndarray) -> np.ndarray:
         """K(G_b, G'_b) = p×ᵀ x per pair."""
         return self.pair_dots(self.px, x)
-
-    def take(self, idx: np.ndarray) -> "BatchedProductSystem":
-        """Compact to the pairs in ``idx`` (active-set dropout)."""
-        idx = np.asarray(idx, dtype=np.int64)
-        seglen = self.seg_lengths[idx]
-        new_offsets = np.concatenate(([0], np.cumsum(seglen)))
-        gather = _concat_ranges(self.offsets[idx], self.offsets[idx + 1])
-        return BatchedProductSystem(
-            n=self.n[idx],
-            m=self.m[idx],
-            sizes=self.sizes[idx],
-            offsets=new_offsets,
-            diag=self.diag[gather],
-            rhs=self.rhs[gather],
-            px=self.px[gather],
-            offdiag=self.offdiag.take(idx, self.offsets, new_offsets),
-            info=self.info,
-        )
 
 
 def _cat(parts, dtype):
@@ -840,7 +799,9 @@ def fill_batched_system(
     The off-diagonal operator owns freshly allocated CSR data, so it is
     memoized on the plan per edge-kernel signature and handed out
     read-only: a q-only sweep point rebuilds nothing but the diagonal
-    and right-hand side.
+    and right-hand side.  The operator carries that signature
+    (:attr:`BlockCSROffdiag.signature`), the tag of the images W·x the
+    warm store keeps.
     """
     from ..engine.fingerprint import microkernel_signature
 
@@ -884,7 +845,7 @@ def fill_batched_system(
         U = plan.wprod * Ke
         offdiag = BlockCSROffdiag(sp.csr_matrix(
             (U[plan.data_gather], plan.indices, plan.indptr), shape=(S, S)
-        ))
+        ), esig)
         plan._ke_memo = (esig, offdiag)
 
     sp_cur = current_span()

@@ -17,7 +17,12 @@ flops.  Warm-started pairs whose initial residual already meets the
 threshold retire the same way before the first iteration.  Once
 retired pairs outweigh :data:`COMPACT_FRACTION` of the layout, the
 state vectors and the stacked operator are compacted so the survivors
-keep vectorizing at full density.
+keep vectorizing at full density.  Compaction builds no matrix: each
+kept block's rows and its contiguous run of entries are sliced out of
+the operator's raw block-CSR arrays and its column indices shifted, and
+only ``x``, ``r``, ``p`` and the diagonal are gathered.  The SpMV bits
+do not change, so a solve that compacts is byte-equal to one that
+never does.
 
 Equivalence contract: per-pair and batched solves perform the same
 elementwise operations in the same order, and each block of the
@@ -34,16 +39,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# The CSR kernel behind ``W @ v``; the solve runs it into a reused
+# buffer.
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
 from ..kernels.linsys import BatchedProductSystem, _concat_ranges
 from ..obs.trace import get_tracer
 
 #: Compact state + operator once the alive fraction of the layout
-#: drops below this (a rebuild costs about one matvec), at
+#: drops below this (a compaction costs about one matvec), at
 #: initialization as inside the loop.  0.35 balances dead flops against
-#: rebuild churn for both trajectories: cold solves retire in a burst
-#: near the end, and warm-started solves retire a share of the bucket
-#: at iteration zero and trickle out the stragglers — a higher
+#: compaction churn for both trajectories: cold solves retire in a
+#: burst near the end, and warm-started solves retire a share of the
+#: bucket at iteration zero and trickle out the stragglers — a higher
 #: threshold re-compacts on nearly every straggler retirement.
 COMPACT_FRACTION = 0.35
 
@@ -160,6 +168,13 @@ class BatchedSolveHandle:
     residual, CG state, zero-iteration warm-start retirements);
     :meth:`run` iterates until every pair has retired and returns the
     outputs.
+
+    The handle runs on the operator's raw block-CSR arrays (``indptr``,
+    ``indices``, ``data``) and the active layout's ``offsets`` and
+    ``diag``: its SpMV runs ``csr_matvec`` into a reused buffer, which
+    gives the bits of ``W @ p`` without the dispatch and the
+    allocation, and compaction slices those arrays instead of building
+    a new matrix.
     """
 
     def __init__(
@@ -177,7 +192,7 @@ class BatchedSolveHandle:
             raise ValueError(
                 "system diagonal must be positive (check base kernels)"
             )
-        self.system = system
+        self.out_offsets = system.offsets
         self.precondition = precondition
         self.stats = stats
         b = system.rhs
@@ -196,41 +211,36 @@ class BatchedSolveHandle:
         self.conv_out = np.zeros(B, dtype=bool)
         self.rnorm_out = np.zeros(B)
 
-        # Active layout: ``sysk`` is the (possibly compacted) system;
-        # ``pair_of`` maps its batch axis to input pair indices;
-        # ``alive`` marks layout slots whose pair has not retired yet.
-        self.sysk = system
+        # Active layout, compacted as pairs retire: ``pair_of`` maps its
+        # batch axis to input pair indices; ``alive`` marks layout slots
+        # whose pair has not retired yet.
+        mat = system.offdiag.mat
+        self.indptr, self.indices, self.data = mat.indptr, mat.indices, mat.data
+        self.offsets = system.offsets
+        self.diag = system.diag
         self.pair_of = np.arange(B, dtype=np.int64)
         self.alive = np.ones(B, dtype=bool)
+        self._layout_changed()
 
         if x0 is None:
-            self.x = np.zeros(self.sysk.total)
+            self.x = np.zeros(system.total)
             self.r = b.copy()  # r = b - S x with x = 0
             self.rnorm = bnorm.copy()
         else:
             self.x = np.asarray(x0, dtype=np.float64).copy()
-            if self.x.shape != (self.sysk.total,):
+            if self.x.shape != (system.total,):
                 raise ValueError(
                     f"x0 has shape {self.x.shape}, "
-                    f"expected ({self.sysk.total},)"
+                    f"expected ({system.total},)"
                 )
             # r = b − S x0 = b − (diag·x0 − W x0), formed here rather
             # than taken from the seeding: a zero-iteration retirement
             # must rest on the true residual of x0.  Zero segments keep
             # the cold r = b exactly (the matvec of zeros is zero).
-            self.r = b - (
-                self.sysk.diag * self.x
-                - self.sysk.matvec_offdiag(self.x)
-            )
-            self.rnorm = self.sysk.pair_norms(self.r)
-        self.p = self.r / self.sysk.diag if precondition else self.r.copy()
-        self.rho = self.sysk.pair_dots(self.r, self.p)
-        # Scratch buffers and cached layout arrays, refreshed on
-        # compaction.
-        self.t = np.empty_like(self.x)
-        self.u = np.empty_like(self.x)
-        self.starts = self.sysk.offsets[:-1]
-        self.seglen = self.sysk.seg_lengths
+            self.r = b - (self.diag * self.x - self._offdiag(self.x))
+            self.rnorm = system.pair_norms(self.r)
+        self.p = self.r / self.diag if precondition else self.r.copy()
+        self.rho = system.pair_dots(self.r, self.p)
 
         # Warm-started pairs whose guess already meets the threshold
         # retire now and freeze like any later retirement; compaction
@@ -244,6 +254,28 @@ class BatchedSolveHandle:
 
         self.it = 0
 
+    def _layout_changed(self) -> None:
+        """Refresh the cached layout arrays and size the scratch
+        buffers (``t``, ``u`` and the SpMV output ``wp``)."""
+        self.starts = self.offsets[:-1]
+        self.seglen = np.diff(self.offsets)
+        S = int(self.offsets[-1])
+        self.t = np.empty(S)
+        self.u = np.empty(S)
+        self.wp = np.empty(S)
+
+    def _offdiag(self, v: np.ndarray) -> np.ndarray:
+        """W v over the active layout, into the reused ``wp`` buffer.
+
+        scipy computes ``W @ v`` by running ``csr_matvec`` on a freshly
+        zeroed vector, so a zeroed buffer gives the same bits.
+        """
+        out = self.wp
+        out.fill(0.0)
+        S = len(out)
+        _csr_matvec(S, S, self.indptr, self.indices, self.data, v, out)
+        return out
+
     def _retire(self, local_idx: np.ndarray, iters, ok: bool) -> None:
         """Write back results and freeze the retiring layout slots."""
         pair = self.pair_of[local_idx]
@@ -251,10 +283,10 @@ class BatchedSolveHandle:
         self.conv_out[pair] = ok
         self.rnorm_out[pair] = self.rnorm[local_idx]
         src = _concat_ranges(
-            self.sysk.offsets[local_idx], self.sysk.offsets[local_idx + 1]
+            self.offsets[local_idx], self.offsets[local_idx + 1]
         )
         dst = _concat_ranges(
-            self.system.offsets[pair], self.system.offsets[pair + 1]
+            self.out_offsets[pair], self.out_offsets[pair + 1]
         )
         self.x_out[dst] = self.x[src]
         self.alive[local_idx] = False
@@ -272,36 +304,54 @@ class BatchedSolveHandle:
             self._compact()
 
     def _compact(self) -> None:
+        """Drop the retired blocks from the state and the operator.
+
+        Each kept block keeps its row range and its contiguous run of
+        entries; only its column indices shift, by the rows dropped
+        before it, and its row pointers, by the entries dropped before
+        it.  ``rhs`` and ``px`` are not read after setup, so they stay
+        behind.
+        """
         if self.stats is not None:
             self.stats["compactions"] += 1
         keep = np.flatnonzero(self.alive)
-        gather = _concat_ranges(
-            self.sysk.offsets[keep], self.sysk.offsets[keep + 1]
+        lo, hi = self.offsets[keep], self.offsets[keep + 1]
+        rows = _concat_ranges(lo, hi)
+        self.x = self.x[rows]
+        self.r = self.r[rows]
+        self.p = self.p[rows]
+        self.diag = self.diag[rows]
+        e_lo, e_hi = self.indptr[lo], self.indptr[hi]
+        offsets = np.concatenate(([0], np.cumsum(hi - lo)))
+        e_off = np.concatenate(([0], np.cumsum(e_hi - e_lo)))
+        col_shift = (lo - offsets[:-1]).astype(self.indices.dtype)
+        ptr_shift = (e_lo - e_off[:-1]).astype(self.indptr.dtype)
+        entries = _concat_ranges(e_lo, e_hi)
+        self.data = self.data[entries]
+        self.indices = self.indices[entries] - np.repeat(
+            col_shift, e_hi - e_lo
         )
-        self.x = self.x[gather]
-        self.r = self.r[gather]
-        self.p = self.p[gather]
+        indptr = np.empty(len(rows) + 1, dtype=self.indptr.dtype)
+        indptr[:-1] = self.indptr[rows] - np.repeat(ptr_shift, hi - lo)
+        indptr[-1] = e_off[-1]
+        self.indptr = indptr
+        self.offsets = offsets
         self.rho = self.rho[keep]
-        self.sysk = self.sysk.take(keep)
         self.pair_of = self.pair_of[keep]
         self.rnorm = self.rnorm[keep]
         self.threshold = self.threshold[keep]
         self.caps = self.caps[keep]
         self.alive = np.ones(len(keep), dtype=bool)
-        self.t = np.empty_like(self.x)
-        self.u = np.empty_like(self.x)
-        self.starts = self.sysk.offsets[:-1]
-        self.seglen = self.sysk.seg_lengths
+        self._layout_changed()
 
     def _iterate(self) -> None:
         """One CG iteration over the alive layout (the loop body of the
         original one-shot solve, verbatim)."""
-        sysk = self.sysk
         self.it += 1
         it = self.it
         # a = S p (lines 9-10), computed into scratch: u = diag·p − Wp.
-        a = sysk.matvec_offdiag(self.p)
-        np.multiply(sysk.diag, self.p, out=self.u)
+        a = self._offdiag(self.p)
+        np.multiply(self.diag, self.p, out=self.u)
         self.u -= a
         a = self.u
         np.multiply(self.p, a, out=self.t)
@@ -317,9 +367,8 @@ class BatchedSolveHandle:
             if not self.alive.any():
                 return
             self._compact()
-            sysk = self.sysk
-            a = sysk.matvec_offdiag(self.p)
-            np.multiply(sysk.diag, self.p, out=self.u)
+            a = self._offdiag(self.p)
+            np.multiply(self.diag, self.p, out=self.u)
             self.u -= a
             a = self.u
             np.multiply(self.p, a, out=self.t)
@@ -347,9 +396,8 @@ class BatchedSolveHandle:
             return
         self._compact_if_sparse()
 
-        sysk = self.sysk
         if self.precondition:
-            z = np.divide(self.r, sysk.diag, out=self.u)
+            z = np.divide(self.r, self.diag, out=self.u)
         else:
             z = self.r
         np.multiply(self.r, z, out=self.t)

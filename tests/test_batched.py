@@ -36,6 +36,8 @@ from repro.kernels.linsys import (
     build_batched_system,
     build_product_system,
 )
+from repro.obs import trace
+from repro.solvers import batched_pcg
 from repro.solvers.batched_pcg import batched_cg_solve, batched_pcg_solve
 from repro.solvers.cg import cg_solve
 from repro.solvers.pcg import pcg_solve
@@ -187,6 +189,34 @@ def test_batch_composition_does_not_change_values():
     np.testing.assert_array_equal(vals_big[:5], vals_small)
 
 
+def test_compaction_is_exact(monkeypatch):
+    """Dropping retired blocks from the operator and the state changes
+    no bit: a solve that compacts is byte-equal to one that never does."""
+    nk, ek = molecule_kernels()
+    system = build_batched_system(
+        _block_contract_pairs("molecule"), nk, ek, q=0.05
+    )
+    tracer = trace.Tracer()
+    monkeypatch.setattr(trace, "_TRACER", tracer)
+    runs = []
+    for fraction in (batched_pcg.COMPACT_FRACTION, 0.0):
+        monkeypatch.setattr(batched_pcg, "COMPACT_FRACTION", fraction)
+        runs.append(batched_pcg_solve(system, rtol=1e-9))
+    compacted, plain = runs
+    compactions = [
+        s.attrs["compactions"] for s in tracer.finished()
+        if s.name == "pcg.batch"
+    ]
+    assert compactions[0] >= 2 and compactions[1] == 0
+    # pairs retire from the first iteration to the twentieth and beyond
+    its = compacted.iterations
+    assert its.min() == 1 and its.max() >= 20
+    assert compacted.x.tobytes() == plain.x.tobytes()
+    assert np.array_equal(compacted.iterations, plain.iterations)
+    assert compacted.residual_norms.tobytes() == plain.residual_norms.tobytes()
+    assert np.array_equal(compacted.converged, plain.converged)
+
+
 # ----------------------------------------------------------------------
 # buckets and tiling
 # ----------------------------------------------------------------------
@@ -209,6 +239,7 @@ def test_plan_bucketed_tiles_cover_and_pure():
             for i, j in t.pairs
         }
         assert solo == {t.solo}  # solo and batchable pairs kept apart
+        assert np.array_equal(t.ij, np.reshape(t.pairs, (-1, 2)))
     # deterministic: same inputs, same plan (workers never enter)
     again = plan_bucketed_tiles(graphs, graphs, positions, batch_pairs=8)
     assert [t.pairs for t in again] == [t.pairs for t in tiles]

@@ -34,10 +34,12 @@ from repro.graphs.generators import random_labeled_graph
 from repro.kernels.basekernels import (
     KroneckerDelta,
     SquareExponential,
+    TensorProduct,
     synthetic_kernels,
 )
 from repro.kernels.linsys import (
     BATCH_SPARSE_MAX,
+    BlockCSROffdiag,
     build_batched_system,
     build_structure_plan,
     fill_batched_system,
@@ -475,11 +477,66 @@ def test_warm_store_history_and_eviction():
     assert len(vecs) == 2
     assert np.array_equal(vecs[0], a + 2)
     assert np.array_equal(vecs[1], a + 1)
-    # Evicts whole LRU entries once the byte budget is exceeded.
+    # Images count toward nbytes and move with the vectors a put keeps.
+    store.attach("k", vecs, "W", {0: -a})
+    assert store.nbytes == 3 * a.nbytes
+    store.put("k", a + 3)
+    kept = store.get("k")
+    assert kept.images[0] is None and kept.images[1][0] == "W"
+    assert store.nbytes == 3 * a.nbytes
+    store.attach("k", vecs, "W", {1: -a})  # a replaced history: ignored
+    assert store.nbytes == 3 * a.nbytes
+    # Evicts whole LRU entries, images included, once the byte budget
+    # is exceeded.
     for i in range(20):
         store.put(f"fill{i}", np.zeros(10))
+        store.attach(f"fill{i}", store.get(f"fill{i}"), "W",
+                     {0: np.zeros(10)})
     assert store.nbytes <= 1000
     assert store.get("k") is None
+
+
+def test_warm_store_images_under_concurrent_seeds_and_puts():
+    # Threads that seed (attach images) and push solutions on shared
+    # keys: every image stays next to its own vector, and nbytes equals
+    # what the entries hold.
+    store = WarmStartStore(history=3)
+    keys = ("a", "b")
+    errors = []
+
+    def worker(seed):
+        rng = np.random.default_rng(seed)
+        try:
+            for step in range(200):
+                key = keys[step % 2]
+                history = store.get(key)
+                if history:
+                    store.attach(key, history, "W",
+                                 {a: -v for a, v in enumerate(history)})
+                store.put(key, rng.standard_normal(8))
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    held = [store.get(key) for key in keys]
+    for history in held:
+        assert len(history) == 3
+        for v, image in zip(history, history.images):
+            assert image is None or np.array_equal(image[1], -v)
+    assert any(image is not None for h in held for image in h.images)
+    assert store.nbytes == sum(h.nbytes for h in held)
 
 
 def test_warm_store_rejects_bad_args():
@@ -572,7 +629,7 @@ def test_partial_zero_iteration_retirement(monkeypatch, band, n_seeded):
 def _image_lstsq_residuals(system, vecs) -> np.ndarray:
     """Per pair, min over c of ||b − S V c|| on that pair's rows."""
     V = np.stack(vecs, axis=1)
-    Y = system.diag[:, None] * V - system.offdiag.matmat(V)
+    Y = system.diag[:, None] * V - system.offdiag.mat @ V
     out = np.empty(system.batch)
     for p in range(system.batch):
         rows = slice(system.offsets[p], system.offsets[p + 1])
@@ -616,6 +673,58 @@ def test_warm_seed_matches_least_squares_reference(seed, k):
     wrong.put("bucket", np.ones(system.total + 1))
     wrong.put("bucket", np.ones(system.total - 1))
     assert _seed_warm_start(wrong, "bucket", system) is None
+
+
+def test_warm_seed_images_are_reused_and_invalidated(monkeypatch):
+    # Each seed call computes only the images W·x its store lacks: on a
+    # q sweep, the newest vector's alone; after an edge-kernel change,
+    # all of them.  Its x0 is byte-equal to the seed from a store that
+    # holds the same vectors and no images.
+    graphs = mixed_batch(4)
+    spmv = BlockCSROffdiag.matvec
+    seed = executors._seed_warm_start
+    spmvs = [0]
+    counts, keys = [], set()
+
+    def counting_spmv(self, p):
+        spmvs[0] += 1
+        return spmv(self, p)
+
+    def checked_seed(store, key, system):
+        before = spmvs[0]
+        x0 = seed(store, key, system)
+        counts.append(spmvs[0] - before)
+        history = store.get(key)
+        bare = WarmStartStore(history=store.history)
+        for v in reversed(history or ()):
+            bare.put(key, v)
+        ref = seed(bare, key, system)
+        assert (x0 is None) == (ref is None)
+        if x0 is not None:
+            assert x0.tobytes() == ref.tobytes()
+        keys.add(key)
+        return x0
+
+    monkeypatch.setattr(BlockCSROffdiag, "matvec", counting_spmv)
+    monkeypatch.setattr(executors, "_seed_warm_start", checked_seed)
+    cache, warm = StructureCache(), WarmStartStore()
+    for q in (0.05, 0.055, 0.06):
+        make_engine(
+            graphs_kernel_q=q, structure_cache=cache, warm_start=warm,
+            batch_pairs=16,
+        ).gram(graphs)
+    n = len(warm)
+    assert n > 1 and counts == [0] * n + [1] * n + [1] * n
+    # nbytes counts the attached images next to the vectors
+    current = [warm.get(key) for key in keys]
+    vec_bytes = sum(v.nbytes for h in current for v in h)
+    assert warm.nbytes == sum(h.nbytes for h in current) > vec_bytes
+
+    other_edges = TensorProduct(length=SquareExponential(0.7))
+    mgk = MarginalizedGraphKernel(NK, other_edges, q=0.06, rtol=1e-11)
+    GramEngine(mgk, cache=False, structure_cache=cache, warm_start=warm,
+               batch_pairs=16).gram(graphs)
+    assert counts[3 * n:] == [3] * n
 
 
 def test_pcg_x0_warm_start():
