@@ -112,18 +112,10 @@ def cmd_gram(args: argparse.Namespace) -> int:
     progress = None
     if args.progress:
         def progress(ev):
-            # Structure-cache traffic is reported alongside — never
-            # folded into — the solve/cache counts: a tile served
-            # from the structure cache is still numerically solved, so
-            # pairs_done/solves must not undercount it.
-            struct = ""
-            if ev.structure_hits or ev.structure_misses:
-                struct = (f", structures {ev.structure_hits}r/"
-                          f"{ev.structure_misses}b")
             print(f"  [{ev.phase}] tiles {ev.tiles_done}/{ev.tiles_total} "
                   f"pairs {ev.pairs_done}/{ev.pairs_total} "
-                  f"(solved {ev.solves}, cached {ev.cache_hits}"
-                  f"{struct}, {ev.elapsed:.2f} s)")
+                  f"(solved {ev.solves}, cached {ev.cache_hits}, "
+                  f"{ev.elapsed:.2f} s)")
 
     executor = args.executor
     if args.supervised:
@@ -151,8 +143,6 @@ def cmd_gram(args: argparse.Namespace) -> int:
         executor=executor,
         max_workers=args.workers,
         batch_pairs=args.batch_pairs,
-        structure_cache=False if args.no_structure_cache else None,
-        warm_start=args.warm_start,
         spill_dir=args.spill_dir,
         progress=progress,
         **engine_kw,
@@ -778,13 +768,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="at most N pairs per tile, on top of the tile "
                         "planner's entry cap (default: no pair cap; "
                         "--engine fused selects the per-pair path)")
-    m.add_argument("--no-structure-cache", action="store_true",
-                   help="disable the structural-plan cache (assembly "
-                        "topology is then rebuilt on every call)")
-    m.add_argument("--warm-start", action="store_true",
-                   help="warm-start batched solves from previous "
-                        "solutions of the same graph pairs (sweep mode; "
-                        "values agree within solver tolerance)")
     m.add_argument("--spill-dir", "--cache-dir", dest="spill_dir",
                    default=None, metavar="DIR",
                    help="out-of-core root and persistent result store: "

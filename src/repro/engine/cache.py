@@ -17,7 +17,8 @@ Two further stores back the structure-reuse assembly pipeline:
   :class:`~repro.kernels.linsys.StructurePlan` objects and tile plans,
   keyed by graph-content hashes and assembly config.
   Hyperparameter sweeps hit it because hyperparameters never enter the
-  key.  Plans never leave the process: a cold plan is rebuilt.
+  key.  An engine keeps one only when handed it, as ``grid_search``
+  does; plans never leave the process.
 * :class:`WarmStartStore` — a bytes-bounded in-memory LRU of per-tile
   solution vectors and their operator images, keyed by graph content
   only, seeding the batched solver at the next sweep point.
@@ -228,8 +229,8 @@ class StructureCache:
 
     Eviction is by total plan bytes, not entry count: plans span four
     orders of magnitude (a 2-pair tile of small molecules vs. a
-    2^18-entry block-CSR tile).  Thread-safe: the serving layer's
-    worker threads fill one engine-owned instance concurrently.
+    2^18-entry block-CSR tile).  Thread-safe: engines on several
+    threads may share one instance.
     """
 
     def __init__(self, max_bytes: int = 256 << 20) -> None:

@@ -55,7 +55,7 @@ from ..kernels.marginalized import GramResult, normalized
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
 from .block_store import GramBlockStore
-from .cache import CachedPair, LRUCache, StructureCache, WarmStartStore
+from .cache import CachedPair, LRUCache, WarmStartStore
 from .executors import (
     EXECUTORS,
     BatchRuntime,
@@ -223,17 +223,22 @@ class GramEngine:
         ``False`` to disable per-pair reuse.  Values outlive the
         process only as result blocks under ``spill_dir``.
     structure_cache:
-        Cache of structural assembly plans for the batched path
-        (:class:`~repro.engine.cache.StructureCache`), keyed by graph
+        A :class:`~repro.engine.cache.StructureCache` of tile and
+        structural assembly plans for the batched path, keyed by graph
         content and assembly config — *not* by hyperparameters, so a
         tuning sweep re-fills cached topology instead of rebuilding it.
-        ``None`` (default) creates a private in-memory cache, ``False``
-        disables structure reuse, or pass a shared instance (what
+        Pass one shared instance to every engine of a sweep (what
         :func:`repro.ml.tuning.grid_search` does across candidates).
-        Structure-cache hits change nothing numerically: plan + fill is
-        bitwise identical to direct assembly.  Plans live in memory
-        only; the supervised executor's workers, spawned per call, run
-        without them.
+        ``None`` (default) and ``False`` keep no plans: each batched
+        tile is planned, filled and solved, and its plan dropped, so a
+        cold Gram holds one tile's plan at a time and a long-lived
+        engine does not grow with the queries it answers.  Plans are
+        keyed by pair content, so nothing but a repeat of the same
+        pairs under new hyperparameters reads them.  Structure-cache
+        hits change nothing numerically: plan + fill is bitwise
+        identical to direct assembly.  Plans live in memory only; the
+        supervised executor's workers, spawned per call, run without
+        them.
     warm_start:
         Warm-start the batched solver from each pair's previous
         solution (:class:`~repro.engine.cache.WarmStartStore`): ``True``
@@ -357,12 +362,10 @@ class GramEngine:
         else:
             self.offloader = None
             self.block_store = None
-        if structure_cache is False:
-            self.structure_cache = None
-        elif structure_cache is not None:
-            self.structure_cache = structure_cache
-        else:
-            self.structure_cache = StructureCache()
+        # Compared by identity: an empty StructureCache is falsy.
+        self.structure_cache = (
+            None if structure_cache is False else structure_cache
+        )
         if warm_start is False or warm_start is None:
             self.warm_store = None
         elif warm_start is True:
@@ -601,8 +604,8 @@ class GramEngine:
 
         The plan depends on neither the worker count nor the
         hyperparameters, so every executor solves the same tiles (and
-        returns the same bits), and the plan is served from the
-        structure cache across sweep points.
+        returns the same bits), and an engine handed a structure cache
+        serves the plan from it across sweep points.
 
         One rule for the task bodies' runtime: serial tiles carry the
         engine's structure cache and warm store, and supervised workers

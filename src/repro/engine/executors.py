@@ -69,8 +69,9 @@ class BatchRuntime:
 
     ``structure_cache`` serves/holds assembly plans and ``warm_store``
     previous solution vectors.  Both optional: a ``None`` runtime (or
-    field) builds every plan and solves every bucket cold, which is
-    what supervised workers do.
+    field) builds every plan, drops it after the tile, and solves every
+    bucket cold, which is what supervised workers and engines built
+    without a structure cache or warm store do.
 
     The runtime is created fresh per engine call, whose in-process
     tiles all run on the calling thread, and accumulates that call's

@@ -51,10 +51,11 @@ The batched assembly is split into two halves:
   diagonals and edge-weight values into the preallocated pattern.
 
 A hyperparameter sweep therefore builds each bucket's plan once and
-re-fills it per sweep point; the engine's
-:class:`~repro.engine.cache.StructureCache` keys plans by graph content
-so tuning sweeps, ``lowrank_search``, registry re-fits, and incremental
-``extend()`` calls skip topology work entirely.
+re-fills it per sweep point: :func:`repro.ml.tuning.grid_search` hands
+every candidate's engine one :class:`~repro.engine.cache.StructureCache`,
+which keys plans by graph content, so only its first point does
+topology work.  An engine without one plans, fills and solves each
+tile and drops the plan.
 """
 
 from __future__ import annotations
@@ -570,13 +571,13 @@ class StructurePlan:
     the stacked layout, the block-CSR pattern of the off-diagonal,
     pre-gathered label and degree operands, and edge-weight products
     (graph content, so hyperparameter-free), all in the natural node
-    order of each pair's graphs.  Plans live in memory only, in the
-    engine's :class:`repro.engine.cache.StructureCache`.  Fills never
+    order of each pair's graphs.  Plans live in memory only, for one
+    tile's solve or, when the engine is handed one, in a
+    :class:`repro.engine.cache.StructureCache`.  Fills never
     mutate the pattern arrays; the only writes are the whole-tuple memo
     swaps (``_vx_memo``/``_ke_memo``), which are atomic and
     signature-keyed, so one plan safely serves engine calls on
-    concurrent threads (the serving layer's worker threads share one
-    structure cache).
+    concurrent threads that share one structure cache.
     """
 
     n: np.ndarray  # (B,) row-graph node counts

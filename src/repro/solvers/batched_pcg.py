@@ -10,16 +10,17 @@ segment reductions, so each pair follows the same trajectory it would
 follow alone — batching changes the bookkeeping, not the mathematics.
 
 Convergence is masked per pair.  A pair that meets its threshold (or
-breaks down, or exhausts its iteration cap) *retires*: its solution is
-written back and its residual and search direction are zeroed, which
-freezes its segment (α and β become 0 for it) at the cost of dead
-flops.  Warm-started pairs whose initial residual already meets the
-threshold retire the same way before the first iteration.  Once
-retired pairs outweigh :data:`COMPACT_FRACTION` of the layout, the
-state vectors and the stacked operator are compacted so the survivors
-keep vectorizing at full density.  Compaction builds no matrix: each
-kept block's rows and its contiguous run of entries are sliced out of
-the operator's raw block-CSR arrays and its column indices shifted, and
+breaks down, or exhausts its iteration cap) *retires*: its outcome is
+recorded and its alive flag cleared, and α and β, masked to 0 off the
+alive slots, freeze its segment at the cost of dead flops.
+Warm-started pairs whose initial residual already meets the threshold
+retire the same way before the first iteration.  Once retired pairs
+outweigh :data:`COMPACT_FRACTION` of the layout, the state vectors and
+the stacked operator are compacted so the survivors keep vectorizing at
+full density; the dropped blocks' solutions are written back then, and
+the rest when the loop ends.  Compaction builds no matrix: each kept
+block's rows and its contiguous run of entries are sliced out of the
+operator's raw block-CSR arrays and its column indices shifted, and
 only ``x``, ``r``, ``p`` and the diagonal are gathered.  The SpMV bits
 do not change, so a solve that compacts is byte-equal to one that
 never does.
@@ -205,8 +206,9 @@ class BatchedSolveHandle:
         else:
             self.caps = np.full(B, int(max_iter), dtype=np.int64)
 
-        # Full-layout outputs, written back as pairs retire.
-        self.x_out = np.zeros(system.total)
+        # Per-pair outputs, recorded as pairs retire.  The solutions
+        # go to ``x_out`` in :meth:`_write_back`.
+        self.x_out = None
         self.iters_out = np.zeros(B, dtype=np.int64)
         self.conv_out = np.zeros(B, dtype=bool)
         self.rnorm_out = np.zeros(B)
@@ -277,11 +279,25 @@ class BatchedSolveHandle:
         return out
 
     def _retire(self, local_idx: np.ndarray, iters, ok: bool) -> None:
-        """Write back results and freeze the retiring layout slots."""
+        """Record the retiring pairs' outcomes and clear their alive
+        flags; the masked α and β then freeze their segments."""
         pair = self.pair_of[local_idx]
         self.iters_out[pair] = iters
         self.conv_out[pair] = ok
         self.rnorm_out[pair] = self.rnorm[local_idx]
+        self.alive[local_idx] = False
+
+    def _write_back(self, local_idx: np.ndarray) -> None:
+        """Copy the solutions of active blocks ``local_idx`` to ``x_out``.
+
+        Until the first compaction the active layout is the input one,
+        so the state vector itself becomes the output: its retired
+        blocks are final, and the others are written back later.
+        """
+        if self.x_out is None:
+            self.x_out = self.x
+            return
+        pair = self.pair_of[local_idx]
         src = _concat_ranges(
             self.offsets[local_idx], self.offsets[local_idx + 1]
         )
@@ -289,13 +305,6 @@ class BatchedSolveHandle:
             self.out_offsets[pair], self.out_offsets[pair + 1]
         )
         self.x_out[dst] = self.x[src]
-        self.alive[local_idx] = False
-        # Freeze the retired segments: r = p = 0 makes their α and β
-        # vanish, so x, r, p stop changing there; ρ = 1 keeps the β
-        # division finite (β = ρ_new/ρ = 0/1).
-        self.r[src] = 0.0
-        self.p[src] = 0.0
-        self.rho[local_idx] = 1.0
 
     def _compact_if_sparse(self) -> None:
         """Compact once live pairs are down to COMPACT_FRACTION."""
@@ -304,7 +313,8 @@ class BatchedSolveHandle:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop the retired blocks from the state and the operator.
+        """Write back the retired blocks' solutions, then drop those
+        blocks from the state and the operator.
 
         Each kept block keeps its row range and its contiguous run of
         entries; only its column indices shift, by the rows dropped
@@ -314,6 +324,7 @@ class BatchedSolveHandle:
         """
         if self.stats is not None:
             self.stats["compactions"] += 1
+        self._write_back(np.flatnonzero(~self.alive))
         keep = np.flatnonzero(self.alive)
         lo, hi = self.offsets[keep], self.offsets[keep + 1]
         rows = _concat_ranges(lo, hi)
@@ -374,8 +385,8 @@ class BatchedSolveHandle:
             np.multiply(self.p, a, out=self.t)
             pa = np.add.reduceat(self.t, self.starts)
 
-        # Retired slots have p = 0 hence pa = 0; mask the division so
-        # they get α = 0 without a divide-by-zero evaluation.
+        # Mask the division so retired slots get α = 0: their x and r
+        # gain only zeros.
         alpha = np.zeros(len(self.alive))
         np.divide(self.rho, pa, out=alpha, where=self.alive)
         alpha_s = np.repeat(alpha, self.seglen)
@@ -407,12 +418,13 @@ class BatchedSolveHandle:
         beta_s = np.repeat(beta, self.seglen)
         self.p *= beta_s
         self.p += z
-        self.rho = np.where(self.alive, rho_new, 1.0)
+        self.rho = rho_new
 
     def run(self) -> BatchedSolveResult:
         """Iterate until every pair has retired; the solve's outputs."""
         while self.alive.any():
             self._iterate()
+        self._write_back(np.arange(len(self.alive)))
         return BatchedSolveResult(
             x=self.x_out,
             iterations=self.iters_out,

@@ -217,6 +217,43 @@ def test_compaction_is_exact(monkeypatch):
     assert np.array_equal(compacted.converged, plain.converged)
 
 
+@pytest.mark.parametrize("fraction", [0.0, batched_pcg.COMPACT_FRACTION])
+def test_retired_solutions_are_returned_as_they_retired(monkeypatch,
+                                                        fraction):
+    """A retired pair's segment only gains zeros until it is written
+    back (at a compaction or at the end), so the returned x equals, byte
+    for byte, each pair's x at the moment it retired."""
+    nk, ek = molecule_kernels()
+    pairs = _block_contract_pairs("molecule")
+    system = build_batched_system(pairs, nk, ek, q=0.05)
+    exact = batched_pcg_solve(system, rtol=1e-12).x
+    near = batched_pcg_solve(
+        build_batched_system(pairs, nk, ek, q=0.045), rtol=1e-12
+    ).x
+    # Seed a third of the pairs exactly, a third from a nearby q, and
+    # leave the rest cold: retirements spread from iteration 0 onward.
+    seed = system.expand(np.arange(system.batch) % 3)
+    x0 = np.where(seed == 0, exact, np.where(seed == 1, near, 0.0))
+    snapshots = {}
+
+    class Snapshotting(batched_pcg.BatchedSolveHandle):
+        def _retire(self, local_idx, iters, ok):
+            for k in local_idx.tolist():
+                seg = self.x[self.offsets[k]:self.offsets[k + 1]]
+                snapshots[int(self.pair_of[k])] = seg.tobytes()
+            super()._retire(local_idx, iters, ok)
+
+    monkeypatch.setattr(batched_pcg, "COMPACT_FRACTION", fraction)
+    stats = {"compactions": 0, "breakdowns": 0, "zero_iter_retired": 0}
+    res = Snapshotting(system, rtol=1e-9, x0=x0, stats=stats).run()
+    assert res.iterations.min() == 0 and res.iterations.max() >= 6
+    assert (stats["compactions"] > 0) == (fraction > 0)
+    assert sorted(snapshots) == list(range(system.batch))
+    off = system.offsets
+    for b in range(system.batch):
+        assert res.x[off[b]:off[b + 1]].tobytes() == snapshots[b], b
+
+
 # ----------------------------------------------------------------------
 # buckets and tiling
 # ----------------------------------------------------------------------

@@ -59,6 +59,17 @@ class TestGram:
         assert "invalid choice: 'threads'" in capsys.readouterr().err
         assert not (tmp_path / "K.npy").exists()
 
+    @pytest.mark.parametrize("flag", ["--no-structure-cache",
+                                      "--warm-start"])
+    def test_removed_plan_reuse_flags_are_rejected(self, dataset_path,
+                                                   tmp_path, capsys, flag):
+        # A one-process Gram never reads a plan cache or warm store.
+        with pytest.raises(SystemExit) as exc:
+            main(["gram", str(dataset_path), str(tmp_path / "K.npy"), flag])
+        assert exc.value.code == 2  # argparse's usage error
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "K.npy").exists()
+
     def test_cache_dir_rerun_is_served_from_blocks(self, dataset_path,
                                                    tmp_path):
         import json

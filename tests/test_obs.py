@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.engine import GramEngine
+from repro.engine import GramEngine, StructureCache
 from repro.engine.progress import iteration_histogram
 from repro.graphs.generators import random_labeled_graph
 from repro.kernels.basekernels import synthetic_kernels
@@ -366,7 +366,7 @@ class TestEngineInstrumentation:
     def test_diagnostics_carry_cache_tiers(self):
         graphs = make_graphs(4)
         mgk = MarginalizedGraphKernel(NK, EK, q=0.2)
-        eng = GramEngine(mgk)
+        eng = GramEngine(mgk, structure_cache=StructureCache())
         res = eng.gram(graphs)
         diag = res.info["diagnostics"]
         assert "value" in diag.cache_tiers

@@ -20,7 +20,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.engine import GramEngine, plan_bucketed_tiles
+from repro.engine import GramEngine, StructureCache, plan_bucketed_tiles
 from repro.engine.block_store import GramBlockStore
 from repro.engine.offload import AsyncOffloader
 from repro.graphs.generators import random_labeled_graph
@@ -105,9 +105,10 @@ class TestPipelineBitwise:
         assert_bitwise(eng.gram(graphs), ref)
 
     def test_structure_cached_second_call_bitwise(self, barrier_result):
-        eng = make_engine()
+        eng = make_engine(cache=False, structure_cache=StructureCache())
         eng.gram(GRAPHS)
         res = eng.gram(GRAPHS)  # tiles + plans now structure-cached
+        assert res.info["diagnostics"].structure_hits > 0
         assert_bitwise(res, barrier_result)
 
     def test_stage_failure_propagates(self):

@@ -19,9 +19,11 @@ The structure cache's contract is layered (ISSUE 5):
 
 from __future__ import annotations
 
+import gc
 import random
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -747,7 +749,7 @@ def test_pcg_x0_warm_start():
 
 def test_cache_stats_reports_structure_separately():
     graphs = mixed_batch(5)
-    eng = make_engine(warm_start=True)
+    eng = make_engine(structure_cache=StructureCache(), warm_start=True)
     eng.gram(graphs)
     stats = eng.cache_stats()
     assert "structure" in stats
@@ -785,3 +787,97 @@ def test_progress_does_not_undercount_with_structure_hits():
     diag = res.info["diagnostics"]
     assert diag.structure_hits == done.structure_hits
     assert "structure cache" in diag.summary()
+
+
+# ----------------------------------------------------------------------
+# memory: plans outlive their tile only in a structure cache
+# ----------------------------------------------------------------------
+
+
+def _record_plans(monkeypatch, exclusive: bool) -> list:
+    """Weak references to every plan the batched task body builds.
+
+    With ``exclusive``, building a plan while an earlier one is still
+    alive fails the test: the call holds one tile's plan at a time.
+    """
+    from repro.kernels import linsys
+
+    refs = []
+    build = linsys.build_structure_plan
+
+    def recording(pair_graphs):
+        if exclusive:
+            assert all(ref() is None for ref in refs), "earlier plan alive"
+        plan = build(pair_graphs)
+        refs.append(weakref.ref(plan))
+        return plan
+
+    monkeypatch.setattr(linsys, "build_structure_plan", recording)
+    return refs
+
+
+def test_default_engine_cold_gram_keeps_no_plan(monkeypatch):
+    graphs = mixed_batch(3)
+    ref = make_engine(structure_cache=StructureCache()).gram(graphs)
+    refs = _record_plans(monkeypatch, exclusive=True)
+    eng = GramEngine(
+        MarginalizedGraphKernel(NK, EK, q=0.05, rtol=1e-11), batch_pairs=8
+    )
+    assert eng.structure_cache is None
+    gc.disable()  # plans must go by reference counting alone
+    try:
+        res = eng.gram(graphs)
+    finally:
+        gc.enable()
+    assert len(refs) >= 3
+    assert all(r() is None for r in refs)
+    assert np.array_equal(res.matrix, ref.matrix)
+    assert np.array_equal(res.iterations, ref.iterations)
+    assert "structure" not in eng.cache_stats()
+    assert "structure" not in res.info["diagnostics"].cache_tiers
+
+
+def test_default_engine_query_calls_leave_no_plan(monkeypatch):
+    # The serving pattern: K(queries, train) calls on one long-lived
+    # engine.  Each call's plans are gone when it returns.
+    train = mixed_batch(3)
+    refs = _record_plans(monkeypatch, exclusive=True)
+    eng = GramEngine(MarginalizedGraphKernel(NK, EK, q=0.05, rtol=1e-11))
+    gc.disable()
+    try:
+        for seed in (4, 5, 6):
+            built = len(refs)
+            eng.gram(mixed_batch(seed, n_graphs=3), train)
+            assert len(refs) > built
+            assert all(r() is None for r in refs)
+    finally:
+        gc.enable()
+    assert "structure" not in eng.cache_stats()["tiers"]
+
+
+def test_grid_search_plans_only_its_first_point(monkeypatch):
+    from repro.engine import core
+    from repro.ml.tuning import grid_search
+
+    graphs = mixed_batch(3)
+    refs = _record_plans(monkeypatch, exclusive=False)
+    tile_plans = []
+    plan_tiles = core.plan_bucketed_tiles
+
+    def recording(*args, **kwargs):
+        tile_plans.append(1)
+        return plan_tiles(*args, **kwargs)
+
+    monkeypatch.setattr(core, "plan_bucketed_tiles", recording)
+    built_before = []
+
+    def factory(q):
+        built_before.append((len(refs), len(tile_plans)))
+        return MarginalizedGraphKernel(NK, EK, q=q, rtol=1e-11)
+
+    y = np.linspace(0.0, 1.0, len(graphs))
+    grid_search(graphs, y, factory, {"q": [0.04, 0.05, 0.06]})
+    assert built_before[0] == (0, 0)
+    assert built_before[1][0] > 0 and built_before[1][1] == 1
+    # Points 2 and 3 are served whole from the search's shared cache.
+    assert (len(refs), len(tile_plans)) == built_before[1]
