@@ -8,19 +8,19 @@ m-landmark featurization (m « n kernel solves) plus a dense top-k scan
 
 Three measurements:
 
-* **build + backend throughput** — index construction over a real
-  graph corpus, then queries/sec for each backend on an
-  SCALE-adjusted n≈2000 feature cloud;
-* **ANN recall@10** — ball tree must reproduce the exact backend
-  verbatim (recall 1.0); LSH must stay ≥ 0.95;
+* **build + scan throughput** — index construction over a real graph
+  corpus, then queries/sec of ``FeatureIndex.query_features`` (the
+  path ``/topk`` serves) on a SCALE-adjusted n≈2000 feature cloud
+  (``qps.exact``) and on a 100k-row cloud (``qps.exact_100k``), the
+  size at which a sublinear scan would have to pay off;
 * **online p50 vs. Gram ranking** — ``/topk`` latency against a
   10k-item index, compared with the *extrapolated* cost of ranking
   the same corpus through ``/similarity`` (measured per-pair kernel
   cost × corpus size).  Shape criterion: ≥ 20×.
 
-The 10k corpus rides in through ``insert_features`` (bulk feature
-rows), because what is under test is the serving path, not 160k kernel
-evaluations.
+The clouds and the 10k corpus ride in through ``insert_features``
+(bulk feature rows), because what is under test is the scan and the
+serving path, not 160k kernel evaluations.
 """
 
 import time
@@ -32,7 +32,7 @@ from repro import GramEngine, MarginalizedGraphKernel
 from repro.graphs.generators import random_labeled_graph
 from repro.kernels.basekernels import synthetic_kernels
 from repro.ml import GaussianProcessRegressor
-from repro.search import BACKENDS, FeatureIndex, index_from_graphs
+from repro.search import FeatureIndex, NystromFeatureMap, index_from_graphs
 from repro.serve import KernelServer, ServeClient, ServerThread
 
 
@@ -48,12 +48,17 @@ def make_engine():
     return GramEngine(MarginalizedGraphKernel(nk, ek, q=0.2))
 
 
-def recall_at_k(got_ids, want_ids):
-    hits = sum(
-        len(set(g.tolist()) & set(w.tolist()))
-        for g, w in zip(got_ids, want_ids)
+def scan_qps(F, Q, k=10, rounds=5):
+    """Queries/sec of the exact scan over the raw rows of ``F``."""
+    index = FeatureIndex(NystromFeatureMap([], np.zeros((0, F.shape[1]))))
+    index.insert_features(
+        F, [f"fp{i}" for i in range(len(F))], [""] * len(F)
     )
-    return hits / want_ids.size
+    index.query_features(Q, k)  # warm-up
+    t0 = time.perf_counter()
+    for _ in range(rounds):
+        index.query_features(Q, k)
+    return rounds * len(Q) / (time.perf_counter() - t0)
 
 
 def run_search_workload():
@@ -70,31 +75,22 @@ def run_search_workload():
         "seconds": time.perf_counter() - t0,
     }
 
-    # -- 2. backend throughput + recall on an n≈2000 cloud ------------
+    # -- 2. scan throughput on an n≈2000 and a 100k-row cloud ---------
     n_cloud = int(2000 * max(1.0, SCALE))
     rng = np.random.default_rng(7)
     F = rng.normal(size=(n_cloud, 24))
     Q = rng.normal(size=(50, 24))
-    exact_ids, _ = BACKENDS["exact"](F, metric="cosine").query(Q, 10)
-    out["qps"], out["recall_at_10"] = {}, {}
-    for name, opts in (
-        ("exact", {}),
-        ("balltree", {"leaf_size": 32}),
-        ("lsh", {"n_tables": 24, "n_bits": 8, "seed": 0}),
-    ):
-        backend = BACKENDS[name](F, metric="cosine", **opts)
-        t0 = time.perf_counter()
-        rounds = 5
-        for _ in range(rounds):
-            ids, _ = backend.query(Q, 10)
-        dt = time.perf_counter() - t0
-        out["qps"][name] = rounds * len(Q) / dt
-        if name != "exact":
-            out["recall_at_10"][name] = recall_at_k(ids, exact_ids)
+    # A separate generator keeps the 10k index's rows below independent
+    # of this arm.
+    F100k = np.random.default_rng(8).normal(size=(100_000, 24))
+    out["qps"] = {
+        "exact": scan_qps(F, Q),
+        "exact_100k": scan_qps(F100k, Q),
+    }
 
     # -- 3. /topk p50 vs. extrapolated Gram ranking at 10k ------------
     n_big = 10_000
-    big = FeatureIndex(index.feature_map, backend="exact")
+    big = FeatureIndex(index.feature_map)
     Fbig = rng.normal(size=(n_big, index.dim))
     big.insert_features(
         Fbig,
@@ -142,9 +138,7 @@ def test_search_index(benchmark, request):
     print(f"index build: {b['n_graphs']} graphs, {b['n_landmarks']} "
           f"landmarks in {b['seconds']:.2f}s")
     for name, qps in r["qps"].items():
-        rec = r["recall_at_10"].get(name)
-        tail = f", recall@10 {rec:.3f}" if rec is not None else " (reference)"
-        print(f"  {name:>9}: {qps:9.0f} queries/s{tail}")
+        print(f"  {name:>10}: {qps:9.0f} queries/s")
     t = r["topk"]
     print(f"/topk on {t['n_index']:,}-item index: p50 {t['p50_ms']:.2f} ms, "
           f"p99 {t['p99_ms']:.2f} ms")
@@ -156,13 +150,10 @@ def test_search_index(benchmark, request):
     write_bench_json(request, "search", {
         "build": r["build"],
         "qps": r["qps"],
-        "recall_at_10": r["recall_at_10"],
         "topk": r["topk"],
         "gram_per_pair_ms": r["gram_per_pair_ms"],
         "speedup_vs_gram_10k": r["speedup_vs_gram_10k"],
     })
 
-    # shape criteria (ISSUE 6 acceptance)
-    assert r["recall_at_10"]["balltree"] == 1.0
-    assert r["recall_at_10"]["lsh"] >= 0.95
+    # shape criterion
     assert r["speedup_vs_gram_10k"] >= 20.0

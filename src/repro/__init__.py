@@ -31,6 +31,9 @@ Package layout
 - :mod:`repro.baselines`— GraKeL-like / GraphKernels-like CPU packages
 - :mod:`repro.ml`       — Gaussian-process regression on Gram matrices
 - :mod:`repro.serve`    — model registry + asyncio microbatching server
+- :mod:`repro.search`   — Nyström feature index with exact top-k search
+- :mod:`repro.obs`      — tracing spans, metrics, trace exporters
+- :mod:`repro.chaos`    — seeded fault injection for supervised runs
 """
 
 from .engine import GramEngine

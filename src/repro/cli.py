@@ -636,7 +636,6 @@ def cmd_index_build(args: argparse.Namespace) -> int:
         selection=args.selection,
         seed=args.seed,
         metric=args.metric,
-        backend=args.backend,
         normalize=args.normalize,
     )
     record = ModelRegistry(args.registry).save_index(
@@ -648,7 +647,7 @@ def cmd_index_build(args: argparse.Namespace) -> int:
     )
     print(f"indexed {len(index)} graphs into {index.dim}-dim feature space "
           f"({index.feature_map.n_landmarks} landmarks, "
-          f"{args.backend} backend, {index.build_time:.2f} s)")
+          f"{index.build_time:.2f} s)")
     print(f"engine: {engine.solves} solves, {engine.cache_hits} cache hits")
     print(f"saved {record.name} v{record.version} -> {record.path}")
     return 0
@@ -701,7 +700,6 @@ def cmd_index_update(args: argparse.Namespace) -> int:
     graphs = load_dataset(args.dataset)
     loaded = _load_registry_index(args)
     added = loaded.index.insert(graphs)
-    loaded.index.rebuild()
     record = ModelRegistry(args.registry).save_index(
         args.name,
         loaded.index,
@@ -960,10 +958,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="seed folded into landmark selection")
     ib.add_argument("--metric", default="cosine",
                     choices=["cosine", "euclidean"])
-    ib.add_argument("--backend", default="exact",
-                    choices=["exact", "balltree", "lsh"],
-                    help="top-k backend (exact is the brute-force "
-                         "reference; balltree/lsh are sublinear)")
     ib.add_argument("--normalize", action="store_true",
                     help="embed with the cosine-normalized kernel")
     add_engine_opts(ib)

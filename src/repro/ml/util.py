@@ -9,9 +9,8 @@ primitives:
   landmark selection never picks the same structure twice and a
   streaming insert of an already-indexed graph is a no-op;
 * :func:`content_seed` — fold graph content into an RNG seed, making
-  randomized choices (landmark shuffles, LSH hyperplanes) a pure
-  function of *what* the dataset contains rather than object identity
-  or load order.
+  randomized choices (landmark shuffles) a pure function of *what* the
+  dataset contains rather than object identity or load order.
 """
 
 from __future__ import annotations

@@ -4,31 +4,19 @@ The search subsystem answers "which indexed graphs are most similar to
 this query?" without a single Gram solve against the corpus: graphs are
 embedded into r-dimensional Nyström feature space
 (:class:`NystromFeatureMap`), stored in a :class:`FeatureIndex`, and
-ranked by cosine or Euclidean score through a pluggable backend —
-``exact`` brute force (the reference), a pure-numpy ``balltree``, or
-random-hyperplane ``lsh`` (approximate, recall-bounded).  The index
-accepts streaming inserts with content-fingerprint dedup and serves
-through ``POST /topk`` / the ``repro index`` CLI verbs.
+ranked by cosine or Euclidean score through one exact scan — a matrix
+product over every stored row plus a partial top-k selection, ties
+broken by ascending id.  The index accepts streaming inserts with
+content-fingerprint dedup and serves through ``POST /topk`` / the
+``repro index`` CLI verbs.
 """
 
-from .backends import (
-    BACKENDS,
-    METRICS,
-    BallTreeBackend,
-    ExactBackend,
-    LSHBackend,
-)
 from .features import NystromFeatureMap
-from .index import DEFAULT_REBUILD_EVERY, FeatureIndex, index_from_graphs
+from .index import METRICS, FeatureIndex, index_from_graphs
 
 __all__ = [
-    "BACKENDS",
     "METRICS",
-    "BallTreeBackend",
-    "DEFAULT_REBUILD_EVERY",
-    "ExactBackend",
     "FeatureIndex",
-    "LSHBackend",
     "NystromFeatureMap",
     "index_from_graphs",
 ]

@@ -2,26 +2,29 @@
 
 :class:`FeatureIndex` glues the pieces together: a
 :class:`~repro.search.features.NystromFeatureMap` embeds graphs into
-r-dimensional vectors, a pluggable backend
-(:mod:`repro.search.backends`) answers top-k queries over the stored
-rows, and a **tail buffer** absorbs streaming inserts — new rows are
-brute-force-scanned until a rebuild compaction folds them into the
-backend structure, so inserts are O(r) and queries never miss fresh
-data.  Content fingerprints (:func:`repro.ml.util.dedupe_by_
-fingerprint`'s identity notion) make re-inserting an already-indexed
-graph a no-op.
+r-dimensional vectors, and one exact scan answers top-k queries over
+the stored rows.  Beside the features the index keeps its scan rows —
+unit-normalized rows for cosine, squared row norms for euclidean —
+computed row by row, so rows appended batch by batch carry the same
+bits as one pass over the whole matrix and an index grown by inserts
+answers byte-equal to one built in a single batch.  Each insert
+concatenates the whole matrix, so it costs O(n·r).  Content
+fingerprints (:func:`repro.ml.util.dedupe_by_fingerprint`'s identity
+notion) make re-inserting an already-indexed graph a no-op.
 
-Query cost is K(query, Z) — r kernel solves — plus a vector scan:
-**zero** Gram solves against the corpus, which is what lets top-k
-"most similar molecules" run over collections the O(n)-per-query
-``/similarity`` route could never serve.
+Query cost is K(query, Z) — r kernel solves — plus one matrix product
+over all rows and a partial top-k selection: **zero** Gram solves
+against the corpus, which is what lets top-k "most similar molecules"
+run over collections the O(n)-per-query ``/similarity`` route could
+never serve.  Results are ranked best-first with ties broken by
+ascending row id, and NaN scores rank last.
 
 Persistence is arrays-only (:meth:`FeatureIndex.export_arrays` /
 :meth:`FeatureIndex.from_arrays`): features, projector, fingerprints
 and names round-trip through the model registry's checksummed ``index``
 kind (:meth:`repro.serve.registry.ModelRegistry.save_index`), and the
-backend is rebuilt deterministically on load — exact-backend results
-are bit-identical before and after a reload.
+scan rows are recomputed on load, so answers are bit-identical before
+and after a reload.
 """
 
 from __future__ import annotations
@@ -31,11 +34,45 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .backends import BACKENDS, METRICS, ExactBackend, _check_metric
 from .features import NystromFeatureMap
 
-#: Tail-buffer size that triggers an automatic rebuild compaction.
-DEFAULT_REBUILD_EVERY = 256
+METRICS = ("cosine", "euclidean")
+
+
+def _check_metric(metric: str) -> str:
+    if metric not in METRICS:
+        raise ValueError(
+            f"unknown metric {metric!r}; pick from {METRICS}"
+        )
+    return metric
+
+
+def _unit_rows(F: np.ndarray) -> np.ndarray:
+    """Row-normalize, mapping zero rows to zero (cosine 0 to anything)."""
+    norms = np.linalg.norm(F, axis=1, keepdims=True)
+    return F / np.where(norms == 0.0, 1.0, norms)
+
+
+def _top_k(keys: np.ndarray, k: int) -> np.ndarray:
+    """Per query row of ``keys``, the ids of its k smallest keys:
+    exactly the first k entries of a stable argsort, so ties break by
+    ascending id and NaN is last.
+
+    The k-th key comes from a partition; every id whose key is at least
+    that good, ties included, is a candidate in ascending order, and a
+    stable sort of the candidates keeps the first k.
+    """
+    if k >= keys.shape[1]:
+        return np.argsort(keys, axis=1, kind="stable")[:, :k]
+    kth = np.partition(keys, k - 1, axis=1)[:, k - 1]
+    ids = np.empty((keys.shape[0], k), dtype=np.int64)
+    for row, (key, bound) in enumerate(zip(keys, kth)):
+        if np.isnan(bound):  # fewer than k comparable keys
+            ids[row] = np.argsort(key, kind="stable")[:k]
+            continue
+        cand = np.flatnonzero(key <= bound)
+        ids[row] = cand[np.argsort(key[cand], kind="stable")[:k]]
+    return ids
 
 
 class FeatureIndex:
@@ -48,42 +85,27 @@ class FeatureIndex:
     metric:
         ``"cosine"`` (default; scores are similarities, higher better)
         or ``"euclidean"`` (scores are distances, lower better).
-    backend:
-        ``"exact"`` (default), ``"balltree"``, or ``"lsh"`` — see
-        :data:`repro.search.backends.BACKENDS`.
-    backend_opts:
-        Extra keyword arguments for the backend constructor (e.g.
-        ``{"n_tables": 16, "n_bits": 10}`` for LSH).
-    rebuild_every:
-        Fold the tail buffer into the backend structure once it holds
-        this many rows (``0`` disables auto-compaction; call
-        :meth:`rebuild` manually).
     """
 
     def __init__(
         self,
         feature_map: NystromFeatureMap,
         metric: str = "cosine",
-        backend: str = "exact",
-        backend_opts: dict | None = None,
-        rebuild_every: int = DEFAULT_REBUILD_EVERY,
     ) -> None:
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; pick from {sorted(BACKENDS)}"
-            )
         self.feature_map = feature_map
         self.metric = _check_metric(metric)
-        self.backend = backend
-        self.backend_opts = dict(backend_opts or {})
-        self.rebuild_every = int(rebuild_every)
         self._features = np.zeros((0, feature_map.dim))
+        self._scan = self._scan_rows(self._features)
         self._fingerprints: list[str] = []
         self._names: list[str] = []
         self._fp_to_id: dict[str, int] = {}
-        self._base_n = 0  # rows covered by the built backend structure
-        self._backend_obj = None
-        self._rebuilds = 0
+
+    def _scan_rows(self, F: np.ndarray) -> np.ndarray:
+        """What the scan reads per row: unit rows for cosine, squared
+        norms for euclidean."""
+        if self.metric == "cosine":
+            return _unit_rows(F)
+        return np.einsum("ij,ij->i", F, F)
 
     # ------------------------------------------------------------------
     # introspection
@@ -96,11 +118,6 @@ class FeatureIndex:
     def dim(self) -> int:
         return self.feature_map.dim
 
-    @property
-    def pending(self) -> int:
-        """Rows in the tail buffer, not yet folded into the backend."""
-        return len(self) - self._base_n
-
     def name_of(self, item_id: int) -> str:
         return self._names[item_id]
 
@@ -111,16 +128,13 @@ class FeatureIndex:
         """JSON-able counters (the ``/metrics`` index block)."""
         return {
             "n_items": len(self),
-            "pending": self.pending,
             "dim": self.dim,
             "metric": self.metric,
-            "backend": self.backend,
             "n_landmarks": self.feature_map.n_landmarks,
-            "rebuilds": self._rebuilds,
         }
 
     # ------------------------------------------------------------------
-    # inserts + compaction
+    # inserts
     # ------------------------------------------------------------------
 
     def insert_features(
@@ -131,10 +145,9 @@ class FeatureIndex:
     ) -> int:
         """Bulk-insert precomputed feature rows; returns rows added.
 
-        The registry reload path and large-scale benches feed rows in
-        directly; :meth:`insert` is the graph-level wrapper.  Rows
-        whose fingerprint is already indexed are dropped (streaming
-        re-inserts are no-ops).
+        Large-scale benches feed rows in directly; :meth:`insert` is
+        the graph-level wrapper.  Rows whose fingerprint is already
+        indexed are dropped (streaming re-inserts are no-ops).
         """
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
         if features.size == 0:
@@ -156,11 +169,11 @@ class FeatureIndex:
             fresh.append(row)
         if not fresh:
             return 0
-        self._features = np.concatenate(
-            [self._features, features[fresh]], axis=0
+        rows = features[fresh]
+        self._features = np.concatenate([self._features, rows], axis=0)
+        self._scan = np.concatenate(
+            [self._scan, self._scan_rows(rows)], axis=0
         )
-        if self.rebuild_every and self.pending >= self.rebuild_every:
-            self.rebuild()
         return len(fresh)
 
     def insert(self, graphs: Sequence) -> int:
@@ -187,64 +200,36 @@ class FeatureIndex:
             [getattr(graphs[i], "name", "") or "" for _, i in unique],
         )
 
-    def build(self, graphs: Sequence) -> "FeatureIndex":
-        """Insert a corpus and compact; the batch construction path."""
-        self.insert(graphs)
-        self.rebuild()
-        return self
-
-    def rebuild(self) -> None:
-        """Fold the tail buffer into a fresh backend structure."""
-        self._backend_obj = BACKENDS[self.backend](
-            self._features, metric=self.metric, **self.backend_opts
-        )
-        self._base_n = len(self)
-        self._rebuilds += 1
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
 
     def query_features(self, Q: np.ndarray, k: int):
-        """Top-k (ids, scores) for feature-space query rows.
+        """Top-k (ids, scores) for feature-space query rows, best-first.
 
-        Merges the backend's answer over the compacted rows with an
-        exact scan of the tail buffer.  Both sides rank by the same
-        (score, id) total order, so for exact backends the merge is
-        indistinguishable from a single scan of the whole corpus.
+        One matrix product scores every row against every query; the
+        selection returns the first k entries of a stable argsort of
+        those scores (see :func:`_top_k`).
         """
         if k < 1:
             raise ValueError("k must be >= 1")
         Q = np.atleast_2d(np.asarray(Q, dtype=np.float64))
-        n = len(self)
-        if not n:
+        if not len(self):
             return (np.zeros((Q.shape[0], 0), dtype=np.int64),
                     np.zeros((Q.shape[0], 0)))
-        parts = []
-        if self._base_n and self._backend_obj is not None:
-            parts.append((0, self._backend_obj.query(Q, k)))
-        if self.pending:
-            tail = ExactBackend(
-                self._features[self._base_n:], metric=self.metric
+        k = min(k, len(self))
+        if self.metric == "cosine":
+            scores = _unit_rows(Q) @ self._scan.T
+            keys = -scores
+        else:
+            D2 = (
+                np.einsum("ij,ij->i", Q, Q)[:, None]
+                - 2.0 * Q @ self._features.T
+                + self._scan[None, :]
             )
-            parts.append((self._base_n, tail.query(Q, k)))
-        if not parts:  # rows exist but nothing compacted: scan all
-            parts.append((0, ExactBackend(
-                self._features, metric=self.metric).query(Q, k)))
-        ids = np.concatenate(
-            [off + got_ids for off, (got_ids, _) in parts], axis=1
-        )
-        scores = np.concatenate([s for _, (_, s) in parts], axis=1)
-        k = min(k, ids.shape[1])
-        largest = self.metric == "cosine"
-        out_ids = np.empty((Q.shape[0], k), dtype=np.int64)
-        out_scores = np.empty((Q.shape[0], k))
-        for row in range(Q.shape[0]):
-            keys = -scores[row] if largest else scores[row]
-            order = np.lexsort((ids[row], keys))[:k]
-            out_ids[row] = ids[row][order]
-            out_scores[row] = scores[row][order]
-        return out_ids, out_scores
+            scores = keys = np.sqrt(np.maximum(D2, 0.0))
+        ids = _top_k(keys, k)
+        return ids, np.take_along_axis(scores, ids, axis=1)
 
     def query(self, graphs: Sequence, k: int = 10) -> list[list[dict]]:
         """Top-k most-similar indexed items for each query graph.
@@ -297,9 +282,9 @@ class FeatureIndex:
         return {
             "artifact_version": self.ARTIFACT_VERSION,
             "metric": self.metric,
-            "backend": self.backend,
-            "backend_opts": dict(self.backend_opts),
-            "rebuild_every": int(self.rebuild_every),
+            # Earlier builds read this key without a default; keep it so
+            # they can still load what this build saves.
+            "backend": "exact",
             "normalize": bool(self.feature_map.normalize),
             "n_items": len(self),
             "dim": self.dim,
@@ -314,10 +299,15 @@ class FeatureIndex:
         engine: Any | None = None,
     ) -> "FeatureIndex":
         """Rebuild an index from :meth:`export_config` +
-        :meth:`export_arrays` output; the backend structure is
-        reconstructed deterministically (same features, same seed →
-        same tables), so exact-backend answers match the saved index
-        bit-for-bit."""
+        :meth:`export_arrays` output.
+
+        The stored feature matrix becomes the index's own, uncopied, so
+        a memory-mapped matrix stays shared until the first insert
+        builds a fresh one; the scan rows are recomputed per process.
+        Answers match the saved index bit-for-bit.  Configs written
+        with a ``backend`` other than ``exact``, ``backend_opts`` or
+        ``rebuild_every`` load the same rows and answer exactly.
+        """
         version = int(config.get("artifact_version", -1))
         if version != cls.ARTIFACT_VERSION:
             raise ValueError(
@@ -335,17 +325,15 @@ class FeatureIndex:
                 else None
             ),
         )
-        index = cls(
-            fmap,
-            metric=str(config["metric"]),
-            backend=str(config["backend"]),
-            backend_opts=dict(config.get("backend_opts") or {}),
-            rebuild_every=int(config.get("rebuild_every",
-                                         DEFAULT_REBUILD_EVERY)),
-        )
+        index = cls(fmap, metric=str(config["metric"]))
         feats = np.asarray(arrays["features"], dtype=np.float64)
         fps = [str(f) for f in np.asarray(arrays["fingerprints"])]
         names = [str(n) for n in np.asarray(arrays["names"])]
+        if feats.ndim != 2 or feats.shape[1] != index.dim:
+            raise ValueError(
+                f"feature matrix has shape {feats.shape} but the index "
+                f"embeds into dim {index.dim}"
+            )
         if feats.shape[0] != len(fps) or len(fps) != len(names):
             raise ValueError(
                 "features/fingerprints/names arrays disagree on row count"
@@ -355,14 +343,16 @@ class FeatureIndex:
                 f"manifest records {config.get('n_items')} items but the "
                 f"feature matrix holds {feats.shape[0]} rows"
             )
-        if feats.size:
-            added = index.insert_features(feats, fps, names)
-            if added != feats.shape[0]:
-                raise ValueError(
-                    "stored index contains duplicate fingerprints "
-                    f"({feats.shape[0] - added} collisions)"
-                )
-        index.rebuild()
+        fp_to_id = {fp: i for i, fp in enumerate(fps)}
+        if len(fp_to_id) != len(fps):
+            raise ValueError(
+                "stored index contains duplicate fingerprints "
+                f"({len(fps) - len(fp_to_id)} collisions)"
+            )
+        index._features = feats
+        index._scan = index._scan_rows(feats)
+        index._fingerprints, index._names = fps, names
+        index._fp_to_id = fp_to_id
         return index
 
 
@@ -373,13 +363,11 @@ def index_from_graphs(
     selection: str = "uniform",
     seed: int = 0,
     metric: str = "cosine",
-    backend: str = "exact",
-    backend_opts: dict | None = None,
     normalize: bool = False,
     feature_map: NystromFeatureMap | None = None,
 ) -> FeatureIndex:
-    """One-call construction: fit (or reuse) a feature map, embed the
-    corpus, build the backend.  Returns the compacted index."""
+    """One-call construction: fit (or reuse) a feature map and embed the
+    corpus.  Returns the filled index."""
     t0 = time.perf_counter()
     if feature_map is None:
         feature_map = NystromFeatureMap.fit(
@@ -390,17 +378,13 @@ def index_from_graphs(
             seed=seed,
             normalize=normalize,
         )
-    index = FeatureIndex(
-        feature_map, metric=metric, backend=backend,
-        backend_opts=backend_opts,
-    )
-    index.build(graphs)
+    index = FeatureIndex(feature_map, metric=metric)
+    index.insert(graphs)
     index.build_time = time.perf_counter() - t0
     return index
 
 
 __all__ = [
-    "DEFAULT_REBUILD_EVERY",
     "FeatureIndex",
     "METRICS",
     "index_from_graphs",

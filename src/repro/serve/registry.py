@@ -16,7 +16,8 @@ A third kind, ``index`` (:data:`INDEX_KIND`), stores similarity-search
 indexes (:class:`repro.search.FeatureIndex`) through the same layout
 and integrity ladder: landmark graphs as the graphs file, the corpus
 feature matrix + projector + fingerprints in ``arrays.npz``, and the
-backend configuration in the manifest.  :meth:`ModelRegistry.save_index`
+index configuration (metric, normalization, item count) in the
+manifest.  :meth:`ModelRegistry.save_index`
 / :meth:`ModelRegistry.load_index` are the entry points; ``load`` on an
 index version (or ``load_index`` on a model) refuses with a pointer to
 the right call.
@@ -213,8 +214,8 @@ class LoadedIndex:
     """A similarity-search index restored from the registry.
 
     ``index`` is a rebuilt :class:`repro.search.FeatureIndex` whose
-    exact-backend answers are bit-identical to the index that was
-    saved; ``landmarks`` holds the feature map's landmark graphs.
+    answers are bit-identical to the index that was saved;
+    ``landmarks`` holds the feature map's landmark graphs.
     """
 
     record: ModelRecord
@@ -517,14 +518,15 @@ class ModelRegistry:
     ) -> LoadedIndex:
         """Restore a saved similarity-search index (latest by default).
 
-        Runs the same integrity ladder as :meth:`load`; the backend
-        structure is rebuilt deterministically from the verified
-        arrays, so exact-backend answers match the saved index
-        bit-for-bit.  Pass an ``engine`` (or attach one to the returned
-        index's feature map) to enable graph-level queries.  With
-        ``mmap=True`` the corpus feature matrix is memory-mapped
-        read-only and shared across worker processes; inserts build
-        fresh arrays, so updates still work per process.
+        Runs the same integrity ladder as :meth:`load`; the index takes
+        the verified arrays as they are and recomputes its scan rows,
+        so answers match the saved index bit-for-bit.  Pass an
+        ``engine`` (or attach one to the returned index's feature map)
+        to enable graph-level queries.  With ``mmap=True`` the corpus
+        feature matrix is memory-mapped read-only and shared across
+        worker processes until the first insert builds a fresh one, so
+        updates still work per process; the scan's normalized rows
+        (squared norms for euclidean) are computed per process.
         """
         from ..search.index import FeatureIndex
 

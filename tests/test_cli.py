@@ -210,3 +210,63 @@ class TestServing:
         with pytest.raises(SystemExit, match="cannot reach"):
             main(["predict", str(small_dataset),
                   "--server", "127.0.0.1:1"])
+
+
+class TestIndex:
+    """index build / query / update through the registry."""
+
+    def test_build_query_update_round_trip(self, tmp_path, capsys):
+        import json
+
+        from repro.engine import GramEngine
+        from repro.graphs.generators import random_labeled_graph
+        from repro.graphs.io import save_dataset
+        from repro.search import FeatureIndex
+        from repro.serve import ModelRegistry
+
+        graphs = [
+            random_labeled_graph(5, density=0.6, weighted=True, seed=60 + k)
+            for k in range(10)
+        ]
+        first, extra = tmp_path / "first.jsonl", tmp_path / "extra.jsonl"
+        save_dataset(graphs[:6], first)
+        save_dataset(graphs[3:], extra)  # graphs 3-5 are already indexed
+        reg = tmp_path / "registry"
+        where = ["--registry", str(reg), "--name", "lib"]
+        assert main(["index", "build", str(first), *where, "--q", "0.2",
+                     "--landmarks", "4"]) == 0
+        assert "indexed 6 graphs" in capsys.readouterr().out
+
+        hits = tmp_path / "hits.json"
+        assert main(["index", "query", str(extra), *where, "-k", "3",
+                     "--output", str(hits)]) == 0
+        payload = json.loads(hits.read_text())
+        v1 = ModelRegistry(reg).load_index("lib", version=1)
+        v1.index.feature_map.engine = GramEngine(v1.kernel)
+        assert payload["index"] == {"name": "lib", "version": 1,
+                                    "n_items": 6}
+        assert [r["topk"] for r in payload["results"]] == \
+            v1.index.query(graphs[3:], k=3)
+
+        capsys.readouterr()
+        assert main(["index", "update", str(extra), *where]) == 0
+        out = capsys.readouterr().out
+        assert "inserted 4 new graphs (3 already indexed)" in out
+        assert "index now holds 10 items" in out
+        v2 = ModelRegistry(reg).load_index("lib").index
+        v2.feature_map.engine = GramEngine(v1.kernel)
+        fresh = FeatureIndex(v1.index.feature_map)
+        fresh.insert(graphs)
+        assert v2.query(graphs, k=10) == fresh.query(graphs, k=10)
+
+    def test_removed_backend_flag_is_rejected(self, dataset_path, tmp_path,
+                                              capsys):
+        # One exact scan serves every index; there is no backend to pick.
+        with pytest.raises(SystemExit) as exc:
+            main(["index", "build", str(dataset_path), "--registry",
+                  str(tmp_path / "reg"), "--name", "lib",
+                  "--backend", "lsh"])
+        assert exc.value.code == 2  # argparse's usage error
+        assert "unrecognized arguments: --backend lsh" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "reg").exists()

@@ -1,18 +1,21 @@
-"""Similarity-search subsystem: features, backends, index, appends.
+"""Similarity-search subsystem: features, top-k scan, index, appends.
 
 Covers the :mod:`repro.search` pillars end to end:
 
 * shared content-identity helpers (:mod:`repro.ml.util`);
 * the Nyström feature map (K(·, Z) · pseudo-root);
-* top-k backends — the exact reference, the ball tree (identical
-  answers), and LSH (recall-bounded, exact re-ranking);
+* the exact top-k scan against a brute-force reference and a full
+  stable argsort (ties by ascending id, NaN last);
 * the streaming :class:`~repro.search.FeatureIndex` — insert dedup,
-  tail-buffer queries, compaction, registry round-trip (bitwise);
+  streamed inserts equal to a one-batch build, registry round-trip
+  (bitwise), memory-mapped loads;
 * online model updates — ``append`` on both GPR flavours must match a
   cold refit on the concatenated training set.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,11 +32,8 @@ from repro.ml.util import (
     nystrom_pseudo_root,
 )
 from repro.search import (
-    BACKENDS,
-    BallTreeBackend,
-    ExactBackend,
+    METRICS,
     FeatureIndex,
-    LSHBackend,
     NystromFeatureMap,
     index_from_graphs,
 )
@@ -158,7 +158,7 @@ class TestNystromFeatureMap:
 
 
 # ----------------------------------------------------------------------
-# backends (pure feature-space; no kernel needed)
+# the top-k scan (pure feature-space; no kernel needed)
 # ----------------------------------------------------------------------
 
 
@@ -180,6 +180,17 @@ def brute_force(F, Q, k, metric):
     return order, np.take_along_axis(S, order, axis=1)
 
 
+def raw_index(F, metric="cosine"):
+    """An index over raw d-dim rows: the feature map has no landmarks,
+    so nothing but the scan is under test."""
+    index = FeatureIndex(
+        NystromFeatureMap([], np.zeros((0, F.shape[1]))), metric=metric
+    )
+    ids = range(len(F))
+    index.insert_features(F, [f"fp{i}" for i in ids], [f"row{i}" for i in ids])
+    return index
+
+
 @pytest.fixture(scope="module")
 def clouds():
     rng = np.random.default_rng(42)
@@ -190,70 +201,60 @@ def clouds():
 
 
 class TestBackends:
+    """The exact top-k scan of :class:`FeatureIndex` over raw rows."""
+
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
     def test_exact_matches_brute_force(self, clouds, metric):
         F, Q = clouds["F"], clouds["Q"]
-        ids, scores = ExactBackend(F, metric=metric).query(Q, 10)
+        ids, scores = raw_index(F, metric).query_features(Q, 10)
         want_ids, want_scores = brute_force(F, Q, 10, metric)
         np.testing.assert_array_equal(ids, want_ids)
         np.testing.assert_allclose(scores, want_scores, rtol=1e-10)
 
     @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
-    def test_balltree_matches_exact(self, clouds, metric):
-        F, Q = clouds["F"], clouds["Q"]
-        e_ids, e_scores = ExactBackend(F, metric=metric).query(Q, 10)
-        t_ids, t_scores = BallTreeBackend(
-            F, metric=metric, leaf_size=16
-        ).query(Q, 10)
-        np.testing.assert_array_equal(t_ids, e_ids)
-        np.testing.assert_allclose(t_scores, e_scores, rtol=1e-10)
-
-    def test_lsh_recall_bound(self, clouds):
-        F, Q = clouds["F"], clouds["Q"]
-        e_ids, _ = ExactBackend(F, metric="cosine").query(Q, 10)
-        l_ids, _ = LSHBackend(
-            F, metric="cosine", n_tables=12, n_bits=8, seed=0
-        ).query(Q, 10)
-        hits = sum(
-            len(set(e.tolist()) & set(l.tolist()))
-            for e, l in zip(e_ids, l_ids)
-        )
-        recall = hits / e_ids.size
-        assert recall >= 0.95
-
-    def test_lsh_rejects_euclidean(self, clouds):
-        with pytest.raises(ValueError, match="cosine"):
-            LSHBackend(clouds["F"], metric="euclidean")
-
-    def test_lsh_is_deterministic(self, clouds):
-        F, Q = clouds["F"], clouds["Q"]
-        a = LSHBackend(F, metric="cosine", seed=3).query(Q, 5)
-        b = LSHBackend(F, metric="cosine", seed=3).query(Q, 5)
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
+    def test_selection_matches_full_stable_argsort(self, metric):
+        """Partial selection returns exactly the first k entries of the
+        full stable argsort (k >= n), byte for byte: every row appears
+        three times, so equal scores straddle the k-th place; query 0 is
+        a zero row, and two NaN feature rows rank last."""
+        rng = np.random.default_rng(11)
+        F = np.concatenate([rng.normal(size=(20, 6))] * 3)
+        F[[4, 33]] = np.nan
+        Q = rng.normal(size=(5, 6))
+        Q[0] = 0.0
+        index = raw_index(F, metric)
+        n = len(F)
+        full_ids, full_scores = index.query_features(Q, n + 3)
+        want_ids, want_scores = brute_force(F, Q, n, metric)
+        np.testing.assert_array_equal(full_ids, want_ids)
+        np.testing.assert_allclose(full_scores, want_scores, rtol=1e-10)
+        assert set(full_ids[:, -2:].ravel()) == {4, 33}  # NaN last
+        # k = n - 1 puts a NaN key at the k-th place.
+        for k in (1, 2, 10, 11, 30, n - 1, n):
+            ids, scores = index.query_features(Q, k)
+            assert ids.tobytes() == full_ids[:, :k].tobytes()
+            assert scores.tobytes() == full_scores[:, :k].tobytes()
 
     def test_ties_break_by_ascending_id(self):
         F = np.tile(np.array([[1.0, 0.0]]), (5, 1))  # five identical rows
         Q = np.array([[1.0, 0.0]])
-        for backend in (
-            ExactBackend(F, metric="cosine"),
-            BallTreeBackend(F, metric="cosine", leaf_size=2),
-            ExactBackend(F, metric="euclidean"),
-        ):
-            ids, _ = backend.query(Q, 3)
+        for metric in METRICS:
+            ids, _ = raw_index(F, metric).query_features(Q, 3)
             np.testing.assert_array_equal(ids[0], [0, 1, 2])
 
     def test_k_larger_than_corpus_clamps(self, clouds):
         small = clouds["F"][:4]
-        ids, scores = ExactBackend(small, metric="cosine").query(
-            clouds["Q"], 10
-        )
+        ids, scores = raw_index(small).query_features(clouds["Q"], 10)
         assert ids.shape == scores.shape == (len(clouds["Q"]), 4)
 
     def test_unknown_metric_and_backend_names(self, clouds):
+        fmap = NystromFeatureMap([], np.zeros((0, 12)))
         with pytest.raises(ValueError, match="metric"):
-            ExactBackend(clouds["F"], metric="hamming")
-        assert set(BACKENDS) == {"exact", "balltree", "lsh"}
+            FeatureIndex(fmap, metric="hamming")
+        assert METRICS == ("cosine", "euclidean")
+        # One scan serves every index: there is no backend to pick.
+        with pytest.raises(TypeError, match="backend"):
+            FeatureIndex(fmap, backend="lsh")
 
 
 # ----------------------------------------------------------------------
@@ -297,29 +298,25 @@ class TestFeatureIndex:
         assert index.insert(fresh + fresh[:1]) == 3  # in-batch dup too
         assert len(index) == n + 3
 
-    def test_tail_queries_match_compacted(self, corpus):
-        engine, graphs = corpus["graphs"], None
-        engine = corpus["engine"]
-        graphs = corpus["graphs"]
-        index = index_from_graphs(graphs, engine, n_landmarks=8)
-        index.insert(make_graphs(5, seed0=6000))
-        assert index.pending == 5
-        before = index.query(corpus["queries"], k=6)
-        index.rebuild()
-        assert index.pending == 0
-        assert index.query(corpus["queries"], k=6) == before
-
-    def test_auto_rebuild_compacts_at_threshold(self, corpus):
-        engine = corpus["engine"]
-        index = FeatureIndex(
-            NystromFeatureMap.fit(corpus["graphs"], 6, engine),
-            rebuild_every=4,
-        )
-        index.build(corpus["graphs"][:10])
-        index.insert(make_graphs(3, seed0=7000))
-        assert index.pending == 3  # under threshold: buffered
-        index.insert(make_graphs(1, seed0=7100))
-        assert index.pending == 0  # threshold hit: auto-compacted
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_streamed_inserts_match_one_batch_build(self, clouds, metric):
+        """Scan rows are computed row by row, so after each of three
+        insert batches the grown index answers byte-equal to an index
+        built from the same rows in one batch."""
+        F, Q = clouds["F"], clouds["Q"]
+        grown = raw_index(F[:0], metric)
+        for lo, hi in ((0, 1), (1, 150), (150, 400)):
+            grown.insert_features(
+                F[lo:hi],
+                [f"fp{i}" for i in range(lo, hi)],
+                [f"row{i}" for i in range(lo, hi)],
+            )
+            ids, scores = grown.query_features(Q, 10)
+            want_ids, want_scores = raw_index(F[:hi], metric).query_features(
+                Q, 10
+            )
+            assert ids.tobytes() == want_ids.tobytes()
+            assert scores.tobytes() == want_scores.tobytes()
 
     def test_query_validation(self, corpus):
         index = index_from_graphs(
@@ -339,20 +336,17 @@ class TestFeatureIndex:
         with pytest.raises(ValueError, match="mismatch"):
             index.insert_features(np.zeros((2, index.dim)), ["x"], ["x", "y"])
 
-    def test_unknown_backend_rejected(self, corpus):
-        fmap = NystromFeatureMap.fit(corpus["graphs"], 4, corpus["engine"])
-        with pytest.raises(ValueError, match="backend"):
-            FeatureIndex(fmap, backend="faiss")
-
     def test_stats_counts(self, corpus):
         index = index_from_graphs(
-            corpus["graphs"], corpus["engine"], n_landmarks=8,
-            backend="balltree",
+            corpus["graphs"], corpus["engine"], n_landmarks=8
         )
         s = index.stats()
-        assert s["n_items"] == len(corpus["graphs"])
-        assert s["backend"] == "balltree"
-        assert s["rebuilds"] >= 1
+        assert s == {
+            "n_items": len(corpus["graphs"]),
+            "dim": index.dim,
+            "metric": "cosine",
+            "n_landmarks": 8,
+        }
 
 
 # ----------------------------------------------------------------------
@@ -380,8 +374,6 @@ class TestIndexRegistry:
         assert before == after  # floats compare exactly: bitwise
 
     def test_corrupted_arrays_raise(self, corpus, tmp_path):
-        from pathlib import Path
-
         engine = corpus["engine"]
         index = index_from_graphs(
             corpus["graphs"][:8], engine, n_landmarks=4
@@ -419,6 +411,70 @@ class TestIndexRegistry:
             FeatureIndex.from_arrays(
                 config, arrays, index.feature_map.landmarks, engine=engine
             )
+
+    def test_older_backend_config_loads_as_exact(self, corpus):
+        """A config written with an LSH backend, its options and a
+        rebuild threshold loads the same rows and answers byte-equal to
+        an exact build; the config written today still names the exact
+        backend, which earlier builds read without a default."""
+        engine = corpus["engine"]
+        index = index_from_graphs(
+            corpus["graphs"], engine, n_landmarks=8
+        )
+        config = index.export_config()
+        assert config["backend"] == "exact"
+        config.update(
+            backend="lsh",
+            backend_opts={"n_tables": 24, "n_bits": 8, "seed": 0},
+            rebuild_every=256,
+        )
+        loaded = FeatureIndex.from_arrays(
+            config, index.export_arrays(), index.feature_map.landmarks,
+            engine=engine,
+        )
+        Q = index.feature_map.transform(corpus["queries"])
+        for k in (1, 5, len(index)):
+            got = loaded.query_features(Q, k)
+            want = index.query_features(Q, k)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("metric", ["cosine", "euclidean"])
+    def test_mmap_load_keeps_the_mapped_matrix(self, corpus, tmp_path,
+                                               monkeypatch, metric):
+        from repro.serve import registry
+
+        engine = corpus["engine"]
+        index = index_from_graphs(
+            corpus["graphs"], engine, n_landmarks=8, metric=metric
+        )
+        reg = ModelRegistry(tmp_path)
+        rec = reg.save_index("idx", index, engine.kernel, scheme="synthetic")
+        copied = reg.load_index("idx", engine=engine, mmap=False).index
+        loads = []
+        load_arrays = registry._load_arrays
+
+        def spy(*args, **kwargs):
+            loads.append(load_arrays(*args, **kwargs))
+            return loads[-1]
+
+        monkeypatch.setattr(registry, "_load_arrays", spy)
+        mapped = reg.load_index("idx", engine=engine, mmap=True).index
+        on_disk = loads[0]["features"]
+        assert isinstance(on_disk, np.memmap)
+        assert np.shares_memory(mapped._features, on_disk)
+        Q = index.feature_map.transform(corpus["queries"])
+        for got, want in zip(mapped.query_features(Q, 5),
+                             copied.query_features(Q, 5)):
+            assert got.tobytes() == want.tobytes()
+        before = np.array(on_disk)
+        assert mapped.insert(make_graphs(2, seed0=8000)) == 2
+        assert len(mapped) == len(index) + 2
+        assert not np.shares_memory(mapped._features, on_disk)
+        np.testing.assert_array_equal(on_disk, before)
+        np.testing.assert_array_equal(
+            np.load(Path(rec.path) / "arrays.mmap" / "features.npy"), before
+        )
 
     def test_artifact_version_gate(self, corpus):
         engine = corpus["engine"]
@@ -570,7 +626,7 @@ class TestAppend:
         gpr = LowRankGPR(n_landmarks=5, alpha=1e-6, engine=engine)
         gpr.fit_graphs(train, demo_targets(train))
         index = FeatureIndex(NystromFeatureMap.from_lowrank(gpr))
-        index.build(train)
+        index.insert(train)
         fresh = make_graphs(3, seed0=4000)
         gpr.append(fresh, demo_targets(fresh))
         assert index.insert(fresh) == 3
