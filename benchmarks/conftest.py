@@ -62,6 +62,31 @@ def write_bench_json(request, name: str, payload: dict) -> str | None:
     return target
 
 
+def median_pair(baseline, candidate, pairs: int):
+    """Interleaved (baseline, candidate) timings; the median-ratio pair.
+
+    ``baseline()`` and ``candidate()`` each return a tuple whose second
+    item is the seconds they took.  The two calls of a pair run back to
+    back, the baseline first in even pairs and last in odd ones, so a
+    seconds-scale slow phase of a shared runner slows both arms of a
+    pair instead of one arm's runs, and one disturbed pair cannot move
+    the median.  Returns the pair whose baseline/candidate time ratio
+    is the median, as ``(baseline_tuple, candidate_tuple)``, and every
+    pair's ratio in ascending order.
+    """
+    runs = []
+    for i in range(pairs):
+        if i % 2 == 0:
+            base = baseline()
+            cand = candidate()
+        else:
+            cand = candidate()
+            base = baseline()
+        runs.append((base, cand))
+    runs.sort(key=lambda run: run[0][1] / run[1][1])
+    return runs[len(runs) // 2], [base[1] / cand[1] for base, cand in runs]
+
+
 @pytest.fixture(scope="session")
 def scale() -> float:
     return SCALE

@@ -26,10 +26,10 @@ import numpy as np
 from ..graphs.graph import Graph
 
 #: Cost cap per tile, in stored off-diagonal entries (4 e1 e2 summed
-#: over the tile).  A batched tile's peak memory (plan + fill + solve)
-#: runs at about 130-150 B per entry, so 2^18 entries keep it near 35
-#: MB, and on a 60-molecule drug-like Gram the cap cuts 20-30 tiles,
-#: enough for a two-worker queue to balance.
+#: over the tile).  A batched tile's memory peaks in its solve, at
+#: about 85-90 B per entry (its plan build peaks at 60-70 B), so 2^18
+#: entries keep it near 23 MB, and on a 60-molecule drug-like Gram the
+#: cap cuts 20-30 tiles, enough for a two-worker queue to balance.
 TILE_NNZ = 1 << 18
 
 

@@ -31,6 +31,13 @@ class EdgeArrays:
     directed edges.  Recomputing them per pair costs O(n²) array work
     times O(dataset²) pairs; caching them on the graph makes the cost
     O(dataset).
+
+    The ``csr_*`` arrays hold, for each directed edge in CSR order, the
+    factors of its CSR slot in a product-graph operator (see
+    :func:`repro.kernels.linsys.assemble_sparse_offdiag`): the position
+    of its source's first edge, its source's out-count, its rank among
+    that source's edges, its undirected edge index and its target.  The
+    per-pair and the batched writer both place entries by them.
     """
 
     edges: np.ndarray  # (m, 2) undirected edges, i < j
@@ -39,8 +46,12 @@ class EdgeArrays:
     src: np.ndarray  # (2m,) directed sources  [i…, j…]
     dst: np.ndarray  # (2m,) directed targets  [j…, i…]
     directed_weights: np.ndarray  # (2m,) weights for both directions
-    csr_order: np.ndarray  # (2m,) directed edges sorted by (src, dst)
     out_counts: np.ndarray  # (n,) directed edges leaving each node
+    csr_first: np.ndarray  # (2m,) CSR position of the source's first edge
+    csr_count: np.ndarray  # (2m,) the source's out-count
+    csr_rank: np.ndarray  # (2m,) rank among the source's edges
+    csr_edge: np.ndarray  # (2m,) undirected edge index
+    csr_dst: np.ndarray  # (2m,) target
 
     @property
     def n_directed(self) -> int:
@@ -157,6 +168,9 @@ class Graph:
             labels = {k: v[i, j] for k, v in self.edge_labels.items()}
             src = np.concatenate([i, j])
             dst = np.concatenate([j, i])
+            order = np.lexsort((dst, src))
+            counts = np.bincount(src, minlength=self.n_nodes)
+            first = (np.cumsum(counts) - counts)[src[order]]
             self._edge_arrays = EdgeArrays(
                 edges=edges,
                 weights=weights,
@@ -164,8 +178,14 @@ class Graph:
                 src=src,
                 dst=dst,
                 directed_weights=np.concatenate([weights, weights]),
-                csr_order=np.lexsort((dst, src)),
-                out_counts=np.bincount(src, minlength=self.n_nodes),
+                out_counts=counts,
+                csr_first=first,
+                csr_count=counts[src[order]],
+                csr_rank=np.arange(len(order)) - first,
+                # directed edge d is undirected edge d mod m: the
+                # forward copies come first, then the reverse ones
+                csr_edge=order % max(len(edges), 1),
+                csr_dst=dst[order],
             )
         return self._edge_arrays
 

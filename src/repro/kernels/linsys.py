@@ -32,12 +32,14 @@ operator constructions:
 
 It also provides the **batched** assembly behind the
 ``fused_batched`` engine: :func:`build_batched_system` stacks a whole
-shape bucket of pairs into one :class:`BatchedProductSystem` — batched
-diagonals D× V×⁻¹ over a concatenated product-vector layout, and one
-block-diagonal CSR off-diagonal whose blocks are the pairs' ``fused``
-W matrices — so :func:`repro.solvers.batched_pcg.batched_pcg_solve`
-advances every pair in the bucket per CG iteration with a handful of
-NumPy calls instead of a Python round-trip per pair.
+tile of pairs (the engine cuts tiles at
+:data:`~repro.engine.tiles.TILE_NNZ` stored entries) into one
+:class:`BatchedProductSystem` — batched diagonals D× V×⁻¹ over a
+concatenated product-vector layout, and one block-diagonal CSR
+off-diagonal whose blocks are the pairs' ``fused`` W matrices — so
+:func:`repro.solvers.batched_pcg.batched_pcg_solve` advances every pair
+in the tile per CG iteration with a handful of NumPy calls instead of a
+Python round-trip per pair.
 
 The batched assembly is split into two halves:
 
@@ -45,12 +47,17 @@ The batched assembly is split into two halves:
   layout, the block-CSR sparsity pattern (indptr/indices) and
   pre-gathered label/degree operands.
   Pure topology — it depends on the graphs and their order only, never
-  on hyperparameters (q, base-kernel parameters, solver settings).
+  on hyperparameters (q, base-kernel parameters, solver settings).  It
+  packs each side's distinct graphs once into flat arrays and writes
+  the pattern straight into its CSR slots by the rule the per-pair
+  writer uses (:func:`csr_slots`, over the slot factors every graph
+  caches in :class:`~repro.graphs.graph.EdgeArrays`), so nothing is
+  sorted and each block is byte for byte the pair's ``fused`` pattern.
 * :func:`fill_batched_system` — the **numeric fill**: evaluates the base
   kernels over the plan's pre-gathered operands and writes D× V×⁻¹
   diagonals and edge-weight values into the preallocated pattern.
 
-A hyperparameter sweep therefore builds each bucket's plan once and
+A hyperparameter sweep therefore builds each tile's plan once and
 re-fills it per sweep point: :func:`repro.ml.tuning.grid_search` hands
 every candidate's engine one :class:`~repro.engine.cache.StructureCache`,
 which keys plans by graph content, so only its first point does
@@ -69,7 +76,7 @@ import scipy.sparse as sp
 # preallocated buffer.
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 
-from ..graphs.graph import EdgeArrays, Graph
+from ..graphs.graph import Graph
 from ..obs.trace import current_span, get_tracer
 from .basekernels import Constant, MicroKernel, TensorProduct
 
@@ -324,14 +331,15 @@ def assemble_sparse_offdiag(
     i' → j', at column (j, j'), valued w_ij w'_i'j' κe(e_ij, e'_i'j');
     κe and the weights are symmetric, so one (m1 x m2) evaluation over
     undirected edges serves all four directions.  With each graph's
-    directed edges in CSR order (:attr:`EdgeArrays.csr_order`), the
-    entries of row (i, i') are i's edges times i''s edges, row-major,
-    which is column order.  So the CSR arrays are written directly: the
-    row pointer from out-count products, then one gather of the value
-    grid onto the directed edge pairs and one scatter of values and
-    column indices into their slots — no COO stage and no sort.  The
-    arrays, index dtypes included, are the ones scipy's COO→CSR
-    conversion of the same entries produces.
+    directed edges in CSR order (:class:`~repro.graphs.graph.
+    EdgeArrays`), the entries of row (i, i') are i's edges times i''s
+    edges, row-major, which is column order.  So the CSR arrays are
+    written directly: the row pointer from out-count products, then one
+    gather of the value grid onto the directed edge pairs and one
+    scatter of values and column indices into their slots
+    (:func:`csr_slots`) — no COO stage and no sort.  The arrays, index
+    dtypes included, are the ones scipy's COO→CSR conversion of the
+    same entries produces.
     """
     n, m = g1.n_nodes, g2.n_nodes
     ea1, ea2 = g1.edge_arrays(), g2.edge_arrays()
@@ -348,43 +356,41 @@ def assemble_sparse_offdiag(
     if nnz:
         Ke = edge_kernel_values(edge_kernel, ea1.labels, ea2.labels, m1, m2)
         vals_u = (ea1.weights[:, None] * ea2.weights[None, :]) * Ke
-        # CSR slot of directed edge pair (a, b), a leaving node i and b
-        # leaving node i': rows (0..i-1, ·) hold first1[a]·2m2 entries
-        # and rows (i, 0..i'-1) hold count1[a]·first2[b]; inside row
-        # (i, i'), a's run of count2[b] entries follows rank1[a] others
-        # and b is rank2[b]-th in it.
-        first1, count1, rank1 = _csr_edge_slots(ea1)
-        first2, count2, rank2 = _csr_edge_slots(ea2)
-        slot = np.multiply.outer(count1, first2)
-        slot += np.multiply.outer(rank1, count2)
-        slot += (first1 * (2 * m2))[:, None]
-        slot += rank2
-        slot = slot.ravel()
-        o1, o2 = ea1.csr_order, ea2.csr_order
-        # directed edge d of a graph with M undirected edges is edge
-        # d mod M: the forward copies come first, then the reverse ones
-        data[slot] = vals_u.take(o1 % m1, axis=0).take(o2 % m2, axis=1).ravel()
-        indices[slot] = np.add.outer(ea1.dst[o1] * m, ea2.dst[o2]).ravel()
+        slot = csr_slots(
+            (ea1.csr_first * (2 * m2))[:, None], ea1.csr_count[:, None],
+            ea1.csr_rank[:, None], ea2.csr_first, ea2.csr_count,
+            ea2.csr_rank,
+        ).ravel()
+        data[slot] = vals_u.take(ea1.csr_edge, axis=0).take(
+            ea2.csr_edge, axis=1).ravel()
+        indices[slot] = np.add.outer(ea1.csr_dst * m, ea2.csr_dst).ravel()
     return sp.csr_matrix((data, indices, indptr), shape=(N, N))
 
 
-def _csr_edge_slots(
-    ea: EdgeArrays,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For each directed edge in CSR order: the CSR position of its
-    source's first edge, its source's out-count, and its rank among
-    them."""
-    src = ea.src[ea.csr_order]
-    counts = ea.out_counts
-    first = (np.cumsum(counts) - counts)[src]
-    return first, counts[src], np.arange(len(src)) - first
+def csr_slots(start1, count1, rank1, first2, count2, rank2):
+    """CSR slot of directed edge pair (a, b) in a product operator.
+
+    a leaves node i of G and b leaves node i' of G', each described by
+    the slot factors of :class:`~repro.graphs.graph.EdgeArrays`.  Rows
+    (0..i-1, ·) hold first1·2m2 entries: that, plus wherever the pair's
+    block starts, is ``start1``.  Rows (i, 0..i'-1) hold count1·first2
+    more; inside row (i, i'), a's run of count2 entries follows rank1
+    others and b is rank2-th in it.  Arguments broadcast: the per-pair
+    writer passes a column of G's factors against a row of G''s, the
+    batched writer one factor per stored entry.
+    """
+    slot = count1 * first2
+    slot += rank1 * count2
+    slot += start1
+    slot += rank2
+    return slot
 
 
 # ----------------------------------------------------------------------
-# batched assembly: one linear-algebra object per shape bucket
+# batched assembly: one linear-algebra object per tile
 # ----------------------------------------------------------------------
 
-#: Product sizes above this stay on the per-pair path ("solo" bucket):
+#: Product sizes above this stay on the per-pair path (solo tiles):
 #: the "oddball shapes fall back to per-pair" rule.  The cap was
 #: measured as a crossover near N ≈ 512 on molecule-like sparsity, at
 #: a time when the per-pair path built W through COO and ran an
@@ -417,7 +423,7 @@ def _concat_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
 class BlockCSROffdiag:
     """Off-diagonal operator W as one block-diagonal CSR matrix.
 
-    The bucket's pairs are laid out along the diagonal of a single
+    The tile's pairs are laid out along the diagonal of a single
     (S, S) sparse matrix over the concatenated product vectors, so one
     C-speed SpMV per CG iteration covers all of them with zero padding
     or fill-in waste.  Each block is bitwise identical to the per-pair
@@ -444,7 +450,7 @@ class BlockCSROffdiag:
 
 @dataclass
 class BatchedProductSystem:
-    """A shape bucket of product systems as stacked operands.
+    """A tile of product systems as stacked operands.
 
     The B pairs' product vectors are concatenated into one (S,) layout,
     S = Σ n·m, with no padding (``offsets`` marks segment starts).  All
@@ -495,43 +501,6 @@ class BatchedProductSystem:
         return self.pair_dots(self.px, x)
 
 
-def _cat(parts, dtype):
-    if isinstance(parts, np.ndarray):
-        return parts
-    if not parts:
-        return np.zeros(0, dtype=dtype)
-    return np.concatenate(parts)
-
-
-def _gather_label_sets(
-    label_dicts: list[Mapping[str, np.ndarray]], idx: np.ndarray
-) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
-    """Pre-gathered label operands for one side of a bucket.
-
-    Returns the per-component gathered arrays (over the label names all
-    batch members share) plus the gathered *sole* label — the one a
-    non-TensorProduct kernel consumes regardless of its name — when
-    every member carries exactly one label.
-    """
-    keys = set(label_dicts[0])
-    for ld in label_dicts[1:]:
-        keys &= set(ld)
-    common = {
-        k: np.concatenate([np.asarray(ld[k]) for ld in label_dicts])[idx]
-        for k in sorted(keys)
-    }
-    sole = None
-    if all(len(ld) == 1 for ld in label_dicts):
-        names = {next(iter(ld)) for ld in label_dicts}
-        if len(names) == 1 and common:
-            sole = next(iter(common.values()))
-        else:
-            sole = np.concatenate(
-                [np.asarray(next(iter(ld.values()))) for ld in label_dicts]
-            )[idx]
-    return common, sole
-
-
 def _gathered_base_values(
     kernel: MicroKernel,
     labels1: dict[str, np.ndarray],
@@ -564,14 +533,20 @@ def _gathered_base_values(
 
 @dataclass
 class StructurePlan:
-    """Hyperparameter-independent topology of one batched bucket.
+    """Hyperparameter-independent topology of one batched tile.
 
     Everything :func:`fill_batched_system` needs to produce a
     :class:`BatchedProductSystem` *except* the base-kernel values and q:
     the stacked layout, the block-CSR pattern of the off-diagonal,
     pre-gathered label and degree operands, and edge-weight products
     (graph content, so hyperparameter-free), all in the natural node
-    order of each pair's graphs.  Plans live in memory only, for one
+    order of each pair's graphs.  Label operands hold the names every
+    member of a side carries (``node_labels1`` over the row graphs),
+    and the ``sole_*`` arrays the one label a non-TensorProduct kernel
+    reads when each member carries exactly one.  The pattern is int32
+    (``indptr``, ``indices``) and ``data_gather`` int64; block b is
+    byte for byte :func:`assemble_sparse_offdiag`'s pattern for pair b,
+    shifted to the block's offset.  Plans live in memory only, for one
     tile's solve or, when the engine is handed one, in a
     :class:`repro.engine.cache.StructureCache`.  Fills never
     mutate the pattern arrays; the only writes are the whole-tuple memo
@@ -645,141 +620,233 @@ class StructurePlan:
         return total
 
 
+def _pack_labels(
+    dicts: list[Mapping[str, np.ndarray]],
+) -> tuple[dict[str, np.ndarray], np.ndarray | str | None]:
+    """One side's label columns over its distinct graphs, flattened.
+
+    The columns are the names every graph of the side carries, sorted.
+    The second item is the *sole* label, the one a non-TensorProduct
+    kernel reads whatever its name, when every graph carries exactly
+    one: the name of the shared column when all graphs call it the
+    same, else their labels concatenated.  Concatenation promotes
+    dtypes over the side's graphs, so the tile's own members set them.
+    """
+    keys = sorted(set(dicts[0]).intersection(*dicts[1:]))
+    columns = {k: np.concatenate([d[k] for d in dicts]) for k in keys}
+    sole = None
+    if all(len(d) == 1 for d in dicts):
+        sole = keys[0] if keys else np.concatenate(
+            [next(iter(d.values())) for d in dicts]
+        )
+    return columns, sole
+
+
+def _gather_labels(
+    packed: tuple[dict[str, np.ndarray], np.ndarray | str | None],
+    idx: np.ndarray,
+) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+    """A :func:`_pack_labels` result gathered at ``idx``: the columns,
+    and the sole label (the gathered column itself when it is one)."""
+    columns, sole = packed
+    gathered = {k: col[idx] for k, col in columns.items()}
+    if isinstance(sole, str):
+        return gathered, gathered[sole]
+    return gathered, None if sole is None else sole[idx]
+
+
+@dataclass
+class _Side:
+    """One side of a tile: its members' distinct graphs as flat arrays.
+
+    ``member[b]`` is member b's graph in the pack.  Node arrays run
+    over the graphs' nodes, graph after graph, with graph g's from
+    ``node_start[g]``; edge arrays likewise over undirected edges from
+    ``edge_start[g]``; and the ``csr_*`` slot factors of
+    :class:`~repro.graphs.graph.EdgeArrays` over directed edges, in
+    each graph's CSR order, from ``2 * edge_start[g]``.  The slot
+    factors are int32, like the block-CSR pattern they are summed into:
+    int32 sums run at several times the speed of int64 ones.
+    """
+
+    member: np.ndarray
+    n_nodes: np.ndarray
+    n_edges: np.ndarray
+    node_start: np.ndarray
+    edge_start: np.ndarray
+    degrees: np.ndarray
+    out_counts: np.ndarray
+    weights: np.ndarray
+    node_labels: tuple
+    edge_labels: tuple
+    csr_first: np.ndarray
+    csr_count: np.ndarray
+    csr_rank: np.ndarray
+    csr_edge: np.ndarray
+    csr_dst: np.ndarray
+
+
+def _pack_side(members: list[Graph]) -> _Side:
+    """Pack one side's distinct graphs (by identity) once."""
+    ids = np.fromiter(map(id, members), dtype=np.uintp, count=len(members))
+    _, first, member = np.unique(ids, return_index=True, return_inverse=True)
+    graphs = [members[k] for k in first]
+    eas = [g.edge_arrays() for g in graphs]
+    n_nodes = np.array([g.n_nodes for g in graphs], dtype=np.int64)
+    n_edges = np.array([len(ea.edges) for ea in eas], dtype=np.int64)
+    cat = np.concatenate
+
+    def slot_factor(name: str) -> np.ndarray:
+        return cat([getattr(ea, name) for ea in eas], dtype=np.int32)
+
+    return _Side(
+        member=member,
+        n_nodes=n_nodes,
+        n_edges=n_edges,
+        node_start=np.cumsum(n_nodes) - n_nodes,
+        edge_start=np.cumsum(n_edges) - n_edges,
+        degrees=cat([g.degrees for g in graphs]),
+        out_counts=cat([ea.out_counts for ea in eas]),
+        weights=cat([ea.weights for ea in eas]),
+        node_labels=_pack_labels([g.node_labels for g in graphs]),
+        edge_labels=_pack_labels([ea.labels for ea in eas]),
+        csr_first=slot_factor("csr_first"),
+        csr_count=slot_factor("csr_count"),
+        csr_rank=slot_factor("csr_rank"),
+        csr_edge=slot_factor("csr_edge"),
+        csr_dst=slot_factor("csr_dst"),
+    )
+
+
+def _grid(
+    start1: np.ndarray, len1: np.ndarray, start2: np.ndarray, len2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both indices of every cell of a run of row-major grids.
+
+    Grid k is range(start1[k], start1[k] + len1[k]) × range(start2[k],
+    start2[k] + len2[k]); the cells come grid after grid.
+    """
+    first = np.repeat(
+        _concat_ranges(start1, start1 + len1), np.repeat(len2, len1)
+    )
+    second = _concat_ranges(
+        np.repeat(start2, len1), np.repeat(start2 + len2, len1)
+    )
+    return first, second
+
+
 def build_structure_plan(pairs: list[tuple[Graph, Graph]]) -> StructurePlan:
-    """Build the structural plan for a bucket of graph pairs.
+    """Build the structural plan for a tile of graph pairs.
 
     Pure topology: the result depends on the graphs' content and member
     order only — q, base-kernel parameters, and solver settings never
     enter, which is what makes plans reusable across an entire
     hyperparameter sweep.
+
+    Each side's distinct graphs are packed once into flat arrays
+    (:class:`_Side`), and every array of the plan is a gather over
+    those packs, vectorized across the tile.  The block-CSR pattern is
+    written straight into its slots by the per-pair writer's rule
+    (:func:`csr_slots`), so each block is byte for byte the pair's
+    :func:`assemble_sparse_offdiag` pattern, with nothing sorted.
     """
     if not pairs:
         raise ValueError("cannot batch an empty pair list")
-    g1s = [a for a, _ in pairs]
-    g2s = [b for _, b in pairs]
+    s1 = _pack_side([a for a, _ in pairs])
+    s2 = _pack_side([b for _, b in pairs])
+    u, v = s1.member, s2.member
     B = len(pairs)
-    n = np.array([g.n_nodes for g in g1s], dtype=np.int64)
-    m = np.array([g.n_nodes for g in g2s], dtype=np.int64)
+    n = s1.n_nodes[u]
+    m = s2.n_nodes[v]
     sizes = n * m
-
-    # ---- stacked node-level layout ---------------------------------
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     S = int(offsets[-1])
-    seg = np.repeat(np.arange(B), sizes)
-    pos = np.arange(S, dtype=np.int64) - np.repeat(offsets[:-1], sizes)
-    mseg = m[seg]
-    i_loc = pos // mseg
-    ip_loc = pos - i_loc * mseg
-    noff1 = np.concatenate(([0], np.cumsum(n)))
-    noff2 = np.concatenate(([0], np.cumsum(m)))
-    I1 = np.repeat(noff1[:-1], sizes) + i_loc
-    I2 = np.repeat(noff2[:-1], sizes) + ip_loc
+    m1s = s1.n_edges[u]
+    m2s = s2.n_edges[v]
+    toff = np.concatenate(([0], np.cumsum(m1s * m2s)))
+    nnz = 4 * int(toff[-1])
+    if max(S, nnz) > _INT32_MAX:
+        raise ValueError(
+            f"a tile of {S} product nodes and {nnz} stored entries "
+            "overflows its int32 block-CSR pattern"
+        )
 
-    node_labels1, sole_node1 = _gather_label_sets(
-        [g.node_labels for g in g1s], I1
-    )
-    node_labels2, sole_node2 = _gather_label_sets(
-        [g.node_labels for g in g2s], I2
-    )
-    deg1 = np.concatenate([g.degrees for g in g1s])[I1]
-    deg2 = np.concatenate([g.degrees for g in g2s])[I2]
-    px = np.repeat((1.0 / n) * (1.0 / m), sizes)
-
-    # ---- stacked edge-level off-diagonal pattern -------------------
-    # Per-pair broadcast construction over the pair's (2 m1, 2 m2)
-    # grid of directed edge pairs: each undirected edge pair appears
-    # four times, once per direction combination, tiled 2 x 2 over the
-    # untiled (m1, m2) value grid.  Global offsets are folded into the
-    # small per-edge factor arrays so the big index grids cost one
-    # broadcast add each.  The tiled entries are exact copies of the
-    # untiled value grid, so the pattern stores *gather indices into
-    # the untiled value vector* instead of values — that is what makes
-    # the numeric fill a single gather.
-    ea1 = [g.edge_arrays() for g in g1s]
-    ea2 = [g.edge_arrays() for g in g2s]
-    m1s = np.array([len(e.edges) for e in ea1], dtype=np.int64)
-    m2s = np.array([len(e.edges) for e in ea2], dtype=np.int64)
-    eoff1 = np.concatenate(([0], np.cumsum(m1s)))
-    eoff2 = np.concatenate(([0], np.cumsum(m2s)))
-    nnz = int(4 * (m1s * m2s).sum())
-
-    # Untiled κe operand indices, vectorized across the whole bucket:
-    # entry t of pair b addresses edge pair (t // m2, t mod m2).  This
-    # runs once per *plan*, so the div/mod arithmetic that was too slow
-    # for the per-evaluation path is irrelevant here.
-    tcounts = m1s * m2s
-    toff = np.concatenate(([0], np.cumsum(tcounts)))
-    T = int(toff[-1])
-    tseg_rep = np.repeat(toff[:-1], tcounts)
-    tpos = np.arange(T, dtype=np.int64) - tseg_rep
-    m2seg = np.repeat(m2s, tcounts)
-    a_idx = tpos // np.maximum(m2seg, 1)
-    EK1 = np.repeat(eoff1[:-1], tcounts) + a_idx
-    EK2 = np.repeat(eoff2[:-1], tcounts) + (tpos - a_idx * m2seg)
-
-    wg_parts: list[np.ndarray] = []
-    row_parts: list[np.ndarray] = []
-    col_parts: list[np.ndarray] = []
-    t_off = 0
-    for b in range(B):
-        e1, e2 = ea1[b], ea2[b]
-        m1, m2 = len(e1.edges), len(e2.edges)
-        if m1 == 0 or m2 == 0:
-            continue
-        # Tiled entry (a, b) of the (2 m1, 2 m2) grid copies untiled
-        # value (a mod m1, b mod m2) — κe is symmetric, weights are
-        # symmetric — so the tile map is literally np.tile of the
-        # untiled index grid.
-        base = np.arange(m1 * m2, dtype=np.int64).reshape(m1, m2)
-        wg_parts.append(np.tile(base, (2, 2)).ravel() + t_off)
-        mb = int(m[b])
-        off = int(offsets[b])
-        r1 = e1.src * mb + off
-        c1 = e1.dst * mb + off
-        row_parts.append((r1[:, None] + e2.src[None, :]).ravel())
-        col_parts.append((c1[:, None] + e2.dst[None, :]).ravel())
-        t_off += m1 * m2
-    w1cat = _cat([e.weights for e in ea1], np.float64)
-    w2cat = _cat([e.weights for e in ea2], np.float64)
-    wprod = w1cat[EK1] * w2cat[EK2]
-    edge_labels1, sole_edge1 = _gather_label_sets(
-        [e.labels for e in ea1], EK1
-    )
-    edge_labels2, sole_edge2 = _gather_label_sets(
-        [e.labels for e in ea2], EK2
+    # ---- block-CSR pattern -----------------------------------------
+    # Pair b's directed edge pairs form a (2 m1, 2 m2) grid, one row
+    # per directed edge a of its row graph.  Each cell (a, c) is
+    # written into its slot: the pair's entries start at 4·toff[b],
+    # its column is (dst a, dst c) shifted by the pair's offset, and it
+    # stores the index of its untiled value (a mod m1, c mod m2) — κe
+    # and the weights are symmetric, so the four directions share one
+    # value, and the numeric fill is a single gather.  Per-cell sums run
+    # in int32 and scatter through one intp copy of the slots.
+    d1, d2 = 2 * m1s, 2 * m2s
+    a = _concat_ranges(2 * s1.edge_start[u], 2 * s1.edge_start[u] + d1)
+    row_pair = np.repeat(np.arange(B), d1)
+    width = d2[row_pair]
+    c = _concat_ranges(
+        np.repeat(2 * s2.edge_start[v], d1),
+        np.repeat(2 * s2.edge_start[v] + d2, d1),
     )
 
-    rows = _cat(row_parts, np.int64)
-    cols = _cat(col_parts, np.int64)
-    wg = _cat(wg_parts, np.int64)
-    # Canonical CSR: entries sorted by (row, col).  (row, col) pairs
-    # are distinct within a bucket (each corresponds to a unique
-    # directed-edge pair), so this reproduces scipy's
-    # coo→csr→sum_duplicates result bitwise — and the sort is paid
-    # once per *structure*, not once per sweep point.
-    order = np.lexsort((cols, rows))
-    counts = np.bincount(rows, minlength=S)
+    def spread(per_row: np.ndarray) -> np.ndarray:
+        return np.repeat(per_row.astype(np.int32, copy=False), width)
+
+    slot = csr_slots(
+        spread(4 * toff[row_pair] + s1.csr_first[a] * width),
+        spread(s1.csr_count[a]),
+        spread(s1.csr_rank[a]),
+        s2.csr_first[c],
+        s2.csr_count[c],
+        s2.csr_rank[c],
+    ).astype(np.intp)
+    indices = np.empty(nnz, dtype=np.int32)
+    col = s2.csr_dst[c]
+    col += spread(offsets[row_pair] + s1.csr_dst[a] * m[row_pair])
+    indices[slot] = col
+    del col
+    data_gather = np.empty(nnz, dtype=np.int64)
+    gather = s2.csr_edge[c]
+    gather += spread(toff[row_pair] + s1.csr_edge[a] * m2s[row_pair])
+    data_gather[slot] = gather
+    # the per-cell temporaries go before the operand gathers, which
+    # keeps the build's peak near 60-70 B per stored entry
+    del gather, slot, c
+
+    # ---- stacked node-level layout ---------------------------------
+    # Product node (i, i') of pair b is entry offsets[b] + i·m + i'.
+    I1, I2 = _grid(s1.node_start[u], n, s2.node_start[v], m)
+    row_nnz = s1.out_counts[I1] * s2.out_counts[I2]
+    indptr = np.concatenate(([0], np.cumsum(row_nnz))).astype(np.int32)
+    node_labels1, sole_node1 = _gather_labels(s1.node_labels, I1)
+    node_labels2, sole_node2 = _gather_labels(s2.node_labels, I2)
+
+    # ---- untiled edge-pair operands --------------------------------
+    # Entry t of pair b is undirected edge pair (t // m2, t mod m2).
+    EK1, EK2 = _grid(s1.edge_start[u], m1s, s2.edge_start[v], m2s)
+    edge_labels1, sole_edge1 = _gather_labels(s1.edge_labels, EK1)
+    edge_labels2, sole_edge2 = _gather_labels(s2.edge_labels, EK2)
     return StructurePlan(
         n=n,
         m=m,
         sizes=sizes,
         offsets=offsets,
-        px=px,
-        deg1=deg1,
-        deg2=deg2,
+        px=np.repeat((1.0 / n) * (1.0 / m), sizes),
+        deg1=s1.degrees[I1],
+        deg2=s2.degrees[I2],
         node_labels1=node_labels1,
         node_labels2=node_labels2,
         sole_node1=sole_node1,
         sole_node2=sole_node2,
-        wprod=wprod,
+        wprod=s1.weights[EK1] * s2.weights[EK2],
         edge_labels1=edge_labels1,
         edge_labels2=edge_labels2,
         sole_edge1=sole_edge1,
         sole_edge2=sole_edge2,
         nnz=nnz,
-        indptr=np.concatenate(([0], np.cumsum(counts))).astype(np.int32),
-        indices=cols[order].astype(np.int32),
-        data_gather=wg[order],
+        indptr=indptr,
+        indices=indices,
+        data_gather=data_gather,
     )
 
 
@@ -795,7 +862,7 @@ def fill_batched_system(
     values over the plan's pre-gathered operands, D× V×⁻¹ diagonals,
     D× q× right-hand sides, and one gather writing the edge values into
     the block-CSR pattern.  No per-pair Python work — the fill is a
-    fixed number of NumPy calls per bucket.
+    fixed number of NumPy calls per tile.
 
     The off-diagonal operator owns freshly allocated CSR data, so it is
     memoized on the plan per edge-kernel signature and handed out
@@ -875,15 +942,15 @@ def build_batched_system(
     q: float = 0.05,
     plan: StructurePlan | None = None,
 ) -> BatchedProductSystem:
-    """Assemble a bucket of graph pairs as one stacked linear object.
+    """Assemble a tile of graph pairs as one stacked linear object.
 
     Convenience wrapper: :func:`build_structure_plan` followed by
     :func:`fill_batched_system`.  Callers that evaluate the same graph
     set repeatedly (hyperparameter sweeps) should cache the plan — the
     engine does so through :class:`repro.engine.cache.StructureCache` —
     and call :func:`fill_batched_system` directly.  Any pairs assemble,
-    whatever their size: the per-pair fallback for "solo" buckets is
-    the engine's call, not the assembler's.
+    whatever their size: the per-pair path for solo tiles is the
+    engine's call, not the assembler's.
 
     Parameters
     ----------

@@ -10,15 +10,16 @@ systems").
 Engines
 -------
 ``fused_batched``
-    Default.  Dataset calls route whole shape buckets of pairs through
-    the stacked assembly (:func:`repro.kernels.linsys.
+    Default.  Dataset calls route whole tiles of pairs through the
+    stacked assembly (:func:`repro.kernels.linsys.
     build_batched_system`) and the batched PCG — one block-CSR SpMV and
-    one NumPy call chain per CG iteration for an entire bucket instead
-    of per pair.  Single-pair calls, oddball buckets, and non-batchable
-    solvers fall back to ``fused`` automatically; values agree with
-    ``fused`` to well within 1e-10 relative (each block of the operator
-    is bitwise the pair's ``fused`` W), so the two engines share cache
-    entries.
+    one NumPy call chain per CG iteration for an entire tile instead of
+    per pair.  Single-pair calls, solo tiles (pairs whose product system
+    exceeds :data:`~repro.kernels.linsys.BATCH_SPARSE_MAX` nodes), and
+    non-batchable solvers fall back to ``fused`` automatically; values
+    agree with ``fused`` to well within 1e-10 relative (each block of
+    the operator is bitwise the pair's ``fused`` W), so the two engines
+    share cache entries.
 ``fused``
     Per-pair CPU path: write the sparse edge-pair weight matrix
     W = A× ∘ E× once per pair, straight into CSR from the two graphs'

@@ -8,7 +8,7 @@ use.  All of them are implemented here against the common
 
 * :mod:`repro.solvers.pcg` — Algorithm 1, the production solver.
 * :mod:`repro.solvers.batched_pcg` — Algorithm 1 vectorized over a
-  whole shape bucket of pairs (the ``fused_batched`` engine's solver):
+  whole tile of pairs (the ``fused_batched`` engine's solver):
   one stacked matvec per CG iteration, per-pair convergence masks,
   converged pairs drop out of the active set.
 * :mod:`repro.solvers.cg` — unpreconditioned CG (ablation): the same

@@ -1,9 +1,9 @@
-"""Batched diagonal-PCG: Algorithm 1 over a whole shape bucket.
+"""Batched diagonal-PCG: Algorithm 1 over a whole tile of pairs.
 
 :func:`batched_pcg_solve` runs the exact recurrence of
 :mod:`repro.solvers.pcg` on a :class:`~repro.kernels.linsys.
 BatchedProductSystem`: one stacked off-diagonal matvec and a fixed
-handful of NumPy calls advance *every* pair in the bucket per CG
+handful of NumPy calls advance *every* pair in the tile per CG
 iteration.  Per-pair state (α, β, ρ, residual norms, stopping
 thresholds, iteration caps) lives on (B,) vectors computed with
 segment reductions, so each pair follows the same trajectory it would
@@ -52,14 +52,14 @@ from ..obs.trace import get_tracer
 #: initialization as inside the loop.  0.35 balances dead flops against
 #: compaction churn for both trajectories: cold solves retire in a
 #: burst near the end, and warm-started solves retire a share of the
-#: bucket at iteration zero and trickle out the stragglers — a higher
+#: tile at iteration zero and trickle out the stragglers — a higher
 #: threshold re-compacts on nearly every straggler retirement.
 COMPACT_FRACTION = 0.35
 
 
 @dataclass
 class BatchedSolveResult:
-    """Outcome of one bucket solve, aligned with the input pair order.
+    """Outcome of one tile solve, aligned with the input pair order.
 
     ``x`` keeps the stacked layout of the *input* system; slice pair
     b's solution with ``x[offsets[b] : offsets[b + 1]]``.
@@ -78,7 +78,7 @@ def batched_pcg_solve(
     max_iter: int | None = None,
     x0: np.ndarray | None = None,
 ) -> BatchedSolveResult:
-    """Diagonal-PCG over every pair of a bucket with masked convergence.
+    """Diagonal-PCG over every pair of a tile with masked convergence.
 
     Mirrors :func:`repro.solvers.pcg.pcg_solve` pair for pair,
     including the ``max(64, N)`` default iteration cap (taken per pair

@@ -26,6 +26,8 @@ from repro.graphs.generators import (
     random_labeled_graph,
 )
 from repro.kernels.basekernels import (
+    KroneckerDelta,
+    SquareExponential,
     molecule_kernels,
     synthetic_kernels,
     unlabeled_kernels,
@@ -35,6 +37,8 @@ from repro.kernels.linsys import (
     assemble_sparse_offdiag,
     build_batched_system,
     build_product_system,
+    build_structure_plan,
+    fill_batched_system,
 )
 from repro.obs import trace
 from repro.solvers import batched_pcg
@@ -158,6 +162,123 @@ def test_block_csr_blocks_are_the_per_pair_operator(kind):
             cols = mat.indices[ptr[0]:ptr[-1]] - off[b]
             assert np.array_equal(cols, ref.indices)
             assert mat.data[ptr[0]:ptr[-1]].tobytes() == ref.data.tobytes()
+
+
+def _relabel(g, node_labels, edge_labels):
+    """``g``'s topology under new label dicts: node arrays of length n,
+    edge label values aligned with ``g.edge_list()``."""
+    edges = g.edge_list()
+    matrices = {}
+    for name, values in edge_labels.items():
+        mat = np.zeros(g.adjacency.shape, dtype=np.asarray(values).dtype)
+        mat[edges[:, 0], edges[:, 1]] = values
+        mat[edges[:, 1], edges[:, 0]] = values
+        matrices[name] = mat
+    return type(g)(g.adjacency, node_labels, matrices, name=g.name)
+
+
+def _writer_case(case: str):
+    """(node kernel, edge kernel, pairs) for one tile-writer edge case."""
+    gs = [
+        random_labeled_graph(n, density=0.5, weighted=k % 2 == 1, seed=40 + k)
+        for k, n in enumerate((5, 7, 3, 9, 6, 4))
+    ]
+    if case == "repeated":
+        # one Graph object in many members, on both sides
+        g, h = gs[0], gs[1]
+        return NK, EK, [(g, g), (g, h), (h, g), (g, g), (h, h), (g, h)]
+    if case == "distinct_sides":
+        return NK, EK, [(x, y) for x in gs[:3] for y in gs[3:]]
+    if case == "edgeless":
+        single = random_labeled_graph(1, seed=7)
+        empty = _relabel(
+            type(gs[0])(np.zeros((3, 3))),
+            {"label": np.array([0, 1, 0])}, {"length": np.zeros(0)},
+        )
+        mixed = [single, empty, gs[0], gs[2]]
+        return NK, EK, [(a, b) for a in mixed for b in mixed]
+    if case in ("label_keys", "sole_names", "dtypes"):
+        out = []
+        for k, g in enumerate(gs):
+            nodes = g.node_labels["label"]
+            lengths = g.edge_arrays().labels["length"]
+            if case == "label_keys":
+                # extra keys on some members: the per-side intersection
+                # leaves only "label" and "length"
+                nl = {"label": nodes}
+                el = {"length": lengths}
+                if k % 2:
+                    nl["extra"] = nodes + 1
+                if k % 3 == 0:
+                    el["bond"] = np.ones_like(lengths)
+            elif case == "sole_names":
+                # one label each, under different names
+                nl = {("label", "kind")[k % 2]: nodes}
+                el = {("length", "dist", "r")[k % 3]: lengths}
+            else:
+                # int and float labels under one name
+                nl = {"label": nodes if k % 2 else nodes.astype(np.float64)}
+                el = {"length": np.rint(4 * lengths).astype(np.int64)
+                      if k % 2 == 0 else 4 * lengths}
+            out.append(_relabel(g, nl, el))
+        pairs = [(a, b) for a in out for b in out[::-1]]
+        if case == "sole_names":
+            return KroneckerDelta(0.5), SquareExponential(1.0), pairs
+        return NK, EK, pairs
+    raise ValueError(case)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["repeated", "distinct_sides", "edgeless", "label_keys", "sole_names",
+     "dtypes"],
+)
+def test_tile_writer_matches_per_pair_assembly(case):
+    """The tile writer packs each side's distinct graphs once; every
+    block must still be the pair's own system, bit for bit: CSR bytes
+    as :func:`assemble_sparse_offdiag` writes them, and the fill's
+    diagonal, right-hand side, start vector and W data as the per-pair
+    :func:`build_product_system` computes them."""
+    nk, ek, pairs = _writer_case(case)
+    plan = build_structure_plan(pairs)
+    assert plan.indptr.dtype == np.int32 and plan.indices.dtype == np.int32
+    assert plan.data_gather.dtype == np.int64
+    if case == "label_keys":
+        assert list(plan.node_labels1) == ["label"]
+        assert list(plan.edge_labels2) == ["length"]
+    elif case == "sole_names":
+        assert not plan.node_labels1 and not plan.edge_labels2
+        assert plan.sole_node1 is not None and plan.sole_edge2 is not None
+    elif case == "dtypes":
+        assert plan.node_labels1["label"].dtype == np.float64
+        assert plan.edge_labels2["length"].dtype == np.float64
+    system = fill_batched_system(plan, nk, ek, q=0.05)
+    mat, off = system.offdiag.mat, system.offsets
+    for b, (g1, g2) in enumerate(pairs):
+        ref = build_product_system(g1, g2, nk, ek, 0.05, engine="fused")
+        W = assemble_sparse_offdiag(g1, g2, ek)
+        seg = slice(off[b], off[b + 1])
+        assert system.diag[seg].tobytes() == ref.sys_diag.tobytes()
+        assert system.rhs[seg].tobytes() == ref.rhs.tobytes()
+        assert system.px[seg].tobytes() == ref.px.tobytes()
+        ptr = plan.indptr[off[b]:off[b + 1] + 1]
+        assert (ptr - ptr[0]).tobytes() == W.indptr.tobytes()
+        lo, hi = ptr[0], ptr[-1]
+        cols = plan.indices[lo:hi] - plan.indices.dtype.type(off[b])
+        assert cols.tobytes() == W.indices.tobytes()
+        assert mat.data[lo:hi].tobytes() == W.data.tobytes()
+        assert W.data.tobytes() == ref.info["W_sparse"].data.tobytes()
+
+
+def test_tile_writer_refuses_a_pattern_past_int32(monkeypatch):
+    """The writer sums slots and columns in int32: a tile whose entry
+    count would not fit fails loudly instead of wrapping."""
+    from repro.kernels import linsys
+
+    g = random_labeled_graph(6, density=0.6, seed=3)
+    monkeypatch.setattr(linsys, "_INT32_MAX", 4 * g.n_edges ** 2 - 1)
+    with pytest.raises(ValueError, match="int32"):
+        build_structure_plan([(g, g)])
 
 
 @pytest.mark.parametrize("seed", SEEDS[:2])

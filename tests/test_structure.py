@@ -23,7 +23,9 @@ import gc
 import random
 import sys
 import threading
+import tracemalloc
 import weakref
+from itertools import product
 
 import numpy as np
 import pytest
@@ -32,11 +34,14 @@ from repro import GramEngine, MarginalizedGraphKernel
 from repro.engine import executors
 from repro.engine.cache import StructureCache, WarmStartStore
 from repro.engine.executors import _seed_warm_start, structure_key
-from repro.graphs.generators import random_labeled_graph
+from repro.engine.tiles import plan_bucketed_tiles
+from repro.graphs.datasets import drugbank_dataset
+from repro.graphs.generators import drugbank_like_molecule, random_labeled_graph
 from repro.kernels.basekernels import (
     KroneckerDelta,
     SquareExponential,
     TensorProduct,
+    molecule_kernels,
     synthetic_kernels,
 )
 from repro.kernels.linsys import (
@@ -46,6 +51,10 @@ from repro.kernels.linsys import (
     build_structure_plan,
     fill_batched_system,
 )
+from repro.kernels.marginalized import normalized
+from repro.ml import tuning
+from repro.ml.gpr import GaussianProcessRegressor
+from repro.ml.tuning import bisection_order, grid_search
 from repro.solvers import batched_pcg
 from repro.solvers.batched_pcg import batched_pcg_solve
 from repro.solvers.pcg import pcg_solve
@@ -77,6 +86,15 @@ def mixed_batch(seed: int, n_graphs: int = 12) -> list:
             )
         )
     return out
+
+
+def fragment_set(n_graphs: int, seed: int = 5) -> list:
+    """Seeded GDB-style fragments of 3-8 heavy atoms."""
+    rng = np.random.default_rng(seed)
+    return [
+        drugbank_like_molecule(n_heavy=int(rng.integers(3, 9)), seed=rng)
+        for _ in range(n_graphs)
+    ]
 
 
 def with_extra_edge(graphs: list, k: int) -> list:
@@ -157,6 +175,37 @@ def test_plan_nbytes_counts_arrays_and_memos():
     assert plan._ke_memo[1] is first.offdiag
     assert plan.nbytes > before
     assert fill_batched_system(plan, NK, EK, q=0.06).offdiag is first.offdiag
+
+
+@pytest.mark.parametrize("kind", ["fragments", "druglike"])
+def test_plan_build_peak_per_stored_entry(kind):
+    """A batched tile's plan build stays below 120 B per stored entry
+    at its tracemalloc peak, on the largest tile of a 96-fragment and
+    of a 60-molecule drug-like set.  The finished plan holds about 50;
+    a sorting planner peaked near 130-150.  Each graph's cached edge
+    arrays are built first, as every later tile finds them."""
+    if kind == "fragments":
+        graphs = fragment_set(96, seed=3)
+    else:
+        graphs = drugbank_dataset(n_graphs=60, seed=3, max_atoms=64)
+    n = len(graphs)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    tile = max(
+        (t for t in plan_bucketed_tiles(graphs, graphs, pairs) if not t.solo),
+        key=lambda t: t.nnz,
+    )
+    members = [(graphs[i], graphs[j]) for i, j in tile.pairs]
+    for g in graphs:
+        g.edge_arrays()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        plan = build_structure_plan(members)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert plan.nnz == tile.nnz > 200_000
+    assert peak / plan.nnz < 120
 
 
 def test_structure_cache_refreshes_sizes_on_hit():
@@ -881,3 +930,127 @@ def test_grid_search_plans_only_its_first_point(monkeypatch):
     assert built_before[1][0] > 0 and built_before[1][1] == 1
     # Points 2 and 3 are served whole from the search's shared cache.
     assert (len(refs), len(tile_plans)) == built_before[1]
+
+
+# ----------------------------------------------------------------------
+# grid_search: candidates in bisection order, fits in grid order
+# ----------------------------------------------------------------------
+
+
+def _sweep_targets(graphs: list) -> np.ndarray:
+    return 0.1 * np.array([g.n_nodes for g in graphs]) + np.linspace(
+        0.0, 0.05, len(graphs)
+    )
+
+
+def test_bisection_order_is_a_permutation_from_both_ends():
+    assert bisection_order(16) == [
+        0, 15, 7, 3, 11, 1, 5, 9, 13, 2, 4, 6, 8, 10, 12, 14
+    ]
+    for size in range(1, 21):
+        order = bisection_order(size)
+        assert sorted(order) == list(range(size))
+        assert order[:2] == [0, size - 1][:size]
+
+
+def _captured_fits(monkeypatch, run) -> list:
+    """The Gram of every model fit ``run()`` makes, in fit order,
+    captured by subclassing the regressor the search module uses."""
+    grams = []
+    base = tuning.GaussianProcessRegressor
+
+    class Capture(base):
+        def fit(self, K, y):
+            grams.append(np.array(K))
+            return super().fit(K, y)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tuning, "GaussianProcessRegressor", Capture)
+        run()
+    return grams
+
+
+def test_grid_search_fits_grams_in_grid_order(monkeypatch):
+    """The search computes its points in bisection order and fits them
+    in grid order: the k-th fit sees grid point k's Gram, within rtol
+    1e-10 of the same point computed without structure reuse, and
+    farther than that from every other point's."""
+    graphs = fragment_set(14)
+    y = _sweep_targets(graphs)
+    qs = np.geomspace(0.04, 0.05, 7)
+    nk, ek = molecule_kernels()
+    visited = []
+
+    def factory(q):
+        visited.append(q)
+        return MarginalizedGraphKernel(nk, ek, q=q, rtol=1e-11)
+
+    def search(structure_reuse):
+        return lambda: grid_search(
+            graphs, y, factory, {"q": qs}, structure_reuse=structure_reuse
+        )
+
+    warm = _captured_fits(monkeypatch, search(True))
+    assert visited == [qs[k] for k in bisection_order(len(qs))]
+    cold = _captured_fits(monkeypatch, search(False))
+    assert visited[len(qs):] == visited[:len(qs)]
+    assert len(warm) == len(cold) == len(qs)
+    for k, K in enumerate(warm):
+        for j, ref in enumerate(cold):
+            assert np.allclose(K, ref, rtol=1e-10, atol=0) == (j == k)
+
+
+def test_grid_search_history_and_best_follow_grid_order():
+    """``history``, the best pick and its first-index tie rule are a
+    grid-order loop's, although the points are computed in another
+    order.  Tags 1-4 share one kernel, so their scores tie exactly
+    without structure reuse; bisection order computes tag 4 first of
+    them, and grid order reaches tag 1 first."""
+    graphs = fragment_set(12)
+    y = _sweep_targets(graphs)
+    nk, ek = molecule_kernels()
+    q_of_tag = [0.6, 0.05, 0.05, 0.05, 0.05]
+
+    def factory(tag):
+        return MarginalizedGraphKernel(nk, ek, q=q_of_tag[tag], rtol=1e-11)
+
+    grid = {"tag": [0, 1, 2, 3, 4]}
+    assert bisection_order(5) == [0, 4, 2, 1, 3]
+    history = []
+    for tag in grid["tag"]:
+        K = normalized(GramEngine(factory(tag), cache=False).gram(graphs).matrix)
+        gpr = GaussianProcessRegressor(alpha=1e-6).fit(K, y)
+        history.append(({"tag": tag}, gpr.log_marginal_likelihood(y)))
+    scores = [s for _, s in history]
+    best = scores.index(max(scores))
+    assert best == 1 and scores[1:] == [scores[1]] * 4
+
+    res = grid_search(graphs, y, factory, grid, structure_reuse=False)
+    assert res.history == history
+    assert res.params == {"tag": best} and res.score == scores[best]
+    warm = grid_search(graphs, y, factory, grid)
+    assert [p for p, _ in warm.history] == [p for p, _ in history]
+    assert np.allclose([s for _, s in warm.history], scores, rtol=1e-9)
+
+
+def test_grid_search_two_axis_grid_visits_every_point_once():
+    graphs = fragment_set(8)
+    y = _sweep_targets(graphs)
+    ek = molecule_kernels()[1]
+    grid = {"q": [0.03, 0.05, 0.08], "h": [0.2, 0.3, 0.4, 0.5]}
+    visited = []
+
+    def factory(q, h):
+        visited.append((q, h))
+        nk = TensorProduct(element=KroneckerDelta(h))
+        return MarginalizedGraphKernel(nk, ek, q=q, rtol=1e-11)
+
+    res = grid_search(graphs, y, factory, grid)
+    assert visited == [
+        (grid["q"][i], grid["h"][j])
+        for i, j in product(bisection_order(3), bisection_order(4))
+    ]
+    assert sorted(visited) == sorted(product(*grid.values()))
+    assert [tuple(p.values()) for p, _ in res.history] == list(
+        product(*grid.values())
+    )
