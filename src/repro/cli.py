@@ -234,7 +234,7 @@ def cmd_gram(args: argparse.Namespace) -> int:
               f"shards over the same --spill-dir, then an unsharded pass "
               f"to merge")
     print(f"Gram matrix saved to {args.output}")
-    eng.close()  # flush pending out-of-core block writes
+    eng.close()
     if tracer is not None:
         from .obs import disable_tracing, format_summary, write_chrome_trace
 

@@ -10,8 +10,9 @@ numerical one.  This package is the single entry point for it:
 * :mod:`repro.engine.tiles`       — the one tile planner: pairs priced
   by stored off-diagonal entries, cut at one entry cap, largest first,
   the same for every executor, worker count and hyperparameter;
-* :mod:`repro.engine.executors`   — the tile task body, which the
-  serial executor runs on the calling thread;
+* :mod:`repro.engine.executors`   — the tile task body (solve a tile,
+  then write its result block), which the serial executor runs on the
+  calling thread;
 * :mod:`repro.engine.supervisor`  — the process backend: a
   fault-tolerant supervised worker pool (retry, respawn, deadlines,
   poison-tile quarantine);
@@ -42,13 +43,11 @@ from .cache import (
 from .core import GramEngine
 from .executors import EngineAborted
 from .fingerprint import graph_fingerprint, kernel_fingerprint, pair_key
-from .offload import AsyncOffloader
 from .progress import Diagnostics, ProgressEvent
 from .supervisor import SupervisedPool, SupervisorStats
 from .tiles import TILE_NNZ, Tile, plan_bucketed_tiles
 
 __all__ = [
-    "AsyncOffloader",
     "CachedPair",
     "CacheStats",
     "Diagnostics",

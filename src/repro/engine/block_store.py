@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import io
 import os
+from threading import Lock
 
 import numpy as np
 
@@ -53,6 +54,9 @@ class GramBlockStore:
         self.root = os.fspath(root)
         os.makedirs(self.root, exist_ok=True)
         self.stats = CacheStats()
+        # Engine calls on several threads (the serving layer) read and
+        # write blocks at once, so the counters' updates take a lock.
+        self._lock = Lock()
 
     # -- paths ---------------------------------------------------------
 
@@ -98,9 +102,15 @@ class GramBlockStore:
                            written=payload[: len(payload) // 2])
         else:
             write_verified(target, payload)
-        self.stats.puts += 1
-        self.stats.bytes_written += len(payload)
+        self.count_put(len(payload))
         return len(payload)
+
+    def count_put(self, nbytes: int) -> None:
+        """Count one block write of ``nbytes`` bytes: this store's own,
+        or one a supervised worker made through its own store."""
+        with self._lock:
+            self.stats.puts += 1
+            self.stats.bytes_written += nbytes
 
     # -- read ----------------------------------------------------------
 
@@ -115,16 +125,17 @@ class GramBlockStore:
         what is returned is exactly what was verified.
         """
         payload = self._verify(key)
-        if payload is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        self.stats.bytes_read += len(payload)
-        rows = np.load(io.BytesIO(payload), allow_pickle=False)
-        if rows.ndim != 2 or rows.shape[1] != len(BLOCK_COLUMNS):
-            self.stats.hits -= 1
-            self.stats.misses += 1
-            return None
+        rows = None
+        if payload is not None:
+            rows = np.load(io.BytesIO(payload), allow_pickle=False)
+            if rows.ndim != 2 or rows.shape[1] != len(BLOCK_COLUMNS):
+                rows = None
+        with self._lock:
+            if rows is None:
+                self.stats.misses += 1
+            else:
+                self.stats.hits += 1
+                self.stats.bytes_read += len(payload)
         return rows
 
     def has(self, key: str) -> bool:
@@ -154,6 +165,8 @@ class GramBlockStore:
         return total
 
     def clear(self) -> None:
+        """Delete every block, its sidecar, and any temp file a writer
+        killed mid-write left behind."""
         remove_verified(self.root, ".npy")
 
 

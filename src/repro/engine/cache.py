@@ -53,7 +53,9 @@ def _atomic_write_bytes(path: str | os.PathLike, payload: bytes,
 
     Temp file in the target directory, optional fsync for crash
     durability, then ``os.replace``; the temp file is removed on any
-    failure.  The single atomic-publication primitive behind the
+    exception, but a writer killed before the replace leaves it behind
+    (no read looks at ``*.tmp``; :func:`remove_verified` deletes them).
+    The single atomic-publication primitive behind the
     block store's verified writes (:func:`write_verified`), the model
     registry's manifests, and the benchmark result writer.
     """
@@ -120,10 +122,11 @@ def read_verified(path: str) -> bytes | None:
 
 
 def remove_verified(root: str, suffix: str) -> None:
-    """Delete every ``*suffix`` data file under ``root`` and its sidecar."""
+    """Delete every ``*suffix`` data file under ``root``, its sidecar,
+    and the ``*.tmp`` files of writers killed before their replace."""
     for dirpath, _, files in os.walk(root):
         for f in files:
-            if f.endswith((suffix, ".sha1")):
+            if f.endswith((suffix, ".sha1", ".tmp")):
                 try:
                     os.unlink(os.path.join(dirpath, f))
                 except OSError:

@@ -63,6 +63,7 @@ from .executors import (
     batches,
     default_workers,
     solve_tile,
+    spill_block,
 )
 from .supervisor import (
     DEFAULT_MAX_TILE_RETRIES,
@@ -70,7 +71,6 @@ from .supervisor import (
     SupervisedPool,
 )
 from .fingerprint import graph_fingerprint, kernel_fingerprint, pair_key
-from .offload import AsyncOffloader
 from .progress import (
     Diagnostics,
     ProgressCallback,
@@ -128,9 +128,11 @@ class _Call:
         self.t0 = t0
         self.tiles: list = []
         self.runtime: BatchRuntime | None = None
-        self.block_keys: dict[int, str] = {}
+        # One per tile route leaves to execute: its block key, or None
+        # without a spill dir.
+        self.block_keys: list[str | None] = []
         self.solves = self.pairs_done = self.tiles_done = 0
-        self.blocks_served = self.blocks_written = 0
+        self.blocks_served = self.blocks_written = self.spill_errors = 0
         self.quarantined_pos = self.pending_pos = 0
 
     def set_missing(self, missing: np.ndarray) -> None:
@@ -252,14 +254,16 @@ class GramEngine:
         Root directory for out-of-core state, and the engine's only
         persistent value tier.  Enables (a) a
         :class:`~repro.engine.block_store.GramBlockStore` of per-tile
-        result blocks — written asynchronously as tiles complete, and
-        served on reruns, so a repeated Gram in a fresh process is
-        served whole and a crashed one recomputes only missing tiles
-        (a different pair set tiles differently and recomputes);
-        (b) allocation of result matrices above ``spill_bytes`` as
-        on-disk memmaps, so a Gram larger than RAM completes.  Block
-        writes ride an :class:`~repro.engine.offload.AsyncOffloader`
-        thread, keeping disk traffic off the solve path.
+        result blocks — each written where its tile is solved (on the
+        calling thread, or in the supervised worker) before the engine
+        hears of the tile, and served on reruns, so a repeated Gram in
+        a fresh process is served whole and a crashed one recomputes
+        only missing tiles (a different pair set tiles differently and
+        recomputes); (b) allocation of result matrices above
+        ``spill_bytes`` as on-disk memmaps, so a Gram larger than RAM
+        completes.  A failed block write never fails the call: it is
+        counted in ``Diagnostics.spill_errors``, warned about once per
+        call, and recomputed on a rerun.
     spill_bytes:
         In-RAM budget for one result matrix (default 256 MiB); larger
         results are memory-mapped under ``spill_dir``.  Ignored without
@@ -349,18 +353,15 @@ class GramEngine:
             self.cache = cache
         else:
             self.cache = LRUCache()
-        # Out-of-core tier: block store + one async offload thread for
-        # its writes.
+        # Out-of-core tier: the block store.
         self.spill_dir = os.fspath(spill_dir) if spill_dir is not None else None
         self.spill_bytes = spill_bytes
         if self.spill_dir is not None:
             os.makedirs(self.spill_dir, exist_ok=True)
-            self.offloader = AsyncOffloader(name="engine-offload")
             self.block_store = GramBlockStore(
                 os.path.join(self.spill_dir, "blocks")
             )
         else:
-            self.offloader = None
             self.block_store = None
         # Compared by identity: an empty StructureCache is falsy.
         self.structure_cache = (
@@ -377,9 +378,9 @@ class GramEngine:
         self.retry_backoff_s = retry_backoff_s
         self.shard = tuple(shard) if shard is not None else None
         # Deterministic fault injection (tests/benchmarks): install the
-        # plan process-globally so parent-side sites (block-store torn
-        # writes, offload I/O errors) see it; supervised workers get it
-        # via the REPRO_CHAOS env var.  close() uninstalls it.
+        # plan process-globally so serial block writes (torn blocks,
+        # I/O errors) see it; supervised workers get it via the
+        # REPRO_CHAOS env var.  close() uninstalls it.
         self._chaos_plan = chaos_install(chaos) if chaos is not None else None
         self._chaos_spec = (
             self._chaos_plan.to_spec() if self._chaos_plan is not None
@@ -388,6 +389,7 @@ class GramEngine:
         self.progress = progress
         self.solves = 0
         self.cache_hits = 0
+        self.spill_errors = 0
         # Guards the lifetime counters: the serving layer drives one
         # engine from several executor threads (/predict batches and
         # /similarity calls) concurrently.
@@ -464,20 +466,21 @@ class GramEngine:
         with self._counter_lock:
             self.solves = 0
             self.cache_hits = 0
+            self.spill_errors = 0
 
     def clear_cache(self) -> None:
         if self.cache is not None:
             self.cache.clear()
 
     def close(self) -> None:
-        """Abort in-flight runs, flush spill writes, stop the offloader.
+        """Abort in-flight runs and uninstall the engine's chaos plan.
 
         Any compute call currently running sees its abort event, stops
         before its next tile (a supervised call also terminates its
         workers), and raises
         :class:`~repro.engine.executors.EngineAborted` to its caller.
-        Safe to call anytime (the engine keeps working afterwards,
-        falling back to synchronous spills).
+        Every block a finished tile wrote is already on disk.  Safe to
+        call anytime: the engine keeps working afterwards.
         """
         with self._counter_lock:
             aborts = list(self._active_aborts)
@@ -487,8 +490,6 @@ class GramEngine:
             chaos_get_plan() is self._chaos_plan
         ):
             chaos_clear()
-        if self.offloader is not None:
-            self.offloader.close()
 
     def __enter__(self) -> "GramEngine":
         return self
@@ -645,17 +646,16 @@ class GramEngine:
 
         Crash recovery / rerun reuse: serve any tile whose result block
         already sits (whole and digest-valid) in the spill store, and
-        remember the keys to record the rest under.  With
-        ``shard=(i, n)`` the same scan routes tiles across engine
-        processes: tile ownership hashes off the content key, blocks any
-        shard already spilled are served, and foreign missing tiles are
-        skipped — their positions keep NaN placeholders counted as
-        pending.
+        keep the keys of the rest in ``call.block_keys``, one per
+        returned tile, for their writes.  With ``shard=(i, n)`` the same
+        scan routes tiles across engine processes: tile ownership hashes
+        off the content key, blocks any shard already spilled are
+        served, and foreign missing tiles are skipped — their positions
+        keep NaN placeholders counted as pending.
         """
         if self.block_store is None or not call.tiles:
+            call.block_keys = [None] * len(call.tiles)
             return call.tiles
-        # Make earlier async block writes visible before scanning.
-        self.offloader.flush(timeout=60.0)
         todo = []
         for tile in call.tiles:
             bkey = self._block_key(call.kfp, call.fx, call.fy, tile.pairs)
@@ -672,21 +672,27 @@ class GramEngine:
                 call.pending_pos += int(call.counts[u].sum())
                 self._emit_tile(call)
             else:
-                call.block_keys[id(tile)] = bkey
+                call.block_keys.append(bkey)
                 todo.append(tile)
         return todo
 
     def _execute(self, X, Y, call: _Call, todo: list):
-        """Stage 4: run the tiles, absorbing and spilling their rows;
-        returns the supervisor's stats (None off the process pool).
+        """Stage 4: run the tiles and absorb their rows; returns the
+        supervisor's stats (None off the process pool).
 
         Serial tiles run here, in plan order, as the same ``(tile, rows,
-        quarantined)`` stream that :meth:`SupervisedPool.run` yields;
-        the abort event is checked between tiles.
+        quarantined, written)`` stream that :meth:`SupervisedPool.run`
+        yields; the abort event is checked between tiles.  With a spill
+        dir, each tile's block is written where the tile was solved,
+        before it reaches this loop: ``written`` is the block's bytes,
+        or None if its write failed.  Quarantined NaN fallbacks are
+        never written — a spilled poison block would be served as truth
+        on every rerun.
         """
         abort = Event()
         with self._counter_lock:
             self._active_aborts.add(abort)
+        store = self.block_store
         supervisor = None
         if self.executor == "process_supervised":
             supervisor = SupervisedPool(
@@ -697,40 +703,36 @@ class GramEngine:
                 retry_backoff_s=self.retry_backoff_s,
                 abort=abort,
                 chaos_spec=self._chaos_spec,
+                block_root=store.root if store is not None else None,
+                block_keys=call.block_keys,
             )
             runner = supervisor.run()
         else:
             def serial():
-                for tile in todo:
+                for tile, key in zip(todo, call.block_keys):
                     if abort.is_set():
                         raise EngineAborted("engine run aborted")
                     rows = solve_tile(self.kernel, X, Y, tile, call.runtime)
-                    yield tile, rows, False
+                    yield tile, rows, False, spill_block(store, key, rows)
 
             runner = serial()
         try:
-            for tile, rows, quarantined in runner:
+            for tile, rows, quarantined, written in runner:
                 call.absorb(rows, solved=not quarantined,
                             quarantined=quarantined, cache=self.cache)
-                if self.block_store is not None and not quarantined:
-                    # Quarantined NaN fallbacks never reach the block
-                    # store either — a spilled poison block would be
-                    # served as truth on every rerun.
-                    bkey = call.block_keys[id(tile)]
-                    if not self.offloader.submit(
-                        self.block_store.put, bkey, rows
-                    ):
-                        # Closed offloader: spill synchronously.
-                        self.block_store.put(bkey, rows)
+                if written is not None:
                     call.blocks_written += 1
+                    if supervisor is not None:
+                        # A worker's store counted this write; count it
+                        # here too, so the block tier reads the same on
+                        # both executors.
+                        store.count_put(written)
+                elif store is not None and not quarantined:
+                    call.spill_errors += 1
                 self._emit_tile(call)
         finally:
             with self._counter_lock:
                 self._active_aborts.discard(abort)
-        if self.offloader is not None and call.blocks_written:
-            # Durability point: every block of this call is on disk (or
-            # counted as a failed spill) before results are assembled.
-            self.offloader.flush(timeout=60.0)
         return supervisor.stats if supervisor is not None else None
 
     def _assemble(self, call: _Call, sup_stats):
@@ -746,6 +748,7 @@ class GramEngine:
         with self._counter_lock:
             self.solves += call.solves
             self.cache_hits += hits
+            self.spill_errors += call.spill_errors
         s_hits, s_misses = call.structure_delta()
         diag = Diagnostics(
             executor=self.executor,
@@ -763,14 +766,12 @@ class GramEngine:
             structure_misses=s_misses,
             blocks_served=call.blocks_served,
             blocks_written=call.blocks_written,
+            spill_errors=call.spill_errors,
             retries=sup_stats.retries if sup_stats else 0,
             respawns=sup_stats.respawns if sup_stats else 0,
             timeouts=sup_stats.timeouts if sup_stats else 0,
             quarantined_pairs=call.quarantined_pos,
             pending_pairs=call.pending_pos,
-            offload_errors=(
-                self.offloader.errors if self.offloader is not None else 0
-            ),
             cache_tiers=self._cache_tier_stats(),
             hw_counters=get_registry().values_with_prefix("vgpu_"),
         )
@@ -821,13 +822,24 @@ class GramEngine:
         )
 
     @staticmethod
-    def _warn_nonconverged(diag: Diagnostics) -> None:
+    def _warn(diag: Diagnostics) -> None:
+        """One RuntimeWarning per call for pairs that did not converge,
+        and one for result blocks that failed to write."""
         if diag.nonconverged_pairs:
             sample = diag.nonconverged_pairs[:5]
             warnings.warn(
                 f"{len(diag.nonconverged_pairs)} of {diag.pairs} graph-pair "
                 f"solves did not converge (e.g. {sample}); consider raising "
                 "max_iter or rtol",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        if diag.spill_errors:
+            warnings.warn(
+                f"{diag.spill_errors} of "
+                f"{diag.spill_errors + diag.blocks_written} result blocks "
+                "failed to write to the spill dir; the results are "
+                "intact, and a rerun recomputes those tiles",
                 RuntimeWarning,
                 stacklevel=3,
             )
@@ -875,7 +887,7 @@ class GramEngine:
         _scatter_entries(K, iters, pi, pj, values, its, symmetric=True)
         if normalize:
             K = normalized(K)
-        self._warn_nonconverged(diag)
+        self._warn(diag)
         return self._gram_result(K, iters, diag, t0)
 
     def block(
@@ -902,7 +914,7 @@ class GramEngine:
         values, its, diag = self._compute_pairs(rows, cols, pi, pj)
         K, iters = self._alloc_result((len(rows), len(cols)))
         _scatter_entries(K, iters, pi, pj, values, its, symmetric=False)
-        self._warn_nonconverged(diag)
+        self._warn(diag)
         return self._gram_result(K, iters, diag, t0)
 
     def pairs(self, pair_list: Sequence[tuple[Graph, Graph]]) -> np.ndarray:
@@ -919,20 +931,22 @@ class GramEngine:
         Y = [b for _, b in pair_list]
         pi = np.arange(len(pair_list))
         values, _, diag = self._compute_pairs(X, Y, pi, pi)
-        self._warn_nonconverged(diag)
+        self._warn(diag)
         return values
 
     def cache_stats(self) -> dict:
         """Work/caching counters in a JSON-friendly dict.
 
         Combines the engine's lifetime ``solves`` / ``cache_hits``
-        counters with the underlying cache's own hit/miss/put stats
+        counters (and, with a spill dir, ``spill_errors``: block writes
+        that failed) with the underlying cache's own hit/miss/put stats
         (when it keeps them) — the payload the serving layer exposes at
         ``/metrics``.  It runs on every metrics scrape, so it reads
         counters only and never walks the on-disk block store.
         """
         with self._counter_lock:
             solves, cache_hits = self.solves, self.cache_hits
+            spill_errors = self.spill_errors
         total = solves + cache_hits
         out = {
             "solves": solves,
@@ -943,24 +957,16 @@ class GramEngine:
         stats = getattr(self.cache, "stats", None)
         if stats is not None:
             out["cache"] = stats.as_dict()
+        tiers = self._cache_tier_stats()
         # Structure-cache economics, deliberately separate from the
         # value-cache block: a structure hit still runs a numeric fill
         # and solve, so conflating the two would misstate both.
-        if self.structure_cache is not None:
-            sblock = self.structure_cache.stats.as_dict()
-            sblock["entries"] = len(self.structure_cache)
-            sblock["bytes"] = self.structure_cache.nbytes
-            out["structure"] = sblock
-        if self.warm_store is not None:
-            wblock = self.warm_store.stats.as_dict()
-            wblock["entries"] = len(self.warm_store)
-            wblock["bytes"] = self.warm_store.nbytes
-            out["warm_start"] = wblock
-        if self.offloader is not None:
-            oblock = self.offloader.stats()
-            out["offload"] = oblock
-            out["offload_errors"] = oblock["errors"]
-        out["tiers"] = self._cache_tier_stats()
+        for name in ("structure", "warm_start"):
+            if name in tiers:
+                out[name] = tiers[name]
+        if self.block_store is not None:
+            out["spill_errors"] = spill_errors
+        out["tiers"] = tiers
         return out
 
     def _cache_tier_stats(self) -> dict:
@@ -996,7 +1002,7 @@ class GramEngine:
         graphs = list(graphs)
         pi = np.arange(len(graphs))
         values, _, diag = self._compute_pairs(graphs, graphs, pi, pi)
-        self._warn_nonconverged(diag)
+        self._warn(diag)
         return values
 
     def extend(
@@ -1036,7 +1042,7 @@ class GramEngine:
         _scatter_entries(K, iters, pi, pj, values, its, symmetric=True)
         if normalize:
             K = normalized(K)
-        self._warn_nonconverged(diag)
+        self._warn(diag)
         res = self._gram_result(K, iters, diag, t0)
         res.info["reused_pairs"] = N * (N + 1) // 2
         res.info["new_pairs"] = len(pi)

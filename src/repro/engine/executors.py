@@ -2,13 +2,16 @@
 
 Every tile runs :func:`solve_tile`, which solves one planned tile and
 returns its pairs as ``(k, 6)`` block rows
-(:data:`~repro.engine.block_store.BLOCK_COLUMNS`).  The ``"serial"``
-executor runs it on the engine's own thread, tile after tile in plan
-order (largest first).  The process backend,
-:class:`~repro.engine.supervisor.SupervisedPool`, runs it in worker
-processes that receive the dataset once, at spawn, and streams
-completed tiles back in completion order (the dynamic-work-queue
-behavior whose makespan the scheduler subsystem models).
+(:data:`~repro.engine.block_store.BLOCK_COLUMNS`), then, with a spill
+dir, :func:`spill_block`, which writes those rows as the tile's result
+block where they were solved.  The ``"serial"`` executor runs both on
+the engine's own thread, tile after tile in plan order (largest
+first).  The process backend,
+:class:`~repro.engine.supervisor.SupervisedPool`, runs them in worker
+processes that receive the dataset and the block store's root once, at
+spawn, and streams completed tiles back in completion order (the
+dynamic-work-queue behavior whose makespan the scheduler subsystem
+models).
 """
 
 from __future__ import annotations
@@ -43,6 +46,23 @@ def solve_pairs(kernel, X, Y, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
         rows[r] = (i, j, res.value, res.iterations, res.converged,
                    res.residual_norm)
     return rows
+
+
+def spill_block(store, key: str | None, rows: np.ndarray) -> int | None:
+    """Write one solved tile's block rows; the bytes written, or None.
+
+    None means nothing landed: there is no store, or the write raised
+    an ``OSError`` (a full disk, a lost mount, a chaos ``io-error``).
+    The engine counts a failed write as a spill error; it stays a
+    future miss (a rerun recomputes the tile), never an exception in
+    the call.
+    """
+    if store is None:
+        return None
+    try:
+        return store.put(key, rows)
+    except OSError:
+        return None
 
 
 #: Solvers the batched path vectorizes; anything else (direct,

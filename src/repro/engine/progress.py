@@ -86,10 +86,14 @@ class Diagnostics:
     structure_hits: int = 0
     structure_misses: int = 0
     #: Out-of-core block-store traffic of this call: tiles served whole
-    #: from spilled result blocks (crash recovery / reruns) and tiles
-    #: whose blocks were written this call.
+    #: from spilled result blocks (crash recovery / reruns), tiles
+    #: whose blocks landed this call, and tiles whose block write
+    #: failed.  A failed write is a future miss, not a wrong value: the
+    #: rerun recomputes that tile.  With a spill dir, ``blocks_written
+    #: + spill_errors`` is the number of tiles this call solved.
     blocks_served: int = 0
     blocks_written: int = 0
+    spill_errors: int = 0
     #: Fault-tolerance events of this call (``"process_supervised"``
     #: executor): tile attempts retried after a worker crash, workers
     #: respawned, attempts killed at their deadline.
@@ -102,10 +106,6 @@ class Diagnostics:
     #: cache — reruns recompute them.
     quarantined_pairs: int = 0
     pending_pairs: int = 0
-    #: Async spill writes that failed over the offloader's lifetime
-    #: (cumulative at the time of this call); each is a future cache
-    #: miss, not a correctness problem.
-    offload_errors: int = 0
     #: Per-tier cache counters (value/blocks/structure/warm_start),
     #: cumulative over the engine's lifetime at the time of the call —
     #: includes the block store's disk byte counts and the bounded
@@ -148,8 +148,8 @@ class Diagnostics:
             line += f"; {self.quarantined_pairs} pairs quarantined (NaN)"
         if self.pending_pairs:
             line += f"; {self.pending_pairs} pairs pending (other shards)"
-        if self.offload_errors:
-            line += f"; {self.offload_errors} offload errors"
+        if self.spill_errors:
+            line += f"; {self.spill_errors} block writes failed"
         return line
 
     def as_dict(self) -> dict:
@@ -169,10 +169,10 @@ class Diagnostics:
             "structure_misses": self.structure_misses,
             "blocks_served": self.blocks_served,
             "blocks_written": self.blocks_written,
+            "spill_errors": self.spill_errors,
             "retries": self.retries,
             "respawns": self.respawns,
             "timeouts": self.timeouts,
             "quarantined_pairs": self.quarantined_pairs,
             "pending_pairs": self.pending_pairs,
-            "offload_errors": self.offload_errors,
         }

@@ -31,6 +31,13 @@ Determinism: a retried tile recomputes from the same inputs with the
 same task body, so a run disturbed by worker kills produces a Gram
 matrix bitwise identical to an undisturbed run — the property the
 chaos suite (:mod:`repro.chaos`, ``benchmarks/bench_chaos.py``) gates.
+
+Spill: with a block store root, the worker that solves a tile also
+writes its result block, before it reports the tile.  The parent
+hears of a tile only once its block is on disk or its write has
+failed.  A worker killed after writing but before reporting leaves a
+valid block, and the retry rewrites the same bytes (block keys and
+contents are pure functions of the tile).
 """
 
 from __future__ import annotations
@@ -47,8 +54,8 @@ import numpy as np
 
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer
-from .block_store import block_rows
-from .executors import EngineAborted, default_workers, solve_tile
+from .block_store import GramBlockStore, block_rows
+from .executors import EngineAborted, default_workers, solve_tile, spill_block
 from .tiles import Tile
 
 #: Default retry budget per tile (initial attempt + this many retries).
@@ -62,26 +69,34 @@ DEFAULT_RETRY_BACKOFF_S = 0.05
 POLL_INTERVAL_S = 0.02
 
 
-def _worker_main(worker_id, inbox, outbox, kernel, X, Y) -> None:
+def _worker_main(worker_id, inbox, outbox, kernel, X, Y,
+                 block_root) -> None:
     """Body of one supervised worker process.
 
-    Messages in: ``(task_id, attempt, tile)`` or ``None`` (shut down).
-    Messages out: ``(task_id, attempt, ok, rows_or_error_string)``, with
-    the tile's block rows from :func:`~repro.engine.executors.solve_tile`.
-    Chaos hooks run at the top of each task so an injected kill looks
-    exactly like a mid-tile crash from the parent's point of view (the
-    result simply never arrives).  Workers carry no structure cache or
-    warm store: they are spawned per call, so nothing they kept would be
-    read again.
+    Messages in: ``(task_id, attempt, tile, block_key)`` or ``None``
+    (shut down).  Messages out: ``(task_id, attempt, ok,
+    rows_or_error_string, written)``.  On success the rows are the
+    tile's block rows from :func:`~repro.engine.executors.solve_tile`,
+    and ``written`` is the bytes
+    :func:`~repro.engine.executors.spill_block` wrote under
+    ``block_key`` in the store at ``block_root``, or None when nothing
+    landed; a failed solve writes nothing.  Chaos hooks run at the top
+    of each task so an injected kill looks exactly like a mid-tile
+    crash from the parent's point of view (the result simply never
+    arrives); the block store's own ``io-error``/``torn-block`` hooks
+    hash the block key, so they fire on the same blocks here as in the
+    parent.  Workers carry no structure cache or warm store: they are
+    spawned per call, so nothing they kept would be read again.
     """
     from .. import chaos
 
     chaos.install_from_env()
+    store = GramBlockStore(block_root) if block_root is not None else None
     while True:
         msg = inbox.get()
         if msg is None:
             return
-        task_id, attempt, tile = msg
+        task_id, attempt, tile, block_key = msg
         plan = chaos.get_plan()
         if plan is not None:
             token = f"t{task_id}"
@@ -90,11 +105,11 @@ def _worker_main(worker_id, inbox, outbox, kernel, X, Y) -> None:
         try:
             rows = solve_tile(kernel, X, Y, tile)
         except BaseException as exc:
-            outbox.put(
-                (task_id, attempt, False, f"{type(exc).__name__}: {exc}")
-            )
+            outbox.put((task_id, attempt, False,
+                        f"{type(exc).__name__}: {exc}", None))
         else:
-            outbox.put((task_id, attempt, True, rows))
+            written = spill_block(store, block_key, rows)
+            outbox.put((task_id, attempt, True, rows, written))
 
 
 @dataclass
@@ -144,11 +159,17 @@ class SupervisedPool:
     :class:`~repro.engine.executors.EngineAborted`, and ``chaos_spec``
     is exported as :data:`repro.chaos.ENV_VAR` around worker spawns so
     children inject the same deterministic faults under any
-    multiprocessing start method.
+    multiprocessing start method.  ``block_root`` is the root of a
+    :class:`~repro.engine.block_store.GramBlockStore`, and
+    ``block_keys[k]`` the key of ``tiles[k]``'s block: a worker writes
+    each tile it solves there before reporting it.
 
-    :meth:`run` yields ``(tile, rows, quarantined)`` in completion
-    order, each only after every idle worker holds its next tile, so
-    workers never wait on the engine; ``stats`` carries the final
+    :meth:`run` yields ``(tile, rows, quarantined, written)`` in
+    completion order, each only after every idle worker holds its next
+    tile, so workers never wait on the engine.  ``written`` is the
+    bytes of the tile's block the worker wrote, or None when nothing
+    landed (no store, a failed write, or a quarantined tile, which is
+    never written).  ``stats`` carries the final
     :class:`SupervisorStats`.  Each tile runs the batched or per-pair
     body its plan calls for (:func:`~repro.engine.executors.solve_tile`).
     """
@@ -165,6 +186,8 @@ class SupervisedPool:
         retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S,
         abort=None,
         chaos_spec: str | None = None,
+        block_root: str | None = None,
+        block_keys: Sequence[str | None] | None = None,
     ) -> None:
         if max_tile_retries < 0:
             raise ValueError("max_tile_retries must be >= 0")
@@ -182,6 +205,11 @@ class SupervisedPool:
         self.retry_backoff_s = retry_backoff_s
         self.abort = abort
         self.chaos_spec = chaos_spec
+        self.block_root = block_root
+        self.block_keys = (
+            list(block_keys) if block_keys is not None
+            else [None] * len(self.tiles)
+        )
         self.stats = SupervisorStats()
 
     # ------------------------------------------------------------------
@@ -199,7 +227,8 @@ class SupervisedPool:
         outbox = ctx.Queue()
         process = ctx.Process(
             target=_worker_main,
-            args=(worker_id, inbox, outbox, self.kernel, self.X, self.Y),
+            args=(worker_id, inbox, outbox, self.kernel, self.X, self.Y,
+                  self.block_root),
             name=f"gram-supervised-{worker_id}",
             daemon=True,
         )
@@ -208,7 +237,7 @@ class SupervisedPool:
 
     # ------------------------------------------------------------------
 
-    def run(self) -> Iterator[tuple[Tile, np.ndarray, bool]]:
+    def run(self) -> Iterator[tuple[Tile, np.ndarray, bool, int | None]]:
         """Supervision loop; see the class docstring for semantics."""
         tracer = get_tracer()
         n_tasks = len(self.tiles)
@@ -277,7 +306,7 @@ class SupervisedPool:
                         "supervised run aborted (engine closed)"
                     )
                 quarantine_now: list[int] = []
-                finished_now: list[tuple[Tile, np.ndarray, bool]] = []
+                finished_now: list[tuple] = []  # what run() yields
                 progressed = False
 
                 # 1. Drain every worker's outbox (never block on one).
@@ -289,7 +318,7 @@ class SupervisedPool:
                             break
                         except (EOFError, OSError):
                             break  # queue torn by a death; reaped below
-                        task_id, attempt, ok, payload = msg
+                        task_id, attempt, ok, payload, written = msg
                         if slot.task_id == task_id:
                             slot.task_id = None
                             slot.deadline = None
@@ -300,7 +329,8 @@ class SupervisedPool:
                             n_done += 1
                             progressed = True
                             finished_now.append(
-                                (self.tiles[task_id], payload, False)
+                                (self.tiles[task_id], payload, False,
+                                 written)
                             )
                         elif fail(task_id, attempt, payload):
                             quarantine_now.append(task_id)
@@ -374,7 +404,7 @@ class SupervisedPool:
                         ):
                             pass
                     rows = block_rows(tile.ij, np.nan, 0, False, np.inf)
-                    finished_now.append((tile, rows, True))
+                    finished_now.append((tile, rows, True, None))
 
                 # 5. Dispatch ready tiles (backoff-gated) to idle slots.
                 now = time.monotonic()
@@ -401,9 +431,10 @@ class SupervisedPool:
                             if self.tile_timeout_s is not None else None
                         )
                         self.stats.dispatches += 1
-                        slot.inbox.put(
-                            (task_id, failures[task_id], self.tiles[task_id])
-                        )
+                        slot.inbox.put((
+                            task_id, failures[task_id], self.tiles[task_id],
+                            self.block_keys[task_id],
+                        ))
                         progressed = True
                     ready[0:0] = held  # keep backoff-held tiles in order
 

@@ -594,7 +594,12 @@ class Router:
                     length = int(headers.get("content-length", "0"))
                 except ValueError:
                     length = -1
-                if length < 0 or length > self.max_body_bytes:
+                if length < 0:
+                    await self._respond(writer, 400, ProtocolError(
+                        400, "bad_request", "bad Content-Length"
+                    ).body(), keep_alive=False)
+                    break
+                if length > self.max_body_bytes:
                     await self._respond(writer, 413, ProtocolError(
                         413, "body_too_large",
                         f"body of {length} bytes refused at the router"

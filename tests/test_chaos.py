@@ -14,7 +14,11 @@ The load-bearing properties (ISSUE 10 acceptance criteria):
 * ``shard=(i, n)`` partitions the tile space over a shared spill dir
   and an unsharded merge pass assembles the full matrix from blocks;
 * ``GramEngine.close()`` aborts in-flight runs (satellite 2) and
-  concurrent block-store writers never corrupt a block (satellite 4).
+  concurrent block-store writers never corrupt a block (satellite 4);
+* a tile's block is written where the tile is solved (the calling
+  thread, or the supervised worker), and a failed write is counted in
+  ``Diagnostics.spill_errors``, never raised, the same on both
+  executors.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from repro.chaos import (
     install_from_env,
 )
 from repro.engine import (
-    AsyncOffloader,
     EngineAborted,
     GramBlockStore,
     LRUCache,
@@ -390,7 +393,7 @@ class TestSupervisedExecution:
         payload = json.loads(json.dumps(doc))  # JSON-serializable
         for field in ("retries", "respawns", "timeouts",
                       "quarantined_pairs", "pending_pairs",
-                      "offload_errors"):
+                      "spill_errors"):
             assert field in payload
         assert payload["retries"] > 0
 
@@ -549,47 +552,133 @@ class TestAbortOnClose:
 
 
 # ---------------------------------------------------------------------------
-# offloader error surfacing (satellite 1)
+# block writes where tiles are solved: failures are counted, never raised
 # ---------------------------------------------------------------------------
 
 
-class TestOffloaderErrorSurfacing:
-    def test_flush_returns_cumulative_error_count(self):
-        def boom():
-            raise OSError("disk full")
+def _raise_os_error(*args, **kwargs):
+    raise OSError("spill died")
 
-        with AsyncOffloader() as off:
-            off.submit(boom)
-            assert off.flush(timeout=5.0) == 1
-            off.submit(boom)
-            assert off.flush(timeout=5.0) == 2
 
-    def test_warns_once_past_threshold(self):
-        def boom():
-            raise OSError("disk full")
+IO_ERRORS = "io-error:p=0.5,stage=spill-write,seed=3"  # fails 4 of 7
 
-        with AsyncOffloader(warn_after=3, name="spill") as off:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                for _ in range(6):
-                    off.submit(boom)
-                off.flush(timeout=5.0)
-        hits = [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert len(hits) == 1  # warned exactly once, not per error
-        assert "spill" in str(hits[0].message)
 
-    def test_offload_errors_reach_engine_diagnostics(self, tmp_path,
-                                                     monkeypatch):
+def _spill_run(spill, executor, chaos=None):
+    """A cold Gram of GRAPHS into ``spill``; its result, and the call's
+    RuntimeWarnings."""
+    eng = supervised_engine(executor=executor, spill_dir=spill, chaos=chaos)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = eng.gram(GRAPHS)
+    eng.close()
+    return res, [w for w in caught if w.category is RuntimeWarning]
+
+
+class TestSpillErrorSurfacing:
+    @pytest.fixture(scope="class")
+    def clean(self, tmp_path_factory):
+        spill = str(tmp_path_factory.mktemp("clean"))
+        return _spill_run(spill, "serial")[0]
+
+    def test_spill_errors_reach_engine_diagnostics(self, tmp_path,
+                                                   monkeypatch):
         eng = GramEngine(make_kernel(), executor="serial", cache=False,
                          spill_dir=str(tmp_path / "spill"))
-        monkeypatch.setattr(
-            eng.block_store, "put",
-            lambda *a, **k: (_ for _ in ()).throw(OSError("spill died")),
-        )
-        res = eng.gram(GRAPHS[:4])
+        monkeypatch.setattr(eng.block_store, "put", _raise_os_error)
+        with pytest.warns(RuntimeWarning, match="failed to write"):
+            res = eng.gram(GRAPHS[:4])
         eng.close()
         d = res.info["diagnostics"]
-        assert d.offload_errors == d.blocks_written > 0
+        assert d.spill_errors == d.tiles > 0
+        assert d.blocks_written == 0
         assert not np.isnan(res.matrix).any()  # results unharmed
         stats = eng.cache_stats()
-        assert stats["offload_errors"] == d.offload_errors
+        assert stats["spill_errors"] == d.spill_errors
+
+    def test_supervised_workers_write_the_blocks(self, tmp_path,
+                                                 monkeypatch):
+        # The parent's own store cannot write: every block that lands
+        # was written by the worker that solved its tile.
+        spill = str(tmp_path / "spill")
+        eng = supervised_engine(spill_dir=spill)
+        monkeypatch.setattr(eng.block_store, "put", _raise_os_error)
+        res = eng.gram(GRAPHS)
+        eng.close()
+        d = res.info["diagnostics"]
+        assert d.spill_errors == 0
+        assert d.blocks_written == d.tiles > 1
+        assert len(GramBlockStore(os.path.join(spill, "blocks"))) == d.tiles
+
+    def test_failed_writes_match_across_executors(self, tmp_path, clean):
+        runs = {}
+        for executor in ("serial", "process_supervised"):
+            spill = str(tmp_path / executor)
+            res, caught = _spill_run(spill, executor, chaos=IO_ERRORS)
+            d = res.info["diagnostics"]
+            assert 0 < d.spill_errors < d.tiles, executor
+            assert d.blocks_written + d.spill_errors == d.tiles, executor
+            assert np.array_equal(res.matrix, clean.matrix), executor
+            assert len(caught) == 1, executor
+            runs[executor] = d.spill_errors
+            # A clean rerun solves exactly the pairs of the tiles whose
+            # blocks never landed, and writes those blocks.
+            store = GramBlockStore(os.path.join(spill, "blocks"))
+            served = sum(len(store.get(k)) for k in store.keys())
+            rerun, _ = _spill_run(spill, "serial")
+            r = rerun.info["diagnostics"]
+            assert r.solves == 55 - served, executor
+            assert r.blocks_served == d.blocks_written, executor
+            assert r.blocks_written == d.spill_errors, executor
+            assert np.array_equal(rerun.matrix, clean.matrix), executor
+        assert runs["serial"] == runs["process_supervised"]
+
+    def test_torn_blocks_in_workers_are_recomputed(self, tmp_path, clean):
+        spec = "torn-block:p=0.5,seed=3"
+        spill = str(tmp_path / "spill")
+        res, _ = _spill_run(spill, "process_supervised", chaos=spec)
+        # A torn write leaves a block that reads as absent: a worker
+        # cannot tell, so it is counted as written.
+        assert res.info["diagnostics"].blocks_written == res.info[
+            "diagnostics"].tiles
+        store = GramBlockStore(os.path.join(spill, "blocks"))
+        plan = FaultPlan.from_spec(spec)
+        torn = {k for k in store.keys() if not store.has(k)}
+        assert torn == {k for k in store.keys()
+                        if plan.decide("torn-block", k) is not None}
+        assert 0 < len(torn) < len(store)
+        rerun, _ = _spill_run(spill, "serial")
+        r = rerun.info["diagnostics"]
+        assert r.blocks_served == len(store) - len(torn)
+        assert r.blocks_written == len(torn)
+        assert np.array_equal(rerun.matrix, clean.matrix)
+
+    def test_block_tier_stats_match_across_executors(self, tmp_path):
+        tiers = {}
+        for executor in ("serial", "process_supervised"):
+            eng = supervised_engine(executor=executor,
+                                    spill_dir=str(tmp_path / executor))
+            eng.gram(GRAPHS)
+            eng.close()
+            tiers[executor] = eng.cache_stats()["tiers"]["blocks"]
+        serial, supervised = tiers["serial"], tiers["process_supervised"]
+        assert serial["puts"] == supervised["puts"] > 1
+        assert serial["bytes_written"] == supervised["bytes_written"] > 0
+
+    @pytest.mark.parametrize("executor", ["serial", "process_supervised"])
+    def test_one_warning_per_call_with_failed_writes(self, tmp_path,
+                                                     executor):
+        eng = supervised_engine(executor=executor,
+                                spill_dir=str(tmp_path / "spill"),
+                                chaos="io-error:p=1.0,stage=spill-write")
+        for _ in range(2):  # nothing landed, so each call solves again
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                res = eng.gram(GRAPHS)
+            hits = [w for w in caught if w.category is RuntimeWarning]
+            d = res.info["diagnostics"]
+            assert d.spill_errors == d.tiles > 1
+            assert len(hits) == 1
+            assert f"{d.tiles} of {d.tiles} result blocks" in str(
+                hits[0].message)
+        eng.close()
+        assert eng.cache_stats()["spill_errors"] == 2 * d.tiles

@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import glob
 import os
+import sys
+import tempfile
+import threading
 
 import numpy as np
 import pytest
 
 from repro.engine import GramEngine, StructureCache, plan_bucketed_tiles
 from repro.engine.block_store import GramBlockStore
-from repro.engine.offload import AsyncOffloader
 from repro.graphs.generators import random_labeled_graph
 from repro.kernels.basekernels import synthetic_kernels
 from repro.kernels.marginalized import MarginalizedGraphKernel
@@ -185,6 +187,48 @@ class TestBlockStore:
         store.clear()
         assert len(store) == 0
 
+    def test_write_counters_hold_under_concurrent_threads(self, tmp_path):
+        # The serving layer runs engine calls, and with them the block
+        # writes of serial tiles, on several threads at once.
+        store = GramBlockStore(tmp_path)
+        n_threads, n_keys = 8, 40
+        written = []
+
+        def work(t):
+            for k in range(n_keys):
+                written.append(store.put(f"{t:02x}{k:038x}", ROWS))
+
+        threads = [threading.Thread(target=work, args=(t,))
+                   for t in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert len(written) == n_threads * n_keys == len(store)
+        assert store.stats.puts == len(written)
+        assert store.stats.bytes_written == sum(written)
+
+    def test_clear_removes_temp_files_of_killed_writers(self, tmp_path):
+        # A writer killed between mkstemp and os.replace (a supervised
+        # worker at its tile deadline) leaves a *.tmp beside the blocks.
+        store = GramBlockStore(tmp_path)
+        key = "ac" + "0" * 38
+        store.put(key, ROWS)
+        block_dir = os.path.dirname(store._block_path(key))
+        fd, tmp = tempfile.mkstemp(dir=block_dir, suffix=".tmp")
+        os.write(fd, b"half a block")
+        os.close(fd)
+        assert store.keys() == [key]  # no read sees it
+        store.clear()
+        assert len(store) == 0
+        assert not os.path.exists(tmp)
+
 
 class TestEngineSpill:
     def test_rerun_serves_all_blocks(self, tmp_path, barrier_result):
@@ -243,8 +287,8 @@ class TestEngineSpill:
 
     def test_blocks_written_after_close_reach_disk(self, tmp_path,
                                                    barrier_result):
-        # close() stops the offload thread; later block writes must
-        # fall back to synchronous spills instead of being dropped.
+        # close() leaves the engine working: later calls still write
+        # every block they solve.
         e1 = make_engine(spill_dir=str(tmp_path))
         e1.close()
         d1 = e1.gram(GRAPHS).info["diagnostics"]
@@ -271,48 +315,6 @@ class TestEngineSpill:
         res = eng.gram(GRAPHS)
         eng.close()
         assert not isinstance(res.matrix, np.memmap)
-
-    def test_context_manager_closes_offloader(self, tmp_path):
-        with make_engine(spill_dir=str(tmp_path)) as eng:
-            eng.gram(GRAPHS[:4])
-            off = eng.offloader
-        assert off.pending == 0
-        assert not off._thread.is_alive()
-
-
-# ---------------------------------------------------------------------------
-# async offloader
-# ---------------------------------------------------------------------------
-
-
-class TestAsyncOffloader:
-    def test_runs_jobs_and_flushes(self):
-        seen = []
-        with AsyncOffloader() as off:
-            for k in range(20):
-                assert off.submit(seen.append, k)
-            assert off.flush(timeout=5.0) == 0  # drained, no errors
-            assert seen == list(range(20))
-        assert off.completed == 20
-
-    def test_errors_counted_not_raised(self):
-        def boom():
-            raise ValueError("spill failed")
-
-        with AsyncOffloader() as off:
-            off.submit(boom)
-            assert off.flush(timeout=5.0) == 1  # error count surfaced
-            assert off.errors == 1
-            assert isinstance(off.last_error, ValueError)
-            stats = off.stats()
-            assert stats["errors"] == 1
-            assert "ValueError" in stats["last_error"]
-
-    def test_submit_after_close_refused(self):
-        off = AsyncOffloader()
-        assert off.close()
-        assert not off.submit(print, "late")
-        assert off.close()  # idempotent
 
 
 # ---------------------------------------------------------------------------

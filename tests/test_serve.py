@@ -1322,6 +1322,35 @@ class TestRouter:
         assert "router_requests_total" in text
         assert "router_replica_healthy" in text
 
+    @staticmethod
+    def _post_with_length(port, length: bytes):
+        """Raw POST whose Content-Length header reads ``length``; the
+        status line and the error code of the router's reply."""
+        import socket as _socket
+
+        with _socket.create_connection(("127.0.0.1", port),
+                                       timeout=30) as s:
+            s.sendall(b"POST /predict HTTP/1.1\r\nContent-Length: "
+                      + length + b"\r\n\r\n")
+            data = b""
+            while chunk := s.recv(65536):  # the router closes after it
+                data += chunk
+        head, _, body = data.partition(b"\r\n\r\n")
+        return head.split(b"\r\n")[0], json.loads(body)["error"]["code"]
+
+    @pytest.mark.parametrize("length", [b"abc", b"-5"])
+    def test_bad_content_length_is_400(self, routed, length):
+        status, code = self._post_with_length(routed["port"], length)
+        assert status == b"HTTP/1.1 400 Bad Request"
+        assert code == "bad_request"
+
+    def test_body_over_the_limit_is_413(self, routed):
+        limit = routed["router"].max_body_bytes
+        status, code = self._post_with_length(
+            routed["port"], str(limit + 1).encode())
+        assert status == b"HTTP/1.1 413 Payload Too Large"
+        assert code == "body_too_large"
+
     def test_client_retries_through_transient_429(self, fitted):
         server = _make_server(fitted)
         with ServerThread(server) as h:
